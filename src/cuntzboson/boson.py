@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .common import CheckResult
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
 from .scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
-from .states import Ket
+from .states import Ket, _add_amplitude, _canonical
 from .words import EPWord, Word
 
 Exponents = tuple[tuple[int, int], ...]  # sorted (mode, exponent) pairs, exponents >= 1
@@ -49,32 +49,22 @@ def apply_annihilate(n: int, v: Ket) -> Ket:
     if n < 1:
         raise ValueError(f"modes are 1-based, got {n}")
     out: dict[EPWord, RadicalScalar] = {}
-    for word, coeff in v.items():
+    for word, coeff in v._amps.items():
         c = word.letter_at(n)
         if c < 2:
             continue
-        image = word.set_letter(n, c - 1)
-        total = out.get(image, ZERO) + sqrt_nat(c - 1) * coeff
-        if total:
-            out[image] = total
-        else:
-            out.pop(image, None)
-    return Ket(out)
+        _add_amplitude(out, word.set_letter(n, c - 1), sqrt_nat(c - 1) * coeff)
+    return _canonical(out)
 
 
 def apply_create(n: int, v: Ket) -> Ket:
     if n < 1:
         raise ValueError(f"modes are 1-based, got {n}")
     out: dict[EPWord, RadicalScalar] = {}
-    for word, coeff in v.items():
+    for word, coeff in v._amps.items():
         c = word.letter_at(n)
-        image = word.set_letter(n, c + 1)
-        total = out.get(image, ZERO) + sqrt_nat(c) * coeff
-        if total:
-            out[image] = total
-        else:
-            out.pop(image, None)
-    return Ket(out)
+        _add_amplitude(out, word.set_letter(n, c + 1), sqrt_nat(c) * coeff)
+    return _canonical(out)
 
 
 class BosonMonomial:

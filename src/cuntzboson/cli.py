@@ -46,6 +46,16 @@ def _parse_occupations(text: str) -> dict[int, int]:
     return occ
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def cmd_act(args: argparse.Namespace) -> int:
     terms = parse_expression(args.expr)
     if args.model == "odometer":
@@ -212,13 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=sorted(SUITES))
-    verify.add_argument("--modes", type=int, default=6)
-    verify.add_argument("--samples", type=int, default=50)
+    verify.add_argument("--modes", type=_positive_int, default=6)
+    verify.add_argument("--samples", type=_positive_int, default=50)
     verify.add_argument("--seed", type=int, default=7)
-    verify.add_argument("--cutoff", type=int, default=4)
-    verify.add_argument("--exps", type=int, default=3)
+    verify.add_argument("--cutoff", type=_positive_int, default=4)
+    verify.add_argument("--exps", type=_positive_int, default=3)
     verify.add_argument("--N", type=int, default=2)
-    verify.add_argument("--index-bound", type=int, default=512)
+    verify.add_argument("--index-bound", type=_positive_int, default=512)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
 

@@ -7,9 +7,17 @@ is closed under addition and multiplication because
 
     sqrt(r) * sqrt(r') = g * sqrt((r/g) * (r'/g)),   g = gcd(r, r'),
 
-and the product of two coprime squarefree numbers is squarefree.  All
-identity checks in the package therefore run with exact equality; floats are
-for display only and never decide anything.
+and the product of two coprime squarefree numbers is squarefree.
+
+A scalar is stored over one common denominator, as integers only: a positive
+``int`` denominator ``d`` and a map from squarefree radicand ``r`` to nonzero
+``int`` numerator ``n_r``, so the value is ``sum_r (n_r / d) * sqrt(r)``.
+The form is reduced, ``gcd(d, n_r for all r) == 1`` (zero is ``d = 1`` with
+no terms), which makes it unique: equality is a compare of the denominator
+and the map.  ``terms()``, the text form and the JSON form still present
+each coefficient as a reduced ``Fraction``.  All identity checks in the
+package therefore run with exact equality; floats are for display only and
+never decide anything.
 """
 
 from __future__ import annotations
@@ -18,7 +26,16 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+from .common import DomainError
+
 _SIEVE_BOUND = 10_000
+
+# Trial division stops at this divisor.  A radicand factors when what is left
+# of it after dividing out every prime below the limit is below the limit
+# squared (that remainder is then 1 or a prime); this holds for every
+# radicand below 10**12 and for every product of factorials of numbers below
+# the limit.  Beyond it squarefree_split raises DomainError.
+_TRIAL_LIMIT = 1_000_000
 
 
 def _sieve(bound: int) -> tuple[int, ...]:
@@ -37,17 +54,15 @@ _PRIMES = _sieve(_SIEVE_BOUND)
 
 def _trial_divisors() -> Iterator[int]:
     yield from _PRIMES
-    d = _PRIMES[-1] + 2
-    while True:
-        yield d
-        d += 2
+    yield from range(_PRIMES[-1] + 2, _TRIAL_LIMIT, 2)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Factor ``n = q*q*r`` with ``r`` squarefree; returns ``(q, r)``.
 
-    Trial division with a precomputed prime table; intended inputs stay well
-    below the table bound squared.
+    Trial division by the divisors below ``_TRIAL_LIMIT``; raises
+    ``DomainError`` when the part of ``n`` left after them is too large to be
+    known prime.
     """
     if n < 1:
         raise ValueError(f"radicand must be >= 1, got {n}")
@@ -63,6 +78,11 @@ def squarefree_split(n: int) -> tuple[int, int]:
             q *= p ** (e // 2)
             if e % 2:
                 r *= p
+    else:
+        if m >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+            raise DomainError(
+                f"cannot factor radicand {n}: a factor of it at least {_TRIAL_LIMIT}**2 "
+                f"has no prime factor below {_TRIAL_LIMIT}")
     if m > 1:
         r *= m
     return q, r
@@ -75,74 +95,86 @@ TermsLike = Union[Mapping[int, Rational], Iterable[tuple[int, Rational]]]
 class RadicalScalar:
     """Immutable element of the rational span of {sqrt(r) : r squarefree}.
 
-    Stored as a radicand -> nonzero Fraction map in canonical form; the
-    constructor accepts arbitrary radicands and coefficients and reduces them
-    (e.g. ``{8: 1}`` becomes ``2*sqrt(2)``).
+    Stored as ``(_den, _num)``: a positive common denominator and a
+    squarefree radicand -> nonzero numerator map, reduced so that
+    ``gcd(_den, *_num.values()) == 1``.  The constructor accepts arbitrary
+    radicands and rational coefficients and reduces them (e.g. ``{8: 1}``
+    becomes ``2*sqrt(2)``); arithmetic builds its results with ``_reduced``
+    instead.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_num")
 
     def __init__(self, terms: TermsLike | None = None):
-        clean: dict[int, Fraction] = {}
+        den = 1
+        parts = []
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for radicand, coeff in items:
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, (int, Fraction)):
+                    coeff = Fraction(coeff)
                 if not coeff:
                     continue
                 q, r = squarefree_split(radicand)
-                total = clean.get(r, Fraction(0)) + coeff * q
-                if total:
-                    clean[r] = total
-                else:
-                    clean.pop(r, None)
-        self._terms = clean
+                parts.append((r, coeff.numerator * q, coeff.denominator))
+                den = math.lcm(den, coeff.denominator)
+        num: dict[int, int] = {}
+        for r, n, d in parts:
+            _accumulate(num, r, n * (den // d))
+        reduced = _reduced(den, num)
+        self._den, self._num = reduced._den, reduced._num
 
     @classmethod
     def rational(cls, value: Rational) -> "RadicalScalar":
-        return cls({1: Fraction(value)})
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _raw(value.denominator, {1: value.numerator} if value else {})
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, sorted by radicand."""
-        return tuple(sorted(self._terms.items()))
+        den = self._den
+        return tuple((r, Fraction(n, den)) for r, n in sorted(self._num.items()))
 
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(r == 1 for r in self._terms)
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
+        if other.__class__ is not RadicalScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __neg__(self) -> "RadicalScalar":
-        out = RadicalScalar()
-        out._terms = {r: -q for r, q in self._terms.items()}
-        return out
+        return _raw(self._den, {r: -n for r, n in self._num.items()})
 
     def __add__(self, other) -> "RadicalScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self._terms)
-        for r, q in other._terms.items():
-            total = merged.get(r, Fraction(0)) + q
-            if total:
-                merged[r] = total
-            else:
-                merged.pop(r, None)
-        out = RadicalScalar()
-        out._terms = merged
-        return out
+        if other.__class__ is not RadicalScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            num = self._num.copy()
+            for r, n in other._num.items():
+                _accumulate(num, r, n)
+            return _reduced(d1, num)
+        g = math.gcd(d1, d2)
+        a, b = d2 // g, d1 // g
+        num = {r: n * a for r, n in self._num.items()}
+        for r, n in other._num.items():
+            _accumulate(num, r, n * b)
+        return _reduced(d1 * a, num)
 
     __radd__ = __add__
 
@@ -159,22 +191,16 @@ class RadicalScalar:
         return other + (-self)
 
     def __mul__(self, other) -> "RadicalScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged: dict[int, Fraction] = {}
-        for r1, q1 in self._terms.items():
-            for r2, q2 in other._terms.items():
+        if other.__class__ is not RadicalScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        num: dict[int, int] = {}
+        for r1, n1 in self._num.items():
+            for r2, n2 in other._num.items():
                 g = math.gcd(r1, r2)
-                r = (r1 // g) * (r2 // g)
-                total = merged.get(r, Fraction(0)) + q1 * q2 * g
-                if total:
-                    merged[r] = total
-                else:
-                    merged.pop(r, None)
-        out = RadicalScalar()
-        out._terms = merged
-        return out
+                _accumulate(num, (r1 // g) * (r2 // g), n1 * n2 * g)
+        return _reduced(self._den * other._den, num)
 
     __rmul__ = __mul__
 
@@ -184,10 +210,12 @@ class RadicalScalar:
         General division is out of scope; single terms cover every reciprocal
         the operator formulas need (normalizers are 1/sqrt(integer)).
         """
-        if len(self._terms) != 1:
+        if len(self._num) != 1:
             raise ValueError(f"only single-term scalars are invertible, got {self}")
-        (r, q), = self._terms.items()
-        return RadicalScalar({r: Fraction(1, 1) / (q * r)})
+        (r, n), = self._num.items()
+        # 1 / ((n/d) sqrt(r)) = (d / (n r)) sqrt(r)
+        sign = 1 if n > 0 else -1
+        return _reduced(abs(n) * r, {r: sign * self._den})
 
     def __truediv__(self, other) -> "RadicalScalar":
         if isinstance(other, (int, Fraction)):
@@ -197,15 +225,15 @@ class RadicalScalar:
         return NotImplemented
 
     def to_float(self) -> float:
-        return math.fsum(float(q) * math.sqrt(r) for r, q in self._terms.items())
+        return math.fsum(float(q) * math.sqrt(r) for r, q in self.terms())
 
     __float__ = to_float
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for r, q in sorted(self._terms.items()):
+        for r, q in self.terms():
             if r == 1:
                 parts.append(str(q))
             elif q == 1:
@@ -235,6 +263,33 @@ class RadicalScalar:
         )
 
 
+def _accumulate(num: dict[int, int], r: int, n: int) -> None:
+    """Add ``n`` to the numerator of radicand ``r``, dropping it at zero."""
+    total = num.get(r, 0) + n
+    if total:
+        num[r] = total
+    else:
+        del num[r]
+
+
+def _raw(den: int, num: dict[int, int]) -> RadicalScalar:
+    """A scalar from fields already in reduced form."""
+    out = object.__new__(RadicalScalar)
+    out._den = den
+    out._num = num
+    return out
+
+
+def _reduced(den: int, num: dict[int, int]) -> RadicalScalar:
+    """A scalar from a positive denominator and nonzero numerators, reduced by their gcd."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {r: n // g for r, n in num.items()}
+    return _raw(den, num)
+
+
 def _coerce(value) -> RadicalScalar:
     if isinstance(value, RadicalScalar):
         return value
@@ -246,13 +301,21 @@ def _coerce(value) -> RadicalScalar:
 ZERO = RadicalScalar()
 ONE = RadicalScalar.rational(1)
 
+_SQRT_CACHE: dict[int, RadicalScalar] = {}  # n -> sqrt(n) for n <= _SIEVE_BOUND, filled on demand
+
 
 def sqrt_nat(n: int) -> RadicalScalar:
     """Exact sqrt(n) for a natural n >= 1, reduced to q*sqrt(r) with r squarefree."""
+    cached = _SQRT_CACHE.get(n)
+    if cached is not None:
+        return cached
     if n < 1:
         raise ValueError(f"sqrt_nat requires n >= 1, got {n}")
     q, r = squarefree_split(n)
-    return RadicalScalar({r: q})
+    value = _raw(1, {r: q})
+    if n <= _SIEVE_BOUND:
+        _SQRT_CACHE[n] = value
+    return value
 
 
 def sqrt_factorial(k: int) -> RadicalScalar:

@@ -35,11 +35,8 @@ class Ket:
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
         for word, coeff in items:
             coeff = _as_scalar(coeff)
-            total = amps.get(word, ZERO) + coeff
-            if total:
-                amps[word] = total
-            else:
-                amps.pop(word, None)
+            if coeff:
+                _add_amplitude(amps, word, coeff)
         self._amps = amps
 
     @classmethod
@@ -74,14 +71,8 @@ class Ket:
             return NotImplemented
         merged = dict(self._amps)
         for word, coeff in other._amps.items():
-            total = merged.get(word, ZERO) + coeff
-            if total:
-                merged[word] = total
-            else:
-                merged.pop(word, None)
-        out = Ket()
-        out._amps = merged
-        return out
+            _add_amplitude(merged, word, coeff)
+        return _canonical(merged)
 
     def __sub__(self, other: "Ket") -> "Ket":
         if not isinstance(other, Ket):
@@ -89,9 +80,7 @@ class Ket:
         return self + (-other)
 
     def __neg__(self) -> "Ket":
-        out = Ket()
-        out._amps = {w: -c for w, c in self._amps.items()}
-        return out
+        return _canonical({w: -c for w, c in self._amps.items()})
 
     def __rmul__(self, scalar: ScalarLike) -> "Ket":
         try:
@@ -100,9 +89,7 @@ class Ket:
             return NotImplemented
         if not scalar:
             return Ket()
-        out = Ket()
-        out._amps = {w: scalar * c for w, c in self._amps.items()}
-        return out
+        return _canonical({w: scalar * c for w, c in self._amps.items()})
 
     __mul__ = __rmul__
 
@@ -157,3 +144,23 @@ class Ket:
             )
             for entry in doc["terms"]
         )
+
+
+def _add_amplitude(amps: dict[EPWord, RadicalScalar], word: EPWord, coeff: RadicalScalar) -> None:
+    """Add a nonzero ``coeff`` to the amplitude of ``word``, dropping the label if it cancels."""
+    prev = amps.get(word)
+    if prev is None:
+        amps[word] = coeff
+        return
+    total = prev + coeff
+    if total:
+        amps[word] = total
+    else:
+        del amps[word]
+
+
+def _canonical(amps: dict[EPWord, RadicalScalar]) -> Ket:
+    """A ket over ``amps`` as given: canonical labels, nonzero amplitudes, no copy."""
+    out = object.__new__(Ket)
+    out._amps = amps
+    return out

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +139,23 @@ def main_no_catch():
 def test_nonprimitive_rep_is_domain_error(capsys):
     code, _, err = run(capsys, "branch", "--rep", "|1,2,1,2")
     assert code == 3 and "primitive" in err
+
+
+@pytest.mark.parametrize("option", ["--samples", "--modes", "--cutoff", "--exps", "--index-bound"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_rejects_counts_below_one(capsys, option, value):
+    code, out, err = run(capsys, "verify", "ccr", option, value)
+    assert code == 2 and out == ""
+    assert "usage:" in err and option in err
+
+
+def test_unfactorable_radicand_is_domain_error_within_deadline():
+    # (10**9 + 7) * (10**9 + 9): no factor below the trial-division limit
+    argv = [sys.executable, "-m", "cuntzboson.cli", "act", "--expr", "sqrt(1000000016000000063)"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert time.monotonic() - start < 10
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("domain error: cannot factor radicand 1000000016000000063")

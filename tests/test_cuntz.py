@@ -102,6 +102,23 @@ def test_isometry_relations_report():
     assert any("= I" in c.name for c in checks)
 
 
+def test_wrong_range_projection_fails(monkeypatch):
+    """Dropping s_3 s_3* still contracts, but it is not the first-letter projection."""
+    import cuntzboson.cuntz as cuntz
+
+    true_apply = cuntz.apply_generator
+
+    def lossy_apply(spec, i, v, star=False):
+        return Ket() if i == 3 and not star else true_apply(spec, i, v, star)
+
+    v = Ket({EPWord((3, 1), (1,)): 1, EPWord((2,), (1,)): sqrt_nat(2)})
+    assert all(c.passed for c in check_isometry_relations(P1, 3, [v]))
+    monkeypatch.setattr(cuntz, "apply_generator", lossy_apply)
+    checks = check_isometry_relations(P1, 3, [v])
+    projection = [c for c in checks if "projection on first letter <= 3" in c.name]
+    assert len(projection) == 1 and not projection[0].passed
+
+
 def test_alphabet_violations():
     finite = RepSpec((1,), alphabet=2)
     with pytest.raises(AlphabetError):

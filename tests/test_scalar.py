@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cuntzboson.common import DomainError
 from cuntzboson.scalar import (ONE, RadicalScalar, ZERO, inv_sqrt_nat,
                                sqrt_factorial, sqrt_nat, squarefree_split)
 
@@ -29,6 +30,20 @@ def test_sqrt_nat_rejects_zero():
 def test_squarefree_split_against_brute_force():
     for n in range(1, 600):
         assert squarefree_split(n) == brute_squarefree(n)
+
+
+def test_squarefree_split_limit():
+    big_primes = 999983 * 999979  # both below the trial-division limit
+    assert squarefree_split(big_primes) == (1, big_primes)
+    assert squarefree_split(4 * 1000000007) == (2, 1000000007)
+    # products of factorials, as the basis normalizers build them, only have small primes
+    n = math.factorial(30) ** 3 * math.factorial(7)
+    q, r = squarefree_split(n)
+    assert q * q * r == n and all(r % (p * p) for p in range(2, 32))
+    with pytest.raises(DomainError):
+        squarefree_split((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(DomainError):
+        sqrt_nat(1000003 * 1000033)
 
 
 def test_sqrt_factorial_examples():
