@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .common import CheckResult
+from .common import CheckResult, add_term
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
 from .scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
-from .states import Ket, _add_amplitude, _canonical
+from .states import Ket, _canonical, _sum
 from .words import EPWord, Word
 
 Exponents = tuple[tuple[int, int], ...]  # sorted (mode, exponent) pairs, exponents >= 1
@@ -53,7 +53,7 @@ def apply_annihilate(n: int, v: Ket) -> Ket:
         c = word.letter_at(n)
         if c < 2:
             continue
-        _add_amplitude(out, word.set_letter(n, c - 1), sqrt_nat(c - 1) * coeff)
+        add_term(out, word.set_letter(n, c - 1), sqrt_nat(c - 1) * coeff)
     return _canonical(out)
 
 
@@ -63,7 +63,7 @@ def apply_create(n: int, v: Ket) -> Ket:
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
         c = word.letter_at(n)
-        _add_amplitude(out, word.set_letter(n, c + 1), sqrt_nat(c) * coeff)
+        add_term(out, word.set_letter(n, c + 1), sqrt_nat(c) * coeff)
     return _canonical(out)
 
 
@@ -131,11 +131,8 @@ class BosonPolynomial:
     def __init__(self, monomials: Iterable[BosonMonomial] = ()):
         terms: dict[tuple[Exponents, Exponents], RadicalScalar] = {}
         for m in monomials:
-            total = terms.get(m.key(), ZERO) + m.coeff
-            if total:
-                terms[m.key()] = total
-            else:
-                terms.pop(m.key(), None)
+            if m.coeff:
+                add_term(terms, m.key(), m.coeff)
         self._terms = terms
 
     def monomials(self) -> list[BosonMonomial]:
@@ -156,10 +153,7 @@ class BosonPolynomial:
         return BosonPolynomial(self.monomials() + other.monomials())
 
     def apply(self, v: Ket) -> Ket:
-        total = Ket()
-        for m in self.monomials():
-            total = total + m.apply(v)
-        return total
+        return _sum(m.apply(v) for m in self.monomials())
 
     def __str__(self) -> str:
         if not self._terms:
@@ -167,10 +161,6 @@ class BosonPolynomial:
         return " + ".join(str(m) for m in self.monomials())
 
     __repr__ = __str__
-
-
-def apply_boson(p: Union[BosonPolynomial, BosonMonomial], v: Ket) -> Ket:
-    return p.apply(v)
 
 
 Factor = tuple[int, bool]  # (mode, is_creator)
@@ -211,10 +201,6 @@ def apply_factors(factors: Sequence[Factor], v: Ket) -> Ket:
     for mode, is_creator in reversed(factors):
         v = apply_create(mode, v) if is_creator else apply_annihilate(mode, v)
     return v
-
-
-def creator_monomial(occupations: Mapping[int, int]) -> BosonMonomial:
-    return BosonMonomial(ONE, occupations, ())
 
 
 def fock_word(occupations: Mapping[int, int]) -> tuple[RadicalScalar, Word]:
@@ -274,7 +260,7 @@ def fock_extension_action(
 
 def _probe_bound(v: Ket) -> int:
     top = 1
-    for word in v.labels():
+    for word in v._amps:
         top = max(top, *word.prefix) if word.prefix else top
         top = max(top, *word.cycle)
     return top

@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Optional
 
-from .boson import BosonMonomial, apply_annihilate, apply_boson, apply_create
+from .boson import BosonMonomial, apply_annihilate, apply_create
 from .common import CheckResult, DomainError
 from .cuntz import RepSpec
 from .scalar import ONE, RadicalScalar, inv_sqrt_nat
@@ -57,10 +57,6 @@ def classification_of_pattern(pattern: Word) -> str:
     return f"periodic({format_word(pattern)})"
 
 
-def _scale(j: int, vac: Ket) -> Ket:
-    return RadicalScalar.rational(j) * vac
-
-
 def classify_vacuum(vacuum: EPWord, modes: int = 6) -> tuple[str, list[CheckResult]]:
     """Classify a purely periodic vacuum and verify its defining identities.
 
@@ -82,7 +78,7 @@ def classify_vacuum(vacuum: EPWord, modes: int = 6) -> tuple[str, list[CheckResu
         j = pattern[0]
         for n in range(1, M + 1):
             check(f"a{n} a{n}* vac = {j} vac",
-                  apply_annihilate(n, apply_create(n, vac)), _scale(j, vac))
+                  apply_annihilate(n, apply_create(n, vac)), j * vac)
         if j == 1:
             for n in range(1, M + 1):
                 check(f"a{n} vac = 0", apply_annihilate(n, vac), Ket())
@@ -91,14 +87,12 @@ def classify_vacuum(vacuum: EPWord, modes: int = 6) -> tuple[str, list[CheckResu
                 state = vac
                 for l in range(1, j):
                     state = apply_annihilate(n, state)
-                    expected = 1
-                    for t in range(1, l + 1):
-                        expected *= j - t
+                    expected = _falling(j, l)
                     lowered = state
                     for _ in range(l):
                         lowered = apply_create(n, lowered)
                     check(f"(a{n}*)^{l} a{n}^{l} vac = {expected} vac",
-                          lowered, _scale(expected, vac))
+                          lowered, expected * vac)
     elif pattern in ((1, 2), (2, 1)):
         for half in range(1, M // 2 + 1):
             odd, even = 2 * half - 1, 2 * half
@@ -112,7 +106,7 @@ def classify_vacuum(vacuum: EPWord, modes: int = 6) -> tuple[str, list[CheckResu
         for n in range(1, M + 1):
             c = vacuum.letter_at(n)
             check(f"a{n}* a{n} vac = {c - 1} vac",
-                  apply_create(n, apply_annihilate(n, vac)), _scale(c - 1, vac))
+                  apply_create(n, apply_annihilate(n, vac)), (c - 1) * vac)
     for failed in checks:
         if not failed.passed:
             raise ClassificationError(f"defining identity failed: {failed.line()}")
@@ -130,13 +124,6 @@ def enumerate_components(spec: RepSpec, modes: int = 6) -> list[ComponentReport]
         name, checks = classify_vacuum(vacuum, modes)
         out.append(ComponentReport(vacuum, vacuum.cycle, name, checks))
     return out
-
-
-def classify_component(component: ComponentReport, modes: int = 6) -> str:
-    name, checks = classify_vacuum(component.vacuum_label, modes)
-    component.classification = name
-    component.verified_conditions = checks
-    return name
 
 
 def cyclicity_witness(component: ComponentReport, target: EPWord) -> BosonMonomial:
@@ -262,11 +249,7 @@ def basis_onetwov(mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial
         for mode, (kind, e) in enumerate(combo, start=1):
             if kind == "create":
                 creators[mode] = e
-                factorial = 1
-                top = e if mode % 2 else e + 1
-                for t in range(2, top + 1):
-                    factorial *= t
-                norm_product *= factorial
+                norm_product *= factorial(e if mode % 2 else e + 1)
             elif kind == "lower":
                 annihilators[mode] = 1
         monomial = BosonMonomial(ONE, creators, annihilators)
@@ -352,7 +335,7 @@ def inequivalence_witness(
         rng = random.Random(seed)
         for idx in range(sample_size):
             x = _random_monomial(rng, mode_cutoff, exp_cutoff)
-            inner = apply_boson(x, vac1).inner(vac2)
+            inner = x.apply(vac1).inner(vac2)
             report.checks.append(CheckResult(
                 f"<x vac1 | vac2> = 0 for sample {idx}: x = {x}",
                 inner.is_zero(), f"inner {inner}"))

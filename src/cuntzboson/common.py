@@ -1,4 +1,4 @@
-"""Shared error types and the check-report record used across modules."""
+"""Shared error types, the check-report record and the sparse-sum kernel used across modules."""
 
 from __future__ import annotations
 
@@ -32,3 +32,21 @@ class CheckResult:
     def line(self) -> str:
         status = "ok" if self.passed else "FAIL"
         return f"[{status}] {self.name}" + (f": {self.detail}" if self.detail else "")
+
+
+def add_term(terms: dict, key, coeff) -> None:
+    """Add a nonzero ``coeff`` to ``terms[key]``, deleting the key when the sum is zero.
+
+    The one accumulation step of every exact sparse sum in the package: scalar
+    numerators, ket amplitudes and polynomial coefficients.  Callers whose
+    coefficient can be zero filter it first.
+    """
+    prev = terms.get(key)
+    if prev is None:
+        terms[key] = coeff
+        return
+    total = prev + coeff
+    if total:
+        terms[key] = total
+    else:
+        del terms[key]

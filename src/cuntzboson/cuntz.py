@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .common import AlphabetError, CheckResult, DomainError
-from .scalar import ONE, RadicalScalar, ZERO
-from .states import Ket
+from .common import AlphabetError, CheckResult, DomainError, add_term
+from .scalar import ONE, RadicalScalar
+from .states import Ket, _canonical, _sum
 from .words import EPWord, Word, _check_word, format_word, is_primitive, rotations
 
 
@@ -113,20 +113,13 @@ class CuntzPolynomial:
     def __init__(self, monomials: Iterable[CuntzMonomial] = ()):
         terms: dict[tuple[Word, Word], RadicalScalar] = {}
         for m in monomials:
-            total = terms.get(m.key(), ZERO) + m.coeff
-            if total:
-                terms[m.key()] = total
-            else:
-                terms.pop(m.key(), None)
+            if m.coeff:
+                add_term(terms, m.key(), m.coeff)
         self._terms = terms
 
     @classmethod
     def identity(cls) -> "CuntzPolynomial":
         return cls([CuntzMonomial(ONE)])
-
-    @classmethod
-    def zero(cls) -> "CuntzPolynomial":
-        return cls()
 
     def monomials(self) -> list[CuntzMonomial]:
         return [
@@ -196,47 +189,32 @@ def apply_generator(spec: RepSpec, i: int, v: Ket, star: bool = False) -> Ket:
     """Action of s_i (or s_i*) on a ket, extended linearly."""
     spec.check_letter(i)
     out: dict[EPWord, RadicalScalar] = {}
-    for word, coeff in v.items():
+    for word, coeff in v._amps.items():
         if star:
             if word.letter_at(1) != i:
                 continue
             image = word.drop_first(1)
         else:
             image = word.prepend((i,))
-        total = out.get(image, ZERO) + coeff
-        if total:
-            out[image] = total
-        else:
-            out.pop(image, None)
-    return Ket(out)
+        add_term(out, image, coeff)
+    return _canonical(out)
 
 
 def apply_monomial(spec: RepSpec, m: CuntzMonomial, v: Ket) -> Ket:
     spec.check_word(m.left)
     spec.check_word(m.right)
+    if not m.coeff:
+        return Ket()
     out: dict[EPWord, RadicalScalar] = {}
-    for word, coeff in v.items():
+    for word, coeff in v._amps.items():
         stripped = _strip_word(m.right, word)
-        if stripped is None:
-            continue
-        image = stripped.prepend(m.left)
-        total = out.get(image, ZERO) + m.coeff * coeff
-        if total:
-            out[image] = total
-        else:
-            out.pop(image, None)
-    return Ket(out)
+        if stripped is not None:
+            add_term(out, stripped.prepend(m.left), m.coeff * coeff)
+    return _canonical(out)
 
 
 def apply_polynomial(spec: RepSpec, p: CuntzPolynomial, v: Ket) -> Ket:
-    total = Ket()
-    for m in p.monomials():
-        total = total + apply_monomial(spec, m, v)
-    return total
-
-
-def gp_vector(spec: RepSpec) -> Ket:
-    return spec.gp_vector()
+    return _sum(apply_monomial(spec, m, v) for m in p.monomials())
 
 
 def check_isometry_relations(spec: RepSpec, k: int, sample: Iterable[Ket]) -> list[CheckResult]:
@@ -258,19 +236,16 @@ def check_isometry_relations(spec: RepSpec, k: int, sample: Iterable[Ket]) -> li
                     f"{spec} sample {idx}: s{i}* s{j} = {'I' if i == j else '0'}",
                     got == expected,
                 ))
-        bound = k if spec.alphabet is None else min(k, spec.alphabet)
-        projected = Ket()
-        for i in range(1, bound + 1):
-            projected = projected + apply_generator(
-                spec, i, apply_generator(spec, i, v, star=True))
-        restricted = Ket((word, coeff) for word, coeff in v.items() if word.letter_at(1) <= bound)
+        projected = _sum(apply_generator(spec, i, apply_generator(spec, i, v, star=True))
+                         for i in range(1, k + 1))
+        restricted = _canonical({w: c for w, c in v._amps.items() if w.letter_at(1) <= k})
         results.append(CheckResult(
-            f"{spec} sample {idx}: sum(s_i s_i*, i<={bound}) = projection on first letter <= {bound}",
+            f"{spec} sample {idx}: sum(s_i s_i*, i<={k}) = projection on first letter <= {k}",
             projected == restricted,
         ))
-        if spec.alphabet is not None and bound == spec.alphabet:
+        if spec.alphabet is not None and k == spec.alphabet:
             results.append(CheckResult(
-                f"{spec} sample {idx}: sum(s_i s_i*, i<={bound}) = I",
+                f"{spec} sample {idx}: sum(s_i s_i*, i<={k}) = I",
                 projected == v,
             ))
     return results

@@ -23,8 +23,8 @@ from typing import Mapping, Optional
 from .boson import apply_annihilate, apply_create, fock_word
 from .common import AlphabetError, DomainError
 from .cuntz import RepSpec
-from .scalar import RadicalScalar, ZERO
-from .states import Ket
+from .scalar import RadicalScalar
+from .states import Ket, _canonical
 from .words import EPWord, Word
 
 
@@ -108,14 +108,10 @@ def encode_label(spec: EmbeddingSpec, label: EPWord) -> EPWord:
 
 
 def _embedded(spec: EmbeddingSpec, n: int, v: Ket, create: bool) -> Ket:
-    out = Ket()
+    """Decode the ket, apply the ladder once, encode the image; the codec is a bijection."""
     op = apply_create if create else apply_annihilate
-    for word, coeff in v.items():
-        image = op(n, Ket.basis(decode_label(spec, word)))
-        encoded = Ket(
-            (encode_label(spec, label), amp) for label, amp in image.items())
-        out = out + coeff * encoded
-    return out
+    image = op(n, _canonical({decode_label(spec, w): c for w, c in v._amps.items()}))
+    return _canonical({encode_label(spec, w): c for w, c in image._amps.items()})
 
 
 def embedded_create(spec: EmbeddingSpec, n: int, v: Ket) -> Ket:
@@ -192,10 +188,4 @@ def odometer_boson(n: int, create: bool, v: Mapping[int, RadicalScalar]) -> dict
     """Ladder action on a combination of odometer basis indices, via the label bijection."""
     ket = Ket((odometer_isomorphism(idx), coeff) for idx, coeff in v.items())
     image = apply_create(n, ket) if create else apply_annihilate(n, ket)
-    out: dict[int, RadicalScalar] = {}
-    for label, coeff in image.items():
-        idx = odometer_index(label)
-        total = out.get(idx, ZERO) + coeff
-        if total:
-            out[idx] = total
-    return out
+    return {odometer_index(label): coeff for label, coeff in image._amps.items()}

@@ -12,10 +12,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .boson import apply_annihilate, apply_create
 from .common import DomainError, ExprError
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator
+from .embed import EmbeddingSpec, embedded_annihilate, embedded_create
 from .scalar import ONE, RadicalScalar, sqrt_nat
-from .states import Ket
+from .states import Ket, _sum
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<gen>[sa])(?P<index>\d+)(?P<star>\*?)"
@@ -104,7 +106,7 @@ def eval_on_ket(spec: RepSpec, terms: list[Term], state: Ket) -> Ket:
     With a finite alphabet the ladder tokens act through the embedding block
     code, which requires every label to end in 1^inf.
     """
-    total = Ket()
+    images = []
     for term in terms:
         v = state
         for factor in reversed(term.factors):
@@ -112,17 +114,13 @@ def eval_on_ket(spec: RepSpec, terms: list[Term], state: Ket) -> Ket:
                 v = apply_generator(spec, factor.index, v, star=factor.star)
             else:
                 v = _apply_ladder(spec, factor, v)
-        total = total + term.coeff * v
-    return total
+        images.append(term.coeff * v)
+    return _sum(images)
 
 
 def _apply_ladder(spec: RepSpec, factor: Factor, v: Ket) -> Ket:
-    from .boson import apply_annihilate, apply_create
-
     if spec.alphabet is None:
         return apply_create(factor.index, v) if factor.star else apply_annihilate(factor.index, v)
-    from .embed import EmbeddingSpec, embedded_annihilate, embedded_create
-
     ambient = EmbeddingSpec(spec.alphabet)
     return (embedded_create if factor.star else embedded_annihilate)(ambient, factor.index, v)
 

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .common import DomainError
+from .common import DomainError, add_term
 
 _SIEVE_BOUND = 10_000
 
@@ -120,7 +120,7 @@ class RadicalScalar:
                 den = math.lcm(den, coeff.denominator)
         num: dict[int, int] = {}
         for r, n, d in parts:
-            _accumulate(num, r, n * (den // d))
+            add_term(num, r, n * (den // d))
         reduced = _reduced(den, num)
         self._den, self._num = reduced._den, reduced._num
 
@@ -149,7 +149,10 @@ class RadicalScalar:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._num.items())))
+        num = self._num
+        if num.keys() <= {1}:  # rational: hash like the equal int or Fraction
+            return hash(Fraction(num.get(1, 0), self._den))
+        return hash((self._den, frozenset(num.items())))
 
     def __neg__(self) -> "RadicalScalar":
         return _raw(self._den, {r: -n for r, n in self._num.items()})
@@ -167,13 +170,13 @@ class RadicalScalar:
         if d1 == d2:
             num = self._num.copy()
             for r, n in other._num.items():
-                _accumulate(num, r, n)
+                add_term(num, r, n)
             return _reduced(d1, num)
         g = math.gcd(d1, d2)
         a, b = d2 // g, d1 // g
         num = {r: n * a for r, n in self._num.items()}
         for r, n in other._num.items():
-            _accumulate(num, r, n * b)
+            add_term(num, r, n * b)
         return _reduced(d1 * a, num)
 
     __radd__ = __add__
@@ -199,7 +202,7 @@ class RadicalScalar:
         for r1, n1 in self._num.items():
             for r2, n2 in other._num.items():
                 g = math.gcd(r1, r2)
-                _accumulate(num, (r1 // g) * (r2 // g), n1 * n2 * g)
+                add_term(num, (r1 // g) * (r2 // g), n1 * n2 * g)
         return _reduced(self._den * other._den, num)
 
     __rmul__ = __mul__
@@ -261,15 +264,6 @@ class RadicalScalar:
             (entry["radicand"], Fraction(entry["numerator"], entry["denominator"]))
             for entry in doc
         )
-
-
-def _accumulate(num: dict[int, int], r: int, n: int) -> None:
-    """Add ``n`` to the numerator of radicand ``r``, dropping it at zero."""
-    total = num.get(r, 0) + n
-    if total:
-        num[r] = total
-    else:
-        del num[r]
 
 
 def _raw(den: int, num: dict[int, int]) -> RadicalScalar:

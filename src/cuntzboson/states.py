@@ -11,18 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .scalar import RadicalScalar, ZERO
+from .common import add_term
+from .scalar import RadicalScalar, ZERO, _coerce
 from .words import EPWord
 
 ScalarLike = Union[RadicalScalar, int, Fraction]
-
-
-def _as_scalar(value: ScalarLike) -> RadicalScalar:
-    if isinstance(value, RadicalScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RadicalScalar.rational(value)
-    raise TypeError(f"not a scalar: {value!r}")
 
 
 class Ket:
@@ -33,10 +26,12 @@ class Ket:
     def __init__(self, amplitudes: Mapping[EPWord, ScalarLike] | Iterable[tuple[EPWord, ScalarLike]] = ()):
         amps: dict[EPWord, RadicalScalar] = {}
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
-        for word, coeff in items:
-            coeff = _as_scalar(coeff)
+        for word, value in items:
+            coeff = _coerce(value)
+            if coeff is NotImplemented:
+                raise TypeError(f"not a scalar: {value!r}")
             if coeff:
-                _add_amplitude(amps, word, coeff)
+                add_term(amps, word, coeff)
         self._amps = amps
 
     @classmethod
@@ -47,9 +42,11 @@ class Ket:
         return self._amps.get(word, ZERO)
 
     def items(self) -> list[tuple[EPWord, RadicalScalar]]:
+        """(label, amplitude) pairs in label order, for printing; operators iterate ``_amps``."""
         return sorted(self._amps.items(), key=lambda kv: kv[0].sort_key())
 
     def labels(self) -> list[EPWord]:
+        """The labels in label order, for printing."""
         return sorted(self._amps, key=EPWord.sort_key)
 
     def is_zero(self) -> bool:
@@ -69,10 +66,7 @@ class Ket:
     def __add__(self, other: "Ket") -> "Ket":
         if not isinstance(other, Ket):
             return NotImplemented
-        merged = dict(self._amps)
-        for word, coeff in other._amps.items():
-            _add_amplitude(merged, word, coeff)
-        return _canonical(merged)
+        return _sum((self, other))
 
     def __sub__(self, other: "Ket") -> "Ket":
         if not isinstance(other, Ket):
@@ -83,9 +77,8 @@ class Ket:
         return _canonical({w: -c for w, c in self._amps.items()})
 
     def __rmul__(self, scalar: ScalarLike) -> "Ket":
-        try:
-            scalar = _as_scalar(scalar)
-        except TypeError:
+        scalar = _coerce(scalar)
+        if scalar is NotImplemented:
             return NotImplemented
         if not scalar:
             return Ket()
@@ -146,17 +139,16 @@ class Ket:
         )
 
 
-def _add_amplitude(amps: dict[EPWord, RadicalScalar], word: EPWord, coeff: RadicalScalar) -> None:
-    """Add a nonzero ``coeff`` to the amplitude of ``word``, dropping the label if it cancels."""
-    prev = amps.get(word)
-    if prev is None:
-        amps[word] = coeff
-        return
-    total = prev + coeff
-    if total:
-        amps[word] = total
-    else:
-        del amps[word]
+def _sum(kets: Iterable[Ket]) -> Ket:
+    """The sum of ``kets``, accumulated into one dict."""
+    amps: dict[EPWord, RadicalScalar] = {}
+    for ket in kets:
+        if not amps:
+            amps = dict(ket._amps)
+            continue
+        for word, coeff in ket._amps.items():
+            add_term(amps, word, coeff)
+    return _canonical(amps)
 
 
 def _canonical(amps: dict[EPWord, RadicalScalar]) -> Ket:

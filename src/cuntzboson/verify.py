@@ -198,8 +198,7 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
     for j in (1, 2):
         vacuum = Ket.basis(EPWord((), (j,)))
         family = branching.basis_typej(j, cutoff, exps)
-        kets = [normalizer * boson.apply_boson(monomial, vacuum)
-                for monomial, normalizer in family]
+        kets = [normalizer * monomial.apply(vacuum) for monomial, normalizer in family]
         _orthonormal_checks(f"typej j={j} modes {cutoff} exps {exps}", kets, result)
         got_labels = {ket.labels()[0] for ket in kets}
         result.add(CheckResult(
@@ -208,8 +207,7 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
             f"{len(got_labels)} labels"))
     vacuum = Ket.basis(EPWord((), (1, 2)))
     family = branching.basis_onetwov(cutoff, exps)
-    kets = [normalizer * boson.apply_boson(monomial, vacuum)
-            for monomial, normalizer in family]
+    kets = [normalizer * monomial.apply(vacuum) for monomial, normalizer in family]
     _orthonormal_checks(f"onetwov modes {cutoff} exps {exps}", kets, result)
     got_labels = {ket.labels()[0] for ket in kets}
     result.add(CheckResult(
@@ -322,12 +320,12 @@ def run_fock_ext(modes: int = 5, cutoff: int = 3, exps: int = 4, **_) -> SuiteRe
             for exp_combo in itertools.product(range(1, exps + 1), repeat=p):
                 states.append(tuple(zip(mode_set, exp_combo)))
     for creators in states:
-        state_ket = boson.apply_boson(boson.BosonMonomial(ONE, creators, ()), omega)
+        state_ket = boson.BosonMonomial(ONE, creators, ()).apply(omega)
         for m in range(1, modes + 1):
             for star in (False, True):
                 coeff, image = boson.fock_extension_action(m, star, creators)
                 lhs = apply_generator(spec, m, state_ket, star=star)
-                rhs = coeff * boson.apply_boson(boson.BosonMonomial(ONE, image, ()), omega)
+                rhs = coeff * boson.BosonMonomial(ONE, image, ()).apply(omega)
                 label = f"s{m}{'*' if star else ''} on creators {creators}"
                 result.add(CheckResult(label, lhs == rhs))
     return result

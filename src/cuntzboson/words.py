@@ -167,8 +167,3 @@ class EPWord:
 
     def __repr__(self) -> str:
         return f"EPWord({self})"
-
-
-def canonicalize(prefix: Iterable[int], cycle: Iterable[int]) -> EPWord:
-    """Canonical form of an arbitrary (prefix, cycle) presentation."""
-    return EPWord(prefix, cycle)

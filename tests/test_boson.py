@@ -1,9 +1,9 @@
 import itertools
 import random
 
-from cuntzboson.boson import (BosonMonomial, BosonPolynomial, apply_annihilate, apply_boson,
+from cuntzboson.boson import (BosonMonomial, BosonPolynomial, apply_annihilate,
                               apply_create, apply_factors, check_intertwining,
-                              creator_monomial, fock_extension_action, fock_word,
+                              fock_extension_action, fock_word,
                               literal_annihilate, literal_create, normal_order)
 from cuntzboson.cuntz import RepSpec, apply_generator
 from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
@@ -86,7 +86,7 @@ def test_normal_order_examples():
     factors = [(1, False), (1, False), (1, True), (1, True)]
     for c in range(1, 7):
         v = Ket.basis(EPWord((c,), (1,)))
-        assert apply_boson(got, v) == apply_factors(factors, v)
+        assert got.apply(v) == apply_factors(factors, v)
 
 
 def test_normal_order_random_products_act_identically():
@@ -99,12 +99,12 @@ def test_normal_order_random_products_act_identically():
         ordered = normal_order(factors)
         for _ in range(3):
             v = random_ket(rng, P1, max_labels=2, letter_bound=4)
-            assert apply_boson(ordered, v) == apply_factors(factors, v)
+            assert ordered.apply(v) == apply_factors(factors, v)
 
 
 def test_empty_polynomial_is_zero_map():
-    assert apply_boson(BosonPolynomial(), OMEGA).is_zero()
-    assert apply_boson(BosonMonomial.identity(), OMEGA) == OMEGA
+    assert BosonPolynomial().apply(OMEGA).is_zero()
+    assert BosonMonomial.identity().apply(OMEGA) == OMEGA
 
 
 def test_fock_word_examples():
@@ -122,7 +122,7 @@ def test_fock_word_round_trip():
     for _ in range(60):
         occ = random_occupations(rng, max_modes=5, max_count=5, mode_bound=6)
         coeff, word = fock_word(occ)
-        state = apply_boson(creator_monomial(occ), OMEGA)
+        state = BosonMonomial(ONE, occ, ()).apply(OMEGA)
         assert state == coeff * Ket.basis(EPWord(word, (1,)))
 
 
@@ -138,12 +138,12 @@ def test_fock_extension_examples():
 def test_fock_extension_both_sides_agree():
     state_sets = [(), ((2, 3),), ((1, 2), (3, 1)), ((2, 1), (4, 2))]
     for creators in state_sets:
-        state = apply_boson(BosonMonomial(ONE, creators, ()), OMEGA)
+        state = BosonMonomial(ONE, creators, ()).apply(OMEGA)
         for m in range(1, 5):
             for star in (False, True):
                 coeff, image = fock_extension_action(m, star, creators)
                 lhs = apply_generator(P1, m, state, star=star)
-                rhs = coeff * apply_boson(BosonMonomial(ONE, image, ()), OMEGA)
+                rhs = coeff * BosonMonomial(ONE, image, ()).apply(OMEGA)
                 assert lhs == rhs, (creators, m, star)
 
 
@@ -164,3 +164,9 @@ def test_ccr_exact_sweep_small():
                 == apply_annihilate(m, apply_annihilate(n, v)))
         assert (apply_create(n, apply_create(m, v))
                 == apply_create(m, apply_create(n, v)))
+
+
+def test_polynomial_drops_zero_coefficient_monomials():
+    a1 = BosonMonomial(ONE, {1: 1}, ())
+    assert BosonPolynomial([BosonMonomial(ZERO, {1: 1}, ())]).is_zero()
+    assert BosonPolynomial([a1, BosonMonomial(ZERO, (), {2: 1})]) == BosonPolynomial([a1])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cuntzboson.boson import BosonMonomial, apply_boson
+from cuntzboson.boson import BosonMonomial
 from cuntzboson.branching import (basis_lambda_j, basis_onetwov,
                                   basis_typej, classify_vacuum, component_of,
                                   cyclicity_witness, enumerate_components,
@@ -57,14 +57,14 @@ def test_cyclicity_witness_examples():
     target = EPWord((2, 3), (1,))
     witness = cyclicity_witness(fock, target)
     assert witness == BosonMonomial(ONE, {1: 1, 2: 2}, {})
-    image = apply_boson(witness, Ket.basis(fock.vacuum_label))
+    image = witness.apply(Ket.basis(fock.vacuum_label))
     assert image == sqrt_nat(2) * Ket.basis(target)
 
     comp12 = enumerate_components(RepSpec((1, 2)))[0]
     target = EPWord((1, 1), (1, 2))
     witness = cyclicity_witness(comp12, target)
     assert witness == BosonMonomial(ONE, {}, {2: 1})
-    assert apply_boson(witness, Ket.basis(comp12.vacuum_label)) == Ket.basis(target)
+    assert witness.apply(Ket.basis(comp12.vacuum_label)) == Ket.basis(target)
 
     assert cyclicity_witness(fock, fock.vacuum_label) == BosonMonomial.identity()
 
@@ -81,7 +81,7 @@ def test_cyclicity_witness_sweep():
         target = EPWord(prefix, phase)
         comp = component_of(comps, target)
         assert comp is not None
-        image = apply_boson(cyclicity_witness(comp, target), Ket.basis(comp.vacuum_label))
+        image = cyclicity_witness(comp, target).apply(Ket.basis(comp.vacuum_label))
         assert image.labels() == [target]
         assert not image.amplitude(target).is_zero()
 
@@ -128,7 +128,7 @@ def test_typej_normalizers():
 def test_typej_orthonormal_small():
     for j in (1, 2, 3):
         vac = Ket.basis(EPWord((), (j,)))
-        kets = [norm * apply_boson(m, vac) for m, norm in basis_typej(j, 3, 2)]
+        kets = [norm * m.apply(vac) for m, norm in basis_typej(j, 3, 2)]
         for i, u in enumerate(kets):
             assert u.norm_squared() == ONE
             for v in kets[i + 1:]:
@@ -141,7 +141,7 @@ def test_onetwov_normalizers_and_orthonormality():
     assert family[(((2, 1),), ())] == inv_sqrt_nat(2)
     assert family[((), ((2, 1),))] == ONE
     vac = Ket.basis(EPWord((), (1, 2)))
-    kets = [norm * apply_boson(m, vac) for m, norm in basis_onetwov(3, 2)]
+    kets = [norm * m.apply(vac) for m, norm in basis_onetwov(3, 2)]
     for i, u in enumerate(kets):
         assert u.norm_squared() == ONE
         for v in kets[i + 1:]:

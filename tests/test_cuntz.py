@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from cuntzboson.common import AlphabetError
 from cuntzboson.cuntz import (CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator,
                               apply_monomial, apply_polynomial, check_isometry_relations,
-                              gp_vector, monomial_multiply)
-from cuntzboson.scalar import ONE, sqrt_nat
+                              monomial_multiply)
+from cuntzboson.scalar import ONE, ZERO, sqrt_nat
 from cuntzboson.states import Ket
 from cuntzboson.verify import random_ket
 from cuntzboson.words import EPWord
@@ -54,9 +54,9 @@ def test_adjoint():
 
 
 def test_apply_generator_examples():
-    omega1 = gp_vector(P1)
+    omega1 = P1.gp_vector()
     assert apply_generator(P1, 1, omega1) == omega1
-    omega12 = gp_vector(P12)
+    omega12 = P12.gp_vector()
     assert apply_generator(P12, 2, omega12) == Ket.basis(EPWord((), (2, 1)))
     assert apply_generator(P1, 2, omega1, star=True).is_zero()
 
@@ -78,9 +78,9 @@ def test_apply_polynomial_examples():
 
 
 def test_gp_vector_examples():
-    assert gp_vector(P1) == Ket.basis(EPWord((), (1,)))
-    assert gp_vector(P12) == Ket.basis(EPWord((), (1, 2)))
-    assert gp_vector(RepSpec((1,), alphabet=2)) == Ket.basis(EPWord((), (1,)))
+    assert P1.gp_vector() == Ket.basis(EPWord((), (1,)))
+    assert P12.gp_vector() == Ket.basis(EPWord((), (1, 2)))
+    assert RepSpec((1,), alphabet=2).gp_vector() == Ket.basis(EPWord((), (1,)))
 
 
 def test_gp_vector_fixed_by_cycle_word():
@@ -92,7 +92,7 @@ def test_gp_vector_fixed_by_cycle_word():
 
 def test_isometry_relations_report():
     rng = random.Random(3)
-    checks = check_isometry_relations(P1, 3, [gp_vector(P1)])
+    checks = check_isometry_relations(P1, 3, [P1.gp_vector()])
     assert all(c.passed for c in checks)
     checks = check_isometry_relations(P12, 4, [random_ket(rng, P12) for _ in range(3)])
     assert all(c.passed for c in checks)
@@ -122,7 +122,7 @@ def test_wrong_range_projection_fails(monkeypatch):
 def test_alphabet_violations():
     finite = RepSpec((1,), alphabet=2)
     with pytest.raises(AlphabetError):
-        apply_generator(finite, 3, gp_vector(finite))
+        apply_generator(finite, 3, finite.gp_vector())
     with pytest.raises(AlphabetError):
         RepSpec((1, 3), alphabet=2)
     with pytest.raises(ValueError):
@@ -161,3 +161,16 @@ def test_monomial_multiply_associative(l1, r1, l2, r2, l3, r3):
     a, b, c = mono(l1, r1), mono(l2, r2), mono(l3, r3)
     pa, pb, pc = (CuntzPolynomial([m]) for m in (a, b, c))
     assert pa.multiply(pb).multiply(pc) == pa.multiply(pb.multiply(pc))
+
+
+def test_zero_coefficient_monomial_leaves_no_zero_amplitude():
+    v = random_ket(random.Random(5), P1)
+    image = apply_monomial(P1, CuntzMonomial(ZERO, (1,), ()), v)
+    assert len(image) == 0
+    assert image == Ket()
+
+
+def test_polynomial_drops_zero_coefficient_monomials():
+    s1 = CuntzMonomial(ONE, (1,), ())
+    assert CuntzPolynomial([CuntzMonomial(ZERO, (1,), ())]).is_zero()
+    assert CuntzPolynomial([s1, CuntzMonomial(ZERO, (2,), (1,))]) == CuntzPolynomial([s1])

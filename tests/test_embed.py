@@ -91,6 +91,16 @@ def test_embedded_ladder_intertwines_the_codec():
                 lhs = embedded_annihilate(spec, n, encoded)
                 rhs = Ket((encode_label(spec, w), c) for w, c in apply_annihilate(n, v).items())
                 assert lhs == rhs
+        for _ in range(15):
+            v = random_ket(rng, rep_inf, letter_bound=5, prefix_bound=3)
+            encoded = Ket((encode_label(spec, w), c) for w, c in v.items())
+            for n in (1, 2, 3):
+                lhs = embedded_create(spec, n, encoded)
+                rhs = Ket((encode_label(spec, w), c) for w, c in apply_create(n, v).items())
+                assert lhs == rhs
+                lhs = embedded_annihilate(spec, n, encoded)
+                rhs = Ket((encode_label(spec, w), c) for w, c in apply_annihilate(n, v).items())
+                assert lhs == rhs
 
 
 def test_embedded_fock_state_matches_creators():

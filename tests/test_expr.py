@@ -85,3 +85,10 @@ def test_to_cuntz_polynomial_normalizes():
     assert poly == CuntzPolynomial([CuntzMonomial(ONE, (2,), (2,))])
     with pytest.raises(DomainError):
         to_cuntz_polynomial(parse_expression("a1"))
+
+
+def test_cancelling_terms_give_the_empty_ket():
+    omega = P1.gp_vector()
+    image = eval_on_ket(P1, parse_expression("s1 - s1"), omega)
+    assert len(image) == 0
+    assert image == Ket()

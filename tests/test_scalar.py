@@ -150,3 +150,24 @@ def test_hash_consistency():
     b = RadicalScalar({2: 2})
     assert a == b and hash(a) == hash(b)
     assert RadicalScalar.rational(3) == 3
+
+
+rationals = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+
+@given(scalars, rationals)
+def test_hash_agrees_with_eq_against_rationals(a, q):
+    lifted = a + q - a  # a rational scalar reached through arithmetic
+    assert lifted == q and hash(lifted) == hash(q)
+    assert hash(RadicalScalar.rational(q)) == hash(q)
+    if a == q:
+        assert hash(a) == hash(q)
+
+
+def test_rational_scalar_finds_int_and_fraction_keys():
+    assert {3: "x"}.get(RadicalScalar.rational(3)) == "x"
+    assert {Fraction(1, 2): "y"}.get(RadicalScalar.rational(Fraction(1, 2))) == "y"
+    assert {0: "z"}.get(ZERO) == "z"

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cuntzboson.words import EPWord, canonicalize, expand, format_word, is_primitive, parse_word, rotations
+from cuntzboson.words import EPWord, expand, format_word, is_primitive, parse_word, rotations
 
 letters = st.integers(min_value=1, max_value=4)
 prefixes = st.lists(letters, max_size=5).map(tuple)
@@ -11,15 +11,15 @@ cycles = st.lists(letters, min_size=1, max_size=4).map(tuple)
 
 
 def test_canonicalize_examples():
-    assert canonicalize((1,), (1,)) == EPWord((), (1,))
-    assert canonicalize((1, 2), (1, 2)) == EPWord((), (1, 2))
-    assert canonicalize((1, 1), (1, 2)) == EPWord((1, 1), (1, 2))
+    assert EPWord((1,), (1,)) == EPWord((), (1,))
+    assert EPWord((1, 2), (1, 2)) == EPWord((), (1, 2))
+    assert EPWord((1, 1), (1, 2)) == EPWord((1, 1), (1, 2))
 
 
 def test_two_step_absorption_oracle():
     # the absorbed form must denote the same first 20 letters
     raw = expand((1, 2), (1, 2), 20)
-    assert canonicalize((1, 2), (1, 2)).expand(20) == raw
+    assert EPWord((1, 2), (1, 2)).expand(20) == raw
 
 
 def test_nonprimitive_cycle_reduces():
@@ -88,7 +88,7 @@ def test_parse_and_format():
 def test_canonical_equality_matches_expansion(p1, c1, p2, c2):
     window = len(p1) + len(p2) + 2 * math.lcm(len(c1), len(c2))
     same_word = expand(p1, c1, window) == expand(p2, c2, window)
-    assert (canonicalize(p1, c1) == canonicalize(p2, c2)) == same_word
+    assert (EPWord(p1, c1) == EPWord(p2, c2)) == same_word
 
 
 @given(prefixes, cycles, st.integers(min_value=1, max_value=12))
