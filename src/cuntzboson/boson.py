@@ -259,10 +259,10 @@ def fock_extension_action(
 
 
 def _probe_bound(v: Ket) -> int:
+    """The largest letter of any label: its periodic part or a deviation from it."""
     top = 1
     for word in v._amps:
-        top = max(top, *word.prefix) if word.prefix else top
-        top = max(top, *word.cycle)
+        top = max(top, *word._rot, *word._diff.values())
     return top
 
 

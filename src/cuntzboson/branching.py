@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable, Optional
 
 from .boson import BosonMonomial, apply_annihilate, apply_create
 from .common import CheckResult, DomainError
 from .cuntz import RepSpec
-from .scalar import ONE, RadicalScalar, inv_sqrt_nat
+from .scalar import ONE, RadicalScalar, sqrt_factorial, sqrt_nat
 from .states import Ket
 from .words import EPWord, Word, format_word
 
@@ -138,7 +138,8 @@ def cyclicity_witness(component: ComponentReport, target: EPWord) -> BosonMonomi
         raise DomainError(f"target {target} is not tail-equivalent to vacuum {vacuum}")
     creators: dict[int, int] = {}
     annihilators: dict[int, int] = {}
-    for n in range(1, max(len(vacuum.prefix), len(target.prefix)) + 1):
+    # the two labels share their periodic part, so they differ only where one deviates from it
+    for n in vacuum._diff.keys() | target._diff.keys():
         have, want = vacuum.letter_at(n), target.letter_at(n)
         if want > have:
             creators[n] = want - have
@@ -178,13 +179,6 @@ def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> lis
     return sorted(out, key=EPWord.sort_key)
 
 
-def _rising(j: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= j + t
-    return out
-
-
 def _falling(j: int, l: int) -> int:
     out = 1
     for t in range(1, l + 1):
@@ -203,27 +197,16 @@ def basis_typej(j: int, mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMo
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    options: list[list[tuple[str, int]]] = []
-    per_mode = [("skip", 0)]
-    per_mode += [("create", k) for k in range(1, exp_cutoff + 1)]
-    per_mode += [("lower", l) for l in range(1, min(j - 1, exp_cutoff) + 1)]
-    options = [per_mode] * mode_cutoff
-    out = []
-    for combo in itertools.product(*options):
-        creators: dict[int, int] = {}
-        annihilators: dict[int, int] = {}
-        norm_product = 1
-        for mode, (kind, e) in enumerate(combo, start=1):
-            if kind == "create":
-                creators[mode] = e
-                norm_product *= _rising(j, e)
-            elif kind == "lower":
-                annihilators[mode] = e
-                norm_product *= _falling(j, e)
-        monomial = BosonMonomial(ONE, creators, annihilators)
-        out.append((monomial, inv_sqrt_nat(norm_product) if norm_product > 1 else ONE))
-    out.sort(key=lambda pair: (pair[0].total_displacement(), pair[0].key()))
-    return out
+    # sqrt of each per-mode norm factor, built one small radicand at a time
+    rising, falling = [ONE], [ONE]
+    for t in range(exp_cutoff):
+        rising.append(rising[-1] * sqrt_nat(j + t))
+    for t in range(1, min(j - 1, exp_cutoff) + 1):
+        falling.append(falling[-1] * sqrt_nat(j - t))
+    per_mode = [("skip", 0, ONE)]
+    per_mode += [("create", k, rising[k]) for k in range(1, exp_cutoff + 1)]
+    per_mode += [("lower", l, falling[l]) for l in range(1, len(falling))]
+    return _basis(itertools.product(per_mode, repeat=mode_cutoff))
 
 
 def basis_onetwov(mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial, RadicalScalar]]:
@@ -234,26 +217,35 @@ def basis_onetwov(mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial
     normalizer is 1/sqrt(prod k_i! over odd creators * prod (l_i+1)! over even
     creators); even annihilators contribute factor 1.
     """
-    per_mode: list[list[tuple[str, int]]] = []
+    per_mode: list[list[tuple[str, int, RadicalScalar]]] = []
     for mode in range(1, mode_cutoff + 1):
-        choices = [("skip", 0)]
-        choices += [("create", k) for k in range(1, exp_cutoff + 1)]
+        choices = [("skip", 0, ONE)]
+        choices += [("create", k, sqrt_factorial(k if mode % 2 else k + 1))
+                    for k in range(1, exp_cutoff + 1)]
         if mode % 2 == 0:
-            choices.append(("lower", 1))
+            choices.append(("lower", 1, ONE))
         per_mode.append(choices)
+    return _basis(itertools.product(*per_mode))
+
+
+def _basis(combos: Iterable[tuple[tuple[str, int, RadicalScalar], ...]]
+           ) -> list[tuple[BosonMonomial, RadicalScalar]]:
+    """Monomials from per-mode (kind, exponent, sqrt of norm factor) choices, normalized.
+
+    The normalizer is the inverse of the product of the square roots, so no
+    radicand larger than one factor is ever factored.
+    """
     out = []
-    for combo in itertools.product(*per_mode):
+    for combo in combos:
         creators: dict[int, int] = {}
         annihilators: dict[int, int] = {}
-        norm_product = 1
-        for mode, (kind, e) in enumerate(combo, start=1):
-            if kind == "create":
-                creators[mode] = e
-                norm_product *= factorial(e if mode % 2 else e + 1)
-            elif kind == "lower":
-                annihilators[mode] = 1
+        norm = ONE
+        for mode, (kind, e, root) in enumerate(combo, start=1):
+            if kind != "skip":
+                (creators if kind == "create" else annihilators)[mode] = e
+                norm = norm * root
         monomial = BosonMonomial(ONE, creators, annihilators)
-        out.append((monomial, inv_sqrt_nat(norm_product) if norm_product > 1 else ONE))
+        out.append((monomial, norm.inverse() if norm != ONE else ONE))
     out.sort(key=lambda pair: (pair[0].total_displacement(), pair[0].key()))
     return out
 

@@ -12,7 +12,7 @@ import sys
 
 from .boson import fock_word
 from .branching import basis_lambda_j, basis_onetwov, basis_typej, enumerate_components
-from .common import DomainError, ExprError
+from .common import DomainError, ExprError, check_index
 from .cuntz import RepSpec
 from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
@@ -41,6 +41,7 @@ def _parse_occupations(text: str) -> dict[int, int]:
         mode, count = int(mode_text), int(count_text)
         if mode < 1 or count < 0:
             raise ValueError(f"bad occupation entry {chunk!r}")
+        check_index(mode, "mode")
         if count:
             occ[mode] = occ.get(mode, 0) + count
     return occ
@@ -146,11 +147,15 @@ def cmd_fock(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     spec = EmbeddingSpec(args.N)
     if args.gen is not None:
+        check_index(args.gen, "generator index")
         word = embed_generator(spec, args.gen)
         payload = {"generator": args.gen, "word": list(word)}
         text = f"s{args.gen} -> {format_word(word)}"
     elif args.word is not None:
-        word = translate_word(spec, parse_word(args.word))
+        source = parse_word(args.word)
+        for m in source:
+            check_index(m, "generator index")
+        word = translate_word(spec, source)
         payload = {"source": args.word, "word": list(word)}
         text = f"s_({args.word}) -> {format_word(word)}"
     elif args.occ is not None:

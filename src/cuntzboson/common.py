@@ -1,4 +1,4 @@
-"""Shared error types, the check-report record and the sparse-sum kernel used across modules."""
+"""Shared error types, the CLI index bound, the check-report record and the sparse-sum kernel."""
 
 from __future__ import annotations
 
@@ -19,6 +19,22 @@ class ExprError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+# Largest mode or generator index that command-line text may name: the
+# tokens a<n> and s<n> of an expression, the modes of an occupation list and
+# the generator indices of ``embed``.  A ladder step costs the same at every
+# mode, but a label that deviates at position n prints n letters, an O_N
+# word for s_n has about n letters and an odometer index about n bits, so
+# larger indices are refused with DomainError (exit code 3) instead of
+# running without bound.
+MAX_MODE = 10**6
+
+
+def check_index(index: int, what: str) -> None:
+    """Refuse a mode or generator index above ``MAX_MODE`` with ``DomainError``."""
+    if index > MAX_MODE:
+        raise DomainError(f"{what} {index} exceeds the largest supported {what} {MAX_MODE}")
 
 
 @dataclass(frozen=True)

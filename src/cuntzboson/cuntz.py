@@ -142,11 +142,15 @@ class CuntzPolynomial:
         return CuntzPolynomial(self.monomials() + other.monomials())
 
     def multiply(self, other: "CuntzPolynomial") -> "CuntzPolynomial":
-        out: list[CuntzMonomial] = []
-        for a in self.monomials():
-            for b in other.monomials():
-                out.extend(monomial_multiply(a, b).monomials())
-        return CuntzPolynomial(out)
+        terms: dict[tuple[Word, Word], RadicalScalar] = {}
+        for (J, K), c1 in self._terms.items():
+            for (L, M), c2 in other._terms.items():
+                key = _product_key(J, K, L, M)
+                if key is not None:
+                    add_term(terms, key, c1 * c2)
+        out = object.__new__(CuntzPolynomial)
+        out._terms = terms
+        return out
 
     __mul__ = multiply
 
@@ -167,15 +171,17 @@ def monomial_multiply(a: CuntzMonomial, b: CuntzMonomial) -> CuntzPolynomial:
     K a prefix of L gives s_{J.(L\\K)} s_M*; L a proper prefix of K gives
     s_J s_{M.(K\\L)}*; anything else is zero.
     """
-    K, L = a.right, b.left
-    coeff = a.coeff * b.coeff
-    if len(K) <= len(L):
-        if L[: len(K)] != K:
-            return CuntzPolynomial()
-        return CuntzPolynomial([CuntzMonomial(coeff, a.left + L[len(K):], b.right)])
-    if K[: len(L)] != L:
+    key = _product_key(a.left, a.right, b.left, b.right)
+    if key is None:
         return CuntzPolynomial()
-    return CuntzPolynomial([CuntzMonomial(coeff, a.left, b.right + K[len(L):])])
+    return CuntzPolynomial([CuntzMonomial(a.coeff * b.coeff, *key)])
+
+
+def _product_key(J: Word, K: Word, L: Word, M: Word) -> Optional[tuple[Word, Word]]:
+    """The (left, right) words of (s_J s_K*)(s_L s_M*), or None when it is zero."""
+    if len(K) <= len(L):
+        return (J + L[len(K):], M) if L[: len(K)] == K else None
+    return (J, M + K[len(L):]) if K[: len(L)] == L else None
 
 
 def _strip_word(word: Word, label: EPWord) -> Optional[EPWord]:

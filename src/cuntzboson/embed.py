@@ -25,7 +25,7 @@ from .common import AlphabetError, DomainError
 from .cuntz import RepSpec
 from .scalar import RadicalScalar
 from .states import Ket, _canonical
-from .words import EPWord, Word
+from .words import EPWord, Word, _tail_one
 
 
 class EmbeddingSpec:
@@ -54,10 +54,10 @@ def embed_generator(spec: EmbeddingSpec, m: int) -> Word:
 
 
 def translate_word(spec: EmbeddingSpec, J: Word) -> Word:
-    out: tuple[int, ...] = ()
+    out: list[int] = []
     for m in J:
         out += embed_generator(spec, m)
-    return out
+    return tuple(out)
 
 
 def fock_word_in_ON(spec: EmbeddingSpec, occupations: Mapping[int, int]) -> Word:
@@ -67,7 +67,7 @@ def fock_word_in_ON(spec: EmbeddingSpec, occupations: Mapping[int, int]) -> Word
     occupation count; agrees letter for letter with translating the word from
     ``fock_word`` generator by generator.
     """
-    word: tuple[int, ...] = ()
+    word: list[int] = []
     previous = 0
     for mode, count in sorted(occupations.items()):
         if count < 1:
@@ -77,12 +77,12 @@ def fock_word_in_ON(spec: EmbeddingSpec, occupations: Mapping[int, int]) -> Word
         c1, b1 = divmod(count, spec.N - 1)  # count = (N-1)(c-1) + (b-1)
         word += (1,) * (mode - previous - 1) + (spec.N,) * c1 + (b1 + 1,)
         previous = mode
-    return word
+    return tuple(word)
 
 
 def decode_label(spec: EmbeddingSpec, label: EPWord) -> EPWord:
     """O_N label with tail 1^inf -> label of the infinite-alphabet standard rep."""
-    if label.cycle != (1,):
+    if label._rot != (1,):
         raise DomainError(f"only labels with tail 1^inf decode, got {label}")
     out = []
     run = 0
@@ -97,14 +97,14 @@ def decode_label(spec: EmbeddingSpec, label: EPWord) -> EPWord:
     if run:
         # trailing run of Ns closes with a 1 read from the periodic tail
         out.append((spec.N - 1) * run + 1)
-    return EPWord(tuple(out), (1,))
+    return _tail_one(out)
 
 
 def encode_label(spec: EmbeddingSpec, label: EPWord) -> EPWord:
     """Inverse of ``decode_label``."""
-    if label.cycle != (1,):
+    if label._rot != (1,):
         raise DomainError(f"only labels with tail 1^inf encode, got {label}")
-    return EPWord(translate_word(spec, label.prefix), (1,))
+    return _tail_one(translate_word(spec, label.prefix))
 
 
 def _embedded(spec: EmbeddingSpec, n: int, v: Ket, create: bool) -> Ket:
@@ -160,17 +160,25 @@ def odometer_isomorphism(index: int) -> EPWord:
             n += 1
         letters.append(n)
         index = (index + 1) // 2
-    return EPWord(tuple(letters), (1,))
+    return _tail_one(letters)
 
 
 def odometer_index(label: EPWord) -> int:
-    """Inverse of ``odometer_isomorphism``; defined on labels with tail 1^inf."""
-    if label.cycle != (1,):
+    """Inverse of ``odometer_isomorphism``; defined on labels with tail 1^inf.
+
+    Reads the letters right to left, e <- e_{2^{n-1}(2e-1)} for letter n; a
+    run of r letters 1 is the one step e <- 2^r (e-1) + 1, so the cost follows
+    the letters other than 1, not the label's length.
+    """
+    if label._rot != (1,):
         raise DomainError(f"odometer labels end in 1^inf, got {label}")
-    index = 1
-    for n in reversed(label.prefix):
-        index = 2 ** (n - 1) * (2 * index - 1)
-    return index
+    diff = label._diff
+    index, right = 1, next(reversed(diff), 0) + 1
+    for pos, n in reversed(diff.items()):
+        # the letters 1 at pos+1..right-1, then letter n at pos
+        index = (((index - 1) << (right - pos)) + 1) << (n - 1)
+        right = pos
+    return ((index - 1) << (right - 1)) + 1
 
 
 def ladder_action(N: int, i: int, star: bool, index: int) -> Optional[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boson import apply_annihilate, apply_create
-from .common import DomainError, ExprError
+from .common import DomainError, ExprError, check_index
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator
 from .embed import EmbeddingSpec, embedded_annihilate, embedded_create
 from .scalar import ONE, RadicalScalar, sqrt_nat
@@ -57,11 +57,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             index = int(match.group("index"))
             if index < 1:
                 raise ExprError("generator indices are 1-based", match.start())
+            check_index(index, "mode" if match.group("gen") == "a" else "generator index")
             tokens.append(("factor", Factor(match.group("gen"), index, bool(match.group("star"))), match.start()))
         elif match.group("sqrt"):
             tokens.append(("literal", sqrt_nat(int(match.group("radicand"))), match.start()))
         elif match.group("number"):
-            tokens.append(("literal", RadicalScalar.rational(Fraction(match.group("number"))), match.start()))
+            try:
+                value = Fraction(match.group("number"))
+            except ZeroDivisionError:
+                raise ExprError("zero denominator", match.start()) from None
+            tokens.append(("literal", RadicalScalar.rational(value), match.start()))
         else:
             tokens.append(("sign", match.group("sign"), match.start()))
         pos = match.end()

@@ -52,6 +52,16 @@ def _sieve(bound: int) -> tuple[int, ...]:
 _PRIMES = _sieve(_SIEVE_BOUND)
 
 
+# Radicands longer than this many bits are refused before any division, even
+# when they would factor: trial division of such a number takes seconds
+# before it can fail.  The radicands the package forms itself are label
+# letters, truncation bounds of the literal series and single factors of
+# basis normalizers (a product of factors is multiplied as scalars, never
+# factored), all far below 2**1024 unless the input names such a number: a
+# letter in ``--state``, ``sqrt(...)``, a JSON coefficient.
+_RADICAND_BITS = 1024
+
+
 def _trial_divisors() -> Iterator[int]:
     yield from _PRIMES
     yield from range(_PRIMES[-1] + 2, _TRIAL_LIMIT, 2)
@@ -62,10 +72,14 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
     Trial division by the divisors below ``_TRIAL_LIMIT``; raises
     ``DomainError`` when the part of ``n`` left after them is too large to be
-    known prime.
+    known prime.  A radicand of more than ``_RADICAND_BITS`` bits raises
+    ``DomainError`` before any division, even when it would factor.
     """
     if n < 1:
         raise ValueError(f"radicand must be >= 1, got {n}")
+    if n.bit_length() > _RADICAND_BITS:
+        raise DomainError(
+            f"radicand has {n.bit_length()} bits, more than the {_RADICAND_BITS} that are factored")
     q, r, m = 1, 1, n
     for p in _trial_divisors():
         if p * p > m:

@@ -1,22 +1,28 @@
 """Eventually periodic infinite words over the alphabet {1, 2, 3, ...}.
 
-An ``EPWord`` denotes the right-infinite word ``prefix . cycle . cycle . ...``
-and is the label of a reference-basis vector of a cyclic permutative
-representation.  Construction always reduces to the unique canonical form:
+An ``EPWord`` is the label of a reference-basis vector of a cyclic
+permutative representation: a right-infinite word that is periodic from some
+position on.  Positions are 1-based throughout.  It is stored as the pair a
+permutative representation sees, its periodic tail and its finitely many
+deviations from it:
 
-  * the cycle is replaced by its primitive root;
-  * while the prefix is nonempty and its last letter equals the cycle's last
-    letter, that prefix letter is dropped and the cycle rotated right by one
-    (maximal absorption of the prefix into the periodic tail).
+  * ``_rot`` is the primitive word ``R`` whose repetition ``R^inf``, aligned
+    at position 1, agrees with the label from some position on; two labels
+    are tail-equivalent (lie in the same component) iff their ``_rot`` agree;
+  * ``_diff`` maps each position where the label differs from ``R^inf`` to
+    its letter there, keys in increasing order.
 
-Two (prefix, cycle) pairs denote the same infinite word exactly when their
-canonical forms coincide, so denotational equality is plain ``==``.
-Positions are 1-based throughout.
+Both parts are unique, so equality compares fields, and reading or changing
+one letter costs the same at mode 10**6 as at mode 1.  The printed
+``prefix|cycle`` form is derived on demand: ``prefix`` is letters
+``1..max(_diff)`` and ``cycle`` is ``R`` rotated left by ``max(_diff) mod |R|``.
+That is the maximally absorbed form (primitive cycle, prefix not ending in
+the cycle's last letter), so text, JSON and label order are those of the
+canonical ``(prefix, cycle)`` pair.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -25,7 +31,8 @@ Word = tuple[int, ...]
 def _check_word(letters: Iterable[int], what: str = "word") -> Word:
     out = tuple(letters)
     for letter in out:
-        if not isinstance(letter, int) or isinstance(letter, bool) or letter < 1:
+        if (letter.__class__ is not int  # the common case, tested first
+                and (not isinstance(letter, int) or isinstance(letter, bool))) or letter < 1:
             raise ValueError(f"{what} letters must be integers >= 1, got {letter!r}")
     return out
 
@@ -78,23 +85,52 @@ def expand(prefix: Sequence[int], cycle: Sequence[int], count: int) -> Word:
     return tuple(out)
 
 
+def _periodic(rot: Word, count: int) -> list[int]:
+    """First ``count`` letters of rot^inf."""
+    return list((rot * (count // len(rot) + 1))[:count])
+
+
+def _deviations(letters: Iterable[int], rot: Word) -> dict[int, int]:
+    """Positions of ``letters`` (read from position 1) that differ from rot^inf."""
+    diff = {}
+    pos = 0
+    if len(rot) == 1:
+        r = rot[0]
+        for x in letters:
+            pos += 1
+            if x != r:
+                diff[pos] = x
+        return diff
+    n = len(rot)
+    for x in letters:
+        if x != rot[pos % n]:
+            diff[pos + 1] = x
+        pos += 1
+    return diff
+
+
 class EPWord:
     """Canonical eventually periodic word; immutable and hashable."""
 
-    __slots__ = ("prefix", "cycle", "_hash")
+    __slots__ = ("_rot", "_diff", "_hash")
 
     def __init__(self, prefix: Iterable[int] = (), cycle: Iterable[int] = (1,)):
-        p = list(_check_word(prefix, "prefix"))
+        p = _check_word(prefix, "prefix")
         c = _check_word(cycle, "cycle")
         if not c:
             raise ValueError("cycle must be nonempty")
-        c = primitive_root(c)
-        while p and p[-1] == c[-1]:
-            p.pop()
-            c = (c[-1],) + c[:-1]
-        self.prefix: Word = tuple(p)
-        self.cycle: Word = c
-        self._hash = hash((self.prefix, self.cycle))
+        if len(c) > 1:
+            c = primitive_root(c)
+        if not p:
+            self._rot, self._diff, self._hash = c, {}, hash((c, ()))
+            return
+        # the tail c^inf starts at position len(p) + 1; align it at position 1
+        shift = len(p) % len(c)
+        rot = c[-shift:] + c[:-shift] if shift else c
+        diff = _deviations(p, rot)
+        self._rot = rot
+        self._diff = diff
+        self._hash = hash((rot, tuple(diff.items())))
 
     @classmethod
     def parse(cls, text: str) -> "EPWord":
@@ -104,66 +140,133 @@ class EPWord:
         prefix_text, cycle_text = text.split("|", 1)
         return cls(parse_word(prefix_text), parse_word(cycle_text))
 
+    def _split(self) -> tuple[Word, Word]:
+        """The ``(prefix, cycle)`` form: letters 1..max(_diff), then ``_rot`` rotated to follow them."""
+        rot, diff = self._rot, self._diff
+        if not diff:
+            return (), rot
+        last = next(reversed(diff))
+        if len(diff) == last:
+            prefix = tuple(diff.values())
+        else:
+            letters = [rot[0]] * last if len(rot) == 1 else _periodic(rot, last)
+            for pos, letter in diff.items():
+                letters[pos - 1] = letter
+            prefix = tuple(letters)
+        shift = last % len(rot)
+        return prefix, (rot[shift:] + rot[:shift] if shift else rot)
+
+    @property
+    def prefix(self) -> Word:
+        """The shortest prefix after which the word is periodic."""
+        return self._split()[0]
+
+    @property
+    def cycle(self) -> Word:
+        """The primitive period read from just after ``prefix``."""
+        return self._split()[1]
+
     def letter_at(self, n: int) -> int:
+        letter = self._diff.get(n)
+        if letter is not None:
+            return letter
         if n < 1:
             raise ValueError(f"positions are 1-based, got {n}")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.cycle[(n - len(self.prefix) - 1) % len(self.cycle)]
+        rot = self._rot
+        return rot[(n - 1) % len(rot)]
 
     def set_letter(self, n: int, v: int) -> "EPWord":
         """The canonical word equal to this one except letter ``v`` at position ``n``."""
         if n < 1:
             raise ValueError(f"positions are 1-based, got {n}")
-        if v < 1:
-            raise ValueError(f"letters must be >= 1, got {v}")
-        if n <= len(self.prefix):
-            letters = self.prefix[: n - 1] + (v,) + self.prefix[n:]
-            return EPWord(letters, self.cycle)
-        # unroll the cycle so the prefix covers position n, then mutate
-        k = n - len(self.prefix)
-        pulled = tuple(self.cycle[i % len(self.cycle)] for i in range(k - 1))
-        shift = k % len(self.cycle)
-        rotated = self.cycle[shift:] + self.cycle[:shift]
-        return EPWord(self.prefix + pulled + (v,), rotated)
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"letters must be integers >= 1, got {v!r}")
+        rot, diff = self._rot, self._diff
+        if v == rot[(n - 1) % len(rot)]:
+            if n not in diff:
+                return self
+            out = diff.copy()
+            del out[n]
+        elif diff.get(n) == v:
+            return self
+        elif n in diff or not diff or n > next(reversed(diff)):
+            out = diff.copy()
+            out[n] = v  # an existing key keeps its place; a new last key goes last
+        else:  # a new key before the last one: insert it in position order
+            out = {}
+            for pos, x in diff.items():
+                if pos > n and n not in out:
+                    out[n] = v
+                out[pos] = x
+        return _raw(rot, out)
 
     def drop_first(self, count: int = 1) -> "EPWord":
         """The word with its first ``count`` letters removed."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        if count <= len(self.prefix):
-            return EPWord(self.prefix[count:], self.cycle)
-        shift = (count - len(self.prefix)) % len(self.cycle)
-        return EPWord((), self.cycle[shift:] + self.cycle[:shift])
+        if not count:
+            return self
+        rot = self._rot
+        shift = count % len(rot)
+        if shift:
+            rot = rot[shift:] + rot[:shift]
+        return _raw(rot, {pos - count: x for pos, x in self._diff.items() if pos > count})
 
     def prepend(self, word: Sequence[int]) -> "EPWord":
-        return EPWord(tuple(word) + self.prefix, self.cycle)
+        word = _check_word(word, "prefix")
+        if not word:
+            return self
+        count, rot = len(word), self._rot
+        shift = count % len(rot)
+        if shift:
+            rot = rot[-shift:] + rot[:-shift]
+        diff = _deviations(word, rot)
+        for pos, x in self._diff.items():
+            diff[pos + count] = x
+        return _raw(rot, diff)
 
     def tail_equivalent(self, other: "EPWord") -> bool:
         """Whether the two infinite words agree from some position onward."""
-        start = max(len(self.prefix), len(other.prefix)) + 1
-        window = lcm(len(self.cycle), len(other.cycle))
-        return all(
-            self.letter_at(i) == other.letter_at(i)
-            for i in range(start, start + window)
-        )
+        return self._rot == other._rot
 
     def expand(self, count: int) -> Word:
-        return expand(self.prefix, self.cycle, count)
+        letters = _periodic(self._rot, count)
+        for pos, letter in self._diff.items():
+            if pos > count:
+                break
+            letters[pos - 1] = letter
+        return tuple(letters)
 
     def sort_key(self) -> tuple:
-        return (len(self.prefix), self.prefix, self.cycle)
+        prefix, cycle = self._split()
+        return (len(prefix), prefix, cycle)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EPWord):
             return NotImplemented
-        return self.prefix == other.prefix and self.cycle == other.cycle
+        return (self._hash == other._hash and self._rot == other._rot
+                and self._diff == other._diff)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return f"{format_word(self.prefix)}|{format_word(self.cycle)}"
+        prefix, cycle = self._split()
+        return f"{format_word(prefix)}|{format_word(cycle)}"
 
     def __repr__(self) -> str:
         return f"EPWord({self})"
+
+
+def _raw(rot: Word, diff: dict[int, int]) -> EPWord:
+    """A word from a primitive ``rot`` and a position-ordered deviation map, as stored."""
+    out = object.__new__(EPWord)
+    out._rot = rot
+    out._diff = diff
+    out._hash = hash((rot, tuple(diff.items())))
+    return out
+
+
+def _tail_one(letters: Iterable[int]) -> EPWord:
+    """The word ``letters . 1^inf`` from letters already known to be integers >= 1."""
+    return _raw((1,), _deviations(letters, (1,)))

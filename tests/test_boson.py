@@ -170,3 +170,16 @@ def test_polynomial_drops_zero_coefficient_monomials():
     a1 = BosonMonomial(ONE, {1: 1}, ())
     assert BosonPolynomial([BosonMonomial(ZERO, {1: 1}, ())]).is_zero()
     assert BosonPolynomial([a1, BosonMonomial(ZERO, (), {2: 1})]) == BosonPolynomial([a1])
+
+
+def test_ccr_exact_at_mode_one_million():
+    n = 10**6
+    rng = random.Random(47)
+    v = random_ket(rng, P12, max_labels=4) + Ket.basis(EPWord((), (1, 2)).set_letter(n, 5))
+    for m in (n, n - 1, n + 1, 1):
+        comm = apply_annihilate(n, apply_create(m, v)) - apply_create(m, apply_annihilate(n, v))
+        assert comm == (v if m == n else Ket())
+    # the number operator reads the letter at mode n: vacuum letter 2 (n even), or 5
+    number = apply_create(n, apply_annihilate(n, v))
+    expected = Ket({w: c * (w.letter_at(n) - 1) for w, c in v._amps.items()})
+    assert number == expected and number != Ket()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntzboson.cli import main
+from cuntzboson.common import MAX_MODE
 
 
 def run(capsys, *argv):
@@ -159,3 +163,110 @@ def test_unfactorable_radicand_is_domain_error_within_deadline():
     assert time.monotonic() - start < 10
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("domain error: cannot factor radicand 1000000016000000063")
+
+
+def _run_cli_subprocess(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "cuntzboson.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    return done, time.monotonic() - start
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "--expr", "a999999999*"),
+    ("fock", "--occ", "100000000:1"),
+])
+def test_mode_above_max_mode_is_domain_error_within_deadline(argv):
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("domain error: mode ") and str(MAX_MODE) in done.stderr
+
+
+def test_max_mode_itself_is_served(capsys):
+    expected = "1 * |" + "1," * (MAX_MODE - 1) + "2|1>\n"
+    for alphabet in ([], ["--N", "2"]):  # O_2 encodes letter 2 as 2,1
+        code, out, _ = run(capsys, "act", *alphabet, "--expr", f"a{MAX_MODE}*")
+        assert code == 0 and out == expected
+    code, _, err = run(capsys, "act", "--expr", f"s{MAX_MODE + 1}")
+    assert code == 3 and "generator index" in err
+    for argv in (["--gen", str(MAX_MODE + 1)], ["--word", f"1,{MAX_MODE + 1}"]):
+        code, _, err = run(capsys, "embed", "--N", "2", *argv)
+        assert code == 3 and "generator index" in err
+
+
+def test_zero_denominator_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "act", "--expr", "a1* + 1/0")
+    assert code == 2 and out == "" and "zero denominator" in err
+
+
+# --- fuzzing the command line ------------------------------------------------
+#
+# argv drawn from a grammar of subcommands, flags and tokens, hostile integers
+# and malformed words included.  Counts that size a computation (verify
+# samples, bases modes, branch cycles) stay small: large ones run long by
+# design, which is not a hang.
+
+_HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE + 1, 10**9, 10**30])
+_index = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=-2, max_value=12),
+                   _HOSTILE)
+_small = st.sampled_from([1, 2, 3, 1, 2, 3, 0, -1])
+_junk = st.text(alphabet="as*0123456789,|:+-/() e@x", max_size=10)
+_word = st.one_of(st.lists(_index, max_size=4).map(lambda xs: ",".join(map(str, xs))), _junk)
+_small_word = st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(
+    lambda xs: ",".join(map(str, xs)))
+_factor = st.builds("{}{}{}".format, st.sampled_from("sa"), _index, st.sampled_from(["", "*"]))
+_literal = st.one_of(st.builds("{}/{}".format, _small, _small), _index.map(str),
+                     _index.map("sqrt({})".format))
+_expr = st.lists(st.one_of(_factor, _factor, _factor, _literal, st.sampled_from(["+", "-"]), _junk),
+                 min_size=1, max_size=4).map(" ".join)
+_occ = st.one_of(st.lists(st.builds("{}:{}".format, _index, st.integers(min_value=-1, max_value=6)),
+                          max_size=3).map(",".join), _junk)
+_state = st.one_of(st.just("omega"), _index.map("e{}".format),
+                   st.builds("{}|{}".format, _word, _word), _junk)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _argv(head, *parts):
+    return st.tuples(*parts).map(lambda ps: list(head) + [t for p in ps for t in p])
+
+
+_flag_json = st.sampled_from([[], ["--json"]])
+_commands = st.one_of(
+    _argv(["act"], _opt("--rep", _word.map("|{}".format) | _junk), _opt("--N", _index),
+          _expr.map(lambda e: ["--expr", e]), _opt("--state", _state),
+          _opt("--model", st.sampled_from(["words", "odometer", "x"])), _flag_json),
+    _argv(["branch"], _small_word.map(lambda w: ["--rep", "|" + w]), _opt("--N", _index),
+          _opt("--modes", _small), _flag_json),
+    _argv(["verify"], st.sampled_from(["ccr", "relations", "bases", "embedding", "odometer",
+                                       "fock-ext", "nope"]).map(lambda s: [s]),
+          *[_small.map(lambda v, f=f: [f, str(v)]) for f in
+            ("--samples", "--modes", "--cutoff", "--exps", "--index-bound")],
+          _opt("--seed", _index), _opt("--N", st.integers(min_value=-1, max_value=4)), _flag_json),
+    _argv(["fock"], _opt("--occ", _occ), _flag_json),
+    _argv(["embed"], _opt("--N", _index),
+          st.one_of(st.just([]), _index.map(lambda v: ["--gen", str(v)]),
+                    _word.map(lambda w: ["--word", w]), _occ.map(lambda o: ["--occ", o])),
+          _flag_json),
+    _argv(["bases"], _opt("--family", st.sampled_from(["lambda", "typej", "onetwov", "x"])),
+          _opt("--j", st.one_of(_small, st.just(10**9))),
+          *[_small.map(lambda v, f=f: [f, str(v)]) for f in ("--modes", "--exps")], _flag_json),
+    st.lists(st.one_of(_junk, st.sampled_from(["act", "--help", "--expr", "-x"])), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_commands)
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.monotonic() - start < 10, argv
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -174,3 +174,17 @@ def test_polynomial_drops_zero_coefficient_monomials():
     s1 = CuntzMonomial(ONE, (1,), ())
     assert CuntzPolynomial([CuntzMonomial(ZERO, (1,), ())]).is_zero()
     assert CuntzPolynomial([s1, CuntzMonomial(ZERO, (2,), (1,))]) == CuntzPolynomial([s1])
+
+
+terms_small = st.lists(st.tuples(words_small, words_small, st.integers(-3, 3)), max_size=5)
+
+
+@given(terms_small, terms_small)
+@settings(max_examples=60, deadline=None)
+def test_polynomial_product_is_the_sum_of_monomial_products(ta, tb):
+    pa = CuntzPolynomial([mono(l, r, ONE * c) for l, r, c in ta])
+    pb = CuntzPolynomial([mono(l, r, ONE * c) for l, r, c in tb])
+    pairwise = [m for a in pa.monomials() for b in pb.monomials()
+                for m in monomial_multiply(a, b).monomials()]
+    assert pa.multiply(pb) == CuntzPolynomial(pairwise)
+    assert all(pa.multiply(pb)._terms.values())  # no zero coefficient is stored

@@ -186,3 +186,24 @@ def test_ladder_action_model():
             for letter in reversed(word):
                 via = ladder_action(2, letter, False, via)
             assert via == odometer_action(n, False, index)
+
+
+def test_odometer_index_of_deep_labels():
+    # a_n* e_1 = e_{2^{n-1}+1} at every mode; the label has n letters
+    for n in (40, 10**6):
+        label = EPWord((), (1,)).set_letter(n, 2)
+        assert odometer_index(label) == 2 ** (n - 1) + 1
+    # runs of letter 1 between deviations, against the letter-by-letter oracle
+    label = EPWord((3, 1, 1, 2, 1, 1, 1, 4, 1), (1,))
+    index = 1
+    for n in reversed(label.prefix):
+        index = 2 ** (n - 1) * (2 * index - 1)
+    assert odometer_index(label) == index
+    assert odometer_isomorphism(index) == label
+
+
+def test_codec_at_a_deep_mode():
+    label = EPWord((), (1,)).set_letter(10**5, 3)
+    encoded = encode_label(N2, label)
+    assert encoded == EPWord((1,) * (10**5 - 1) + (2, 2, 1), (1,))  # s_3 -> t_2 t_2 t_1
+    assert decode_label(N2, encoded) == label

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -171,3 +172,13 @@ def test_rational_scalar_finds_int_and_fraction_keys():
     assert {3: "x"}.get(RadicalScalar.rational(3)) == "x"
     assert {Fraction(1, 2): "y"}.get(RadicalScalar.rational(Fraction(1, 2))) == "y"
     assert {0: "z"}.get(ZERO) == "z"
+
+
+def test_radicand_bit_bound_fails_fast():
+    start = time.monotonic()
+    with pytest.raises(DomainError, match="bits"):
+        squarefree_split(int("7" * 4000))
+    with pytest.raises(DomainError, match="bits"):
+        squarefree_split(2**1024)  # refused although it factors at once
+    assert time.monotonic() - start < 0.5
+    assert squarefree_split(2**1024 - 2**1023) == (2**511, 2)

@@ -124,3 +124,146 @@ def test_drop_first_shifts(prefix, cycle):
     w = EPWord(prefix, cycle)
     assert w.drop_first(1).expand(10) == w.expand(11)[1:]
     assert w.prepend((3,)).expand(11)[1:] == w.expand(10)
+
+
+# --- the sparse form against a dense model ----------------------------------
+#
+# A label is modelled densely as (prefix, cycle, n, v): the word
+# prefix.cycle^inf with letter v spliced in at position n (v = None for no
+# splice).  ``window`` reads it through ``words.expand`` on the letters around
+# a position, so positions up to 10**6 cost no more than small ones.
+
+deep_positions = st.one_of(st.integers(min_value=1, max_value=40),
+                           st.integers(min_value=1, max_value=10**6))
+splices = st.one_of(st.none(), st.tuples(deep_positions, letters))
+# the dense pair of a splice at position n has n letters, so it stays short
+short_splices = st.one_of(st.none(), st.tuples(st.integers(min_value=1, max_value=2000), letters))
+SPAN = 6
+
+
+def window(prefix, cycle, splice, start, count):
+    """Letters start..start+count-1 of the dense model."""
+    skip = start - 1
+    if skip <= len(prefix):
+        out = list(expand(prefix[skip:], cycle, count))
+    else:
+        shift = (skip - len(prefix)) % len(cycle)
+        out = list(expand((), cycle[shift:] + cycle[:shift], count))
+    if splice is not None and start <= splice[0] < start + count:
+        out[splice[0] - start] = splice[1]
+    return tuple(out)
+
+
+def build(prefix, cycle, splice):
+    w = EPWord(prefix, cycle)
+    return w if splice is None else w.set_letter(*splice)
+
+
+def around(n):
+    start = max(1, n - SPAN)
+    return start, n + SPAN - start + 1
+
+
+def absorbed(prefix, cycle):
+    """The canonical (prefix, cycle): primitive cycle, prefix absorbed from the right."""
+    p, c = list(prefix), tuple(cycle)
+    k = len(c)
+    c = next(c[:d] for d in range(1, k + 1) if k % d == 0 and c[:d] * (k // d) == c)
+    while p and p[-1] == c[-1]:
+        p.pop()
+        c = c[-1:] + c[:-1]
+    return tuple(p), c
+
+
+def dense(prefix, cycle, splice):
+    """The model as one explicit (prefix, cycle) pair, the splice written out."""
+    if splice is None:
+        return prefix, cycle
+    n, v = splice
+    head = list(expand(prefix, cycle, max(n, len(prefix))))
+    head[n - 1] = v
+    tail = window(prefix, cycle, None, len(head) + 1, len(cycle))
+    return tuple(head), tail
+
+
+@given(prefixes, cycles, splices, deep_positions)
+def test_letter_at_matches_dense_model(prefix, cycle, splice, n):
+    w = build(prefix, cycle, splice)
+    start, count = around(n)
+    assert tuple(w.letter_at(i) for i in range(start, start + count)) == \
+        window(prefix, cycle, splice, start, count)
+
+
+@given(prefixes, cycles, splices, deep_positions, letters)
+def test_set_letter_matches_dense_model(prefix, cycle, splice, n, v):
+    w = build(prefix, cycle, splice)
+    got = w.set_letter(n, v)
+    for probe in {n} | ({splice[0]} if splice else set()) | {1}:
+        start, count = around(probe)
+        expected = list(window(prefix, cycle, splice, start, count))
+        if start <= n < start + count:
+            expected[n - start] = v
+        assert tuple(got.letter_at(i) for i in range(start, start + count)) == tuple(expected)
+    assert got.tail_equivalent(w)
+
+
+@given(prefixes, cycles, st.lists(st.tuples(st.integers(min_value=1, max_value=12), letters),
+                                  max_size=6))
+def test_set_letter_in_any_order_reaches_the_canonical_word(prefix, cycle, edits):
+    w = EPWord(prefix, cycle)
+    head = list(expand(prefix, cycle, max(len(prefix), 12)))
+    for n, v in edits:
+        w = w.set_letter(n, v)
+        head[n - 1] = v
+    tail = window(prefix, cycle, None, len(head) + 1, len(cycle))
+    expected = EPWord(head, tail)
+    assert w == expected and hash(w) == hash(expected)
+    assert (w.prefix, w.cycle) == absorbed(head, tail)
+
+
+@given(prefixes, cycles, splices, deep_positions)
+def test_drop_first_matches_dense_model(prefix, cycle, splice, count):
+    w = build(prefix, cycle, splice)
+    got = w.drop_first(count)
+    for probe in {1} | ({splice[0] - count} if splice and splice[0] > count else set()):
+        start, span = around(probe)
+        assert tuple(got.letter_at(i) for i in range(start, start + span)) == \
+            window(prefix, cycle, splice, start + count, span)
+
+
+@given(prefixes, cycles, splices, st.lists(letters, max_size=4).map(tuple))
+def test_prepend_matches_dense_model(prefix, cycle, splice, word):
+    w = build(prefix, cycle, splice)
+    got = w.prepend(word)
+    assert got.expand(len(word)) == word
+    for probe in {1} | ({splice[0]} if splice else set()):
+        start, span = around(probe)
+        assert tuple(got.letter_at(i + len(word)) for i in range(start, start + span)) == \
+            window(prefix, cycle, splice, start, span)
+    assert got.drop_first(len(word)) == w
+
+
+@given(prefixes, cycles, splices, prefixes, cycles, splices)
+def test_tail_equivalent_matches_dense_model(p1, c1, s1, p2, c2, s2):
+    # past every prefix and splice, the two models agree for good or never
+    start = max(len(p1), len(p2), s1[0] if s1 else 0, s2[0] if s2 else 0) + 1
+    span = math.lcm(len(c1), len(c2))
+    agree = window(p1, c1, s1, start, span) == window(p2, c2, s2, start, span)
+    assert build(p1, c1, s1).tail_equivalent(build(p2, c2, s2)) == agree
+
+
+@given(prefixes, cycles, short_splices)
+def test_prefix_and_cycle_follow_the_absorption_rule(prefix, cycle, splice):
+    w = build(prefix, cycle, splice)
+    assert (w.prefix, w.cycle) == absorbed(*dense(prefix, cycle, splice))
+    assert w == EPWord(*dense(prefix, cycle, splice))
+    assert EPWord.parse(str(w)) == w
+
+
+def test_deep_label_costs_what_changed():
+    w = EPWord((), (1, 2)).set_letter(10**6, 3)
+    assert w.letter_at(10**6) == 3 and w.letter_at(10**6 - 1) == 1
+    assert w.set_letter(10**6, 2) == EPWord((), (1, 2))
+    assert w.drop_first(10**6 - 1).prefix == (3,)
+    assert len(w.prefix) == 10**6 and w.cycle == (1, 2)
+    assert w.prepend((2,)).tail_equivalent(EPWord((), (2, 1)))
