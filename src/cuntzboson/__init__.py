@@ -1,11 +1,11 @@
 """Exact bosonic ladder calculus on permutative Cuntz-algebra representations."""
 
-from .scalar import ONE, RadicalScalar, ZERO, inv_sqrt_nat, sqrt_factorial, sqrt_nat
+from .scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
 from .words import EPWord, Word, rotations
 from .states import Ket
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
-from .boson import (BosonMonomial, BosonPolynomial, apply_annihilate, apply_create,
-                    fock_extension_action, fock_word, normal_order)
+from .boson import (BosonMonomial, apply_annihilate, apply_create, fock_extension_action,
+                    fock_word)
 from .branching import (ComponentReport, basis_lambda_j, basis_onetwov, basis_typej,
                         classify_vacuum, cyclicity_witness, enumerate_components,
                         inequivalence_witness)

@@ -12,21 +12,17 @@ so letter c at position n encodes occupation number c-1 of mode n.  The
 closed rule is O(1) per label; ``literal_annihilate``/``literal_create``
 evaluate the truncated series through Cuntz monomials instead and exist to
 cross-validate the closed form against its defining expansion.
-
-Normal ordering rewrites free products of ladder factors into the
-creators-left canonical form using a_n a_m* = a_m* a_n + delta_nm; distinct
-modes commute freely.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .common import CheckResult, add_term
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
 from .scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
-from .states import Ket, _canonical, _sum
+from .states import Ket, _canonical
 from .words import EPWord, Word
 
 Exponents = tuple[tuple[int, int], ...]  # sorted (mode, exponent) pairs, exponents >= 1
@@ -82,15 +78,8 @@ class BosonMonomial:
         self.creators = _as_exponents(creators)
         self.annihilators = _as_exponents(annihilators)
 
-    @classmethod
-    def identity(cls) -> "BosonMonomial":
-        return cls()
-
     def key(self) -> tuple[Exponents, Exponents]:
         return (self.creators, self.annihilators)
-
-    def is_identity(self) -> bool:
-        return not self.creators and not self.annihilators
 
     def total_displacement(self) -> int:
         return sum(e for _, e in self.creators) + sum(e for _, e in self.annihilators)
@@ -121,86 +110,6 @@ class BosonMonomial:
         return f"{coeff} {body}" if factors else coeff
 
     __repr__ = __str__
-
-
-class BosonPolynomial:
-    """Finite sum of normal-ordered monomials with distinct keys."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, monomials: Iterable[BosonMonomial] = ()):
-        terms: dict[tuple[Exponents, Exponents], RadicalScalar] = {}
-        for m in monomials:
-            if m.coeff:
-                add_term(terms, m.key(), m.coeff)
-        self._terms = terms
-
-    def monomials(self) -> list[BosonMonomial]:
-        return [
-            BosonMonomial(coeff, creators, annihilators)
-            for (creators, annihilators), coeff in sorted(self._terms.items())
-        ]
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BosonPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "BosonPolynomial") -> "BosonPolynomial":
-        return BosonPolynomial(self.monomials() + other.monomials())
-
-    def apply(self, v: Ket) -> Ket:
-        return _sum(m.apply(v) for m in self.monomials())
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(str(m) for m in self.monomials())
-
-    __repr__ = __str__
-
-
-Factor = tuple[int, bool]  # (mode, is_creator)
-
-
-def normal_order(factors: Sequence[Factor], coeff: RadicalScalar = ONE) -> BosonPolynomial:
-    """Rewrite a free product of ladder factors into normal-ordered form.
-
-    ``factors`` is the product read left to right, each entry ``(mode, True)``
-    for a creator and ``(mode, False)`` for an annihilator.  Worklist rewriting
-    with the single rule a_n a_m* -> a_m* a_n + delta_nm; terminates because
-    each step lowers the number of (annihilator, creator) inversions.
-    """
-    out: list[BosonMonomial] = []
-    pending: list[tuple[RadicalScalar, list[Factor]]] = [(coeff, list(factors))]
-    while pending:
-        c, fs = pending.pop()
-        hit = None
-        for i in range(len(fs) - 1):
-            if not fs[i][1] and fs[i + 1][1]:
-                hit = i
-                break
-        if hit is None:
-            creators = [(m, 1) for m, is_c in fs if is_c]
-            annihilators = [(m, 1) for m, is_c in fs if not is_c]
-            out.append(BosonMonomial(c, creators, annihilators))
-            continue
-        n, m = fs[hit][0], fs[hit + 1][0]
-        swapped = fs[:hit] + [fs[hit + 1], fs[hit]] + fs[hit + 2:]
-        pending.append((c, swapped))
-        if n == m:
-            pending.append((c, fs[:hit] + fs[hit + 2:]))
-    return BosonPolynomial(out)
-
-
-def apply_factors(factors: Sequence[Factor], v: Ket) -> Ket:
-    """Apply a free product of ladder factors right to left, without reordering."""
-    for mode, is_creator in reversed(factors):
-        v = apply_create(mode, v) if is_creator else apply_annihilate(mode, v)
-    return v
 
 
 def fock_word(occupations: Mapping[int, int]) -> tuple[RadicalScalar, Word]:

@@ -346,10 +346,3 @@ def _random_monomial(rng: random.Random, mode_cutoff: int, exp_cutoff: int) -> B
             annihilators[mode] = rng.randint(1, exp_cutoff)
     return BosonMonomial(ONE, creators, annihilators)
 
-
-def component_of(components: Iterable[ComponentReport], label: EPWord) -> Optional[ComponentReport]:
-    """The unique component whose vacuum is tail-equivalent to the label, if any."""
-    hits = [c for c in components if c.vacuum_label.tail_equivalent(label)]
-    if len(hits) > 1:
-        raise ClassificationError(f"label {label} matched {len(hits)} components")
-    return hits[0] if hits else None

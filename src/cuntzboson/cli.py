@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 domain error (e.g. alphabet violations).
+3 domain error (e.g. alphabet violations).  Each command returns its exit
+code and its whole output text, which ``main`` prints only once the command
+has finished, so a command that fails leaves standard output empty.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_ind
 from .expr import eval_on_ket, parse_expression
 from .scalar import ONE
 from .states import Ket
-from .verify import SUITES, run_suite
+from .verify import SUITES, orthonormality_checks, run_suite
 from .words import EPWord, format_word, parse_word
 
 
@@ -57,7 +59,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def cmd_act(args: argparse.Namespace) -> int:
+def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
     terms = parse_expression(args.expr)
     if args.model == "odometer":
         spec = RepSpec((1,))
@@ -70,31 +72,27 @@ def cmd_act(args: argparse.Namespace) -> int:
         result = eval_on_ket(spec, terms, Ket.basis(odometer_isomorphism(index)))
         pairs = sorted((odometer_index(w), c) for w, c in result.items())
         if args.json:
-            print(json.dumps({"terms": [
+            return 0, json.dumps({"terms": [
                 {"index": i, "coeff": c.to_json_terms()} for i, c in pairs]},
-                indent=2, sort_keys=True))
-        elif not pairs:
-            print("0")
-        else:
-            for i, c in pairs:
-                coeff = f"({c})" if len(c.terms()) > 1 else str(c)
-                print(f"{coeff} * e{i}")
-        return 0
+                indent=2, sort_keys=True)
+        if not pairs:
+            return 0, "0"
+        return 0, "\n".join(f"({c}) * e{i}" if len(c.terms()) > 1 else f"{c} * e{i}"
+                            for i, c in pairs)
     spec = _parse_rep(args.rep, args.N)
     if args.state == "omega":
         state = spec.gp_vector()
     else:
         state = Ket.basis(EPWord.parse(args.state))
     result = eval_on_ket(spec, terms, state)
-    print(json.dumps(result.to_json(), indent=2, sort_keys=True) if args.json else result)
-    return 0
+    return 0, json.dumps(result.to_json(), indent=2, sort_keys=True) if args.json else str(result)
 
 
-def cmd_branch(args: argparse.Namespace) -> int:
+def cmd_branch(args: argparse.Namespace) -> tuple[int, str]:
     spec = _parse_rep(args.rep, args.N)
     components = enumerate_components(spec, modes=args.modes)
     if args.json:
-        print(json.dumps({
+        return 0, json.dumps({
             "representation": str(spec),
             "components": [
                 {
@@ -108,43 +106,36 @@ def cmd_branch(args: argparse.Namespace) -> int:
                 }
                 for c in components
             ],
-        }, indent=2, sort_keys=True))
-        return 0
-    print(f"{spec} restricted to the ladder algebra: {len(components)} component(s)")
+        }, indent=2, sort_keys=True)
+    lines = [f"{spec} restricted to the ladder algebra: {len(components)} component(s)"]
     for c in components:
-        for line in c.lines():
-            print(line)
-    return 0
+        lines += c.lines()
+    return 0, "\n".join(lines)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     result = run_suite(
         args.suite, modes=args.modes, samples=args.samples, seed=args.seed,
         cutoff=args.cutoff, exps=args.exps, N=args.N, index_bound=args.index_bound)
+    code = 0 if result.ok else 1
     if args.json:
-        print(json.dumps({
+        return code, json.dumps({
             "suite": result.name, "total": result.total, "passed": result.passed,
-            "failures": result.failures}, indent=2, sort_keys=True))
-    else:
-        print(result.summary())
-        for failure in result.failures:
-            print(f"  first failures: {failure}")
-    return 0 if result.ok else 1
+            "failures": result.failures}, indent=2, sort_keys=True)
+    return code, "\n".join([result.summary()]
+                           + [f"  first failures: {failure}" for failure in result.failures])
 
 
-def cmd_fock(args: argparse.Namespace) -> int:
+def cmd_fock(args: argparse.Namespace) -> tuple[int, str]:
     occ = _parse_occupations(args.occ)
     coeff, word = fock_word(occ)
     if args.json:
-        print(json.dumps({"word": list(word), "coefficient": coeff.to_json_terms()},
-                         indent=2, sort_keys=True))
-    else:
-        print(f"word: {format_word(word)}")
-        print(f"coefficient: {coeff}")
-    return 0
+        return 0, json.dumps({"word": list(word), "coefficient": coeff.to_json_terms()},
+                             indent=2, sort_keys=True)
+    return 0, f"word: {format_word(word)}\ncoefficient: {coeff}"
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
+def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
     spec = EmbeddingSpec(args.N)
     if args.gen is not None:
         check_index(args.gen, "generator index")
@@ -167,11 +158,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
         text = f"word: {format_word(word)}\ncoefficient: {coeff}"
     else:
         raise ValueError("embed needs one of --gen, --word, --occ")
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
-    return 0
+    return 0, json.dumps(payload, indent=2, sort_keys=True) if args.json else text
 
 
-def cmd_bases(args: argparse.Namespace) -> int:
+def cmd_bases(args: argparse.Namespace) -> tuple[int, str]:
     if args.family == "lambda":
         labels = basis_lambda_j(args.j, args.modes)
         kets = [Ket.basis(w) for w in labels]
@@ -188,19 +178,14 @@ def cmd_bases(args: argparse.Namespace) -> int:
             kets.append(normalizer * monomial.apply(vacuum))
             norm_text = str(normalizer) if normalizer != ONE else "1"
             rows.append(f"{monomial}  normalizer {norm_text}")
-    orthonormal = all(
-        kets[i].inner(kets[j]).is_zero()
-        for i in range(len(kets)) for j in range(i + 1, len(kets))
-    ) and all(k.norm_squared() == ONE for k in kets)
+    orthonormal = all(check.passed for check in orthonormality_checks(args.family, kets))
+    code = 0 if orthonormal else 1
     if args.json:
-        print(json.dumps({
+        return code, json.dumps({
             "family": args.family, "size": len(rows), "orthonormal": orthonormal,
-            "elements": rows}, indent=2, sort_keys=True))
-    else:
-        print(f"family {args.family}: {len(rows)} elements, orthonormal: {orthonormal}")
-        for row in rows:
-            print(row)
-    return 0 if orthonormal else 1
+            "elements": rows}, indent=2, sort_keys=True)
+    return code, "\n".join(
+        [f"family {args.family}: {len(rows)} elements, orthonormal: {orthonormal}"] + rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     branch = sub.add_parser("branch", help="decompose a restriction into components")
     branch.add_argument("--rep", required=True)
     branch.add_argument("--N", type=int, default=None)
-    branch.add_argument("--modes", type=int, default=6)
+    branch.add_argument("--modes", type=_positive_int, default=6)
     branch.add_argument("--json", action="store_true")
     branch.set_defaults(func=cmd_branch)
 
@@ -253,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     bases = sub.add_parser("bases", help="generate and check an orthonormal family")
     bases.add_argument("--family", choices=("lambda", "typej", "onetwov"), required=True)
     bases.add_argument("--j", type=int, default=1)
-    bases.add_argument("--modes", type=int, default=4)
-    bases.add_argument("--exps", type=int, default=3)
+    bases.add_argument("--modes", type=_positive_int, default=4)
+    bases.add_argument("--exps", type=_positive_int, default=3)
     bases.add_argument("--json", action="store_true")
     bases.set_defaults(func=cmd_bases)
     return parser
@@ -267,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except ExprError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -275,8 +260,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit ("):  # int() or str() past sys.get_int_max_str_digits()
+            print(f"domain error: an integer has more than {sys.get_int_max_str_digits()} "
+                  "decimal digits, the limit of Python's integer-text conversion", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -117,10 +117,6 @@ class CuntzPolynomial:
                 add_term(terms, m.key(), m.coeff)
         self._terms = terms
 
-    @classmethod
-    def identity(cls) -> "CuntzPolynomial":
-        return cls([CuntzMonomial(ONE)])
-
     def monomials(self) -> list[CuntzMonomial]:
         return [
             CuntzMonomial(coeff, left, right)
@@ -138,10 +134,8 @@ class CuntzPolynomial:
             return NotImplemented
         return self._terms == other._terms
 
-    def __add__(self, other: "CuntzPolynomial") -> "CuntzPolynomial":
-        return CuntzPolynomial(self.monomials() + other.monomials())
-
     def multiply(self, other: "CuntzPolynomial") -> "CuntzPolynomial":
+        """The product, collapsed term by term by prefix overlap of the inner words."""
         terms: dict[tuple[Word, Word], RadicalScalar] = {}
         for (J, K), c1 in self._terms.items():
             for (L, M), c2 in other._terms.items():
@@ -152,11 +146,6 @@ class CuntzPolynomial:
         out._terms = terms
         return out
 
-    __mul__ = multiply
-
-    def adjoint(self) -> "CuntzPolynomial":
-        return CuntzPolynomial(m.adjoint() for m in self.monomials())
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -165,20 +154,12 @@ class CuntzPolynomial:
     __repr__ = __str__
 
 
-def monomial_multiply(a: CuntzMonomial, b: CuntzMonomial) -> CuntzPolynomial:
-    """(s_J s_K*)(s_L s_M*), collapsed by prefix overlap of K and L.
+def _product_key(J: Word, K: Word, L: Word, M: Word) -> Optional[tuple[Word, Word]]:
+    """The (left, right) words of (s_J s_K*)(s_L s_M*), or None when it is zero.
 
     K a prefix of L gives s_{J.(L\\K)} s_M*; L a proper prefix of K gives
     s_J s_{M.(K\\L)}*; anything else is zero.
     """
-    key = _product_key(a.left, a.right, b.left, b.right)
-    if key is None:
-        return CuntzPolynomial()
-    return CuntzPolynomial([CuntzMonomial(a.coeff * b.coeff, *key)])
-
-
-def _product_key(J: Word, K: Word, L: Word, M: Word) -> Optional[tuple[Word, Word]]:
-    """The (left, right) words of (s_J s_K*)(s_L s_M*), or None when it is zero."""
     if len(K) <= len(L):
         return (J + L[len(K):], M) if L[: len(K)] == K else None
     return (J, M + K[len(L):]) if K[: len(L)] == L else None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .boson import apply_annihilate, apply_create, fock_word
+from .boson import apply_annihilate, apply_create
 from .common import AlphabetError, DomainError
 from .cuntz import RepSpec
 from .scalar import RadicalScalar
@@ -121,13 +121,6 @@ def embedded_create(spec: EmbeddingSpec, n: int, v: Ket) -> Ket:
 
 def embedded_annihilate(spec: EmbeddingSpec, n: int, v: Ket) -> Ket:
     return _embedded(spec, n, v, create=False)
-
-
-def embedded_fock_state(spec: EmbeddingSpec, occupations: Mapping[int, int]) -> Ket:
-    """coeff * |word . 1^inf> for the occupation list, computed via the digits."""
-    coeff, _ = fock_word(occupations)
-    word = fock_word_in_ON(spec, occupations)
-    return coeff * Ket.basis(EPWord(word, (1,)))
 
 
 # --- odometer model on basis indices -------------------------------------

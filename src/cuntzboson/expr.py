@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boson import apply_annihilate, apply_create
-from .common import DomainError, ExprError, check_index
-from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator
+from .common import ExprError, check_index
+from .cuntz import RepSpec, apply_generator
 from .embed import EmbeddingSpec, embedded_annihilate, embedded_create
 from .scalar import ONE, RadicalScalar, sqrt_nat
 from .states import Ket, _sum
@@ -129,19 +129,3 @@ def _apply_ladder(spec: RepSpec, factor: Factor, v: Ket) -> Ket:
     ambient = EmbeddingSpec(spec.alphabet)
     return (embedded_create if factor.star else embedded_annihilate)(ambient, factor.index, v)
 
-
-def to_cuntz_polynomial(terms: list[Term]) -> CuntzPolynomial:
-    """Normalize a pure-isometry expression to a sum of s_J s_K* monomials."""
-    total = CuntzPolynomial()
-    for term in terms:
-        acc = CuntzPolynomial([CuntzMonomial(term.coeff)])
-        for factor in term.factors:
-            if factor.kind != "s":
-                raise DomainError(f"ladder factor {factor} has no isometry normal form")
-            step = CuntzPolynomial([
-                CuntzMonomial(ONE, () if factor.star else (factor.index,),
-                              (factor.index,) if factor.star else ())
-            ])
-            acc = acc.multiply(step)
-        total = total + acc
-    return total

@@ -16,8 +16,8 @@ The form is reduced, ``gcd(d, n_r for all r) == 1`` (zero is ``d = 1`` with
 no terms), which makes it unique: equality is a compare of the denominator
 and the map.  ``terms()``, the text form and the JSON form still present
 each coefficient as a reduced ``Fraction``.  All identity checks in the
-package therefore run with exact equality; floats are for display only and
-never decide anything.
+package therefore run with exact equality, and no text or JSON form uses a
+float; ``to_float`` is a numeric view for callers and tests.
 """
 
 from __future__ import annotations
@@ -335,7 +335,3 @@ def sqrt_factorial(k: int) -> RadicalScalar:
         out = out * sqrt_nat(i)
     return out
 
-
-def inv_sqrt_nat(n: int) -> RadicalScalar:
-    """Exact 1/sqrt(n) = sqrt(n)/n."""
-    return sqrt_nat(n) / n

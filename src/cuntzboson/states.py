@@ -38,9 +38,6 @@ class Ket:
     def basis(cls, word: EPWord) -> "Ket":
         return cls({word: 1})
 
-    def amplitude(self, word: EPWord) -> RadicalScalar:
-        return self._amps.get(word, ZERO)
-
     def items(self) -> list[tuple[EPWord, RadicalScalar]]:
         """(label, amplitude) pairs in label order, for printing; operators iterate ``_amps``."""
         return sorted(self._amps.items(), key=lambda kv: kv[0].sort_key())

@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import boson, branching, embed
 from .common import CheckResult
@@ -157,14 +157,29 @@ def _random_cuntz_monomial(rng: random.Random) -> CuntzMonomial:
     return CuntzMonomial(random_scalar(rng), left, right)
 
 
-def _orthonormal_checks(name: str, kets: list[Ket], result: SuiteResult) -> None:
+# The record of every passing orthonormality check: a pass prints nothing, so
+# it needs no name and no detail.
+_ORTHONORMAL = CheckResult("orthonormal", True)
+
+
+def orthonormality_checks(name: str, kets: Sequence[Ket]) -> Iterator[CheckResult]:
+    """One check per norm and per pair: |v_i|^2 = 1, then <v_i, v_j> = 0 for j > i.
+
+    Every passing check yields the one shared record; the name and the exact
+    scalar are formatted only for a failing check.
+    """
     for i, u in enumerate(kets):
         norm = u.norm_squared()
-        result.add(CheckResult(f"{name}: |v_{i}|^2 = 1", norm == ONE, f"norm^2 {norm}"))
+        if norm == ONE:
+            yield _ORTHONORMAL
+        else:
+            yield CheckResult(f"{name}: |v_{i}|^2 = 1", False, f"norm^2 {norm}")
         for j in range(i + 1, len(kets)):
             inner = u.inner(kets[j])
-            result.add(CheckResult(
-                f"{name}: <v_{i}, v_{j}> = 0", inner.is_zero(), f"inner {inner}"))
+            if inner:
+                yield CheckResult(f"{name}: <v_{i}, v_{j}> = 0", False, f"inner {inner}")
+            else:
+                yield _ORTHONORMAL
 
 
 def _typej_expected_labels(j: int, modes: int, exps: int) -> set[EPWord]:
@@ -188,7 +203,7 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
     for j in (1, 2):
         labels = branching.basis_lambda_j(j, cutoff)
         kets = [Ket.basis(w) for w in labels]
-        _orthonormal_checks(f"lambda_{j} bound {cutoff}", kets, result)
+        result.extend(orthonormality_checks(f"lambda_{j} bound {cutoff}", kets))
         spec = RepSpec((j,))
         expected = set(branching.enumerate_labels(spec, cutoff, cutoff))
         result.add(CheckResult(
@@ -199,7 +214,7 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
         vacuum = Ket.basis(EPWord((), (j,)))
         family = branching.basis_typej(j, cutoff, exps)
         kets = [normalizer * monomial.apply(vacuum) for monomial, normalizer in family]
-        _orthonormal_checks(f"typej j={j} modes {cutoff} exps {exps}", kets, result)
+        result.extend(orthonormality_checks(f"typej j={j} modes {cutoff} exps {exps}", kets))
         got_labels = {ket.labels()[0] for ket in kets}
         result.add(CheckResult(
             f"typej j={j}: span matches occupation-bounded labels",
@@ -208,7 +223,7 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
     vacuum = Ket.basis(EPWord((), (1, 2)))
     family = branching.basis_onetwov(cutoff, exps)
     kets = [normalizer * monomial.apply(vacuum) for monomial, normalizer in family]
-    _orthonormal_checks(f"onetwov modes {cutoff} exps {exps}", kets, result)
+    result.extend(orthonormality_checks(f"onetwov modes {cutoff} exps {exps}", kets))
     got_labels = {ket.labels()[0] for ket in kets}
     result.add(CheckResult(
         "onetwov: span matches occupation-bounded labels",

@@ -1,10 +1,9 @@
 import itertools
 import random
 
-from cuntzboson.boson import (BosonMonomial, BosonPolynomial, apply_annihilate,
-                              apply_create, apply_factors, check_intertwining,
-                              fock_extension_action, fock_word,
-                              literal_annihilate, literal_create, normal_order)
+from cuntzboson.boson import (BosonMonomial, apply_annihilate, apply_create,
+                              check_intertwining, fock_extension_action, fock_word,
+                              literal_annihilate, literal_create)
 from cuntzboson.cuntz import RepSpec, apply_generator
 from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
 from cuntzboson.states import Ket
@@ -70,41 +69,9 @@ def test_adjointness():
             assert apply_annihilate(n, u).inner(v) == u.inner(apply_create(n, v))
 
 
-def test_normal_order_examples():
-    assert normal_order([(1, False), (1, True)]) == BosonPolynomial(
-        [BosonMonomial(ONE, {1: 1}, {1: 1}), BosonMonomial(ONE)])
-    assert normal_order([(1, False), (2, True)]) == BosonPolynomial(
-        [BosonMonomial(ONE, {2: 1}, {1: 1})])
-    got = normal_order([(1, False), (1, False), (1, True), (1, True)])
-    expected = BosonPolynomial([
-        BosonMonomial(ONE, {1: 2}, {1: 2}),
-        BosonMonomial(RadicalScalar.rational(4), {1: 1}, {1: 1}),
-        BosonMonomial(RadicalScalar.rational(2)),
-    ])
-    assert got == expected
-    # oracle: both act identically on |c . 1^inf> for c = 1..6
-    factors = [(1, False), (1, False), (1, True), (1, True)]
-    for c in range(1, 7):
-        v = Ket.basis(EPWord((c,), (1,)))
-        assert got.apply(v) == apply_factors(factors, v)
-
-
-def test_normal_order_random_products_act_identically():
-    rng = random.Random(31)
-    for _ in range(40):
-        factors = [
-            (rng.randint(1, 3), rng.random() < 0.5)
-            for _ in range(rng.randint(0, 6))
-        ]
-        ordered = normal_order(factors)
-        for _ in range(3):
-            v = random_ket(rng, P1, max_labels=2, letter_bound=4)
-            assert ordered.apply(v) == apply_factors(factors, v)
-
-
 def test_empty_polynomial_is_zero_map():
-    assert BosonPolynomial().apply(OMEGA).is_zero()
-    assert BosonMonomial.identity().apply(OMEGA) == OMEGA
+    assert BosonMonomial(ZERO).apply(OMEGA).is_zero()
+    assert BosonMonomial().apply(OMEGA) == OMEGA
 
 
 def test_fock_word_examples():
@@ -164,12 +131,6 @@ def test_ccr_exact_sweep_small():
                 == apply_annihilate(m, apply_annihilate(n, v)))
         assert (apply_create(n, apply_create(m, v))
                 == apply_create(m, apply_create(n, v)))
-
-
-def test_polynomial_drops_zero_coefficient_monomials():
-    a1 = BosonMonomial(ONE, {1: 1}, ())
-    assert BosonPolynomial([BosonMonomial(ZERO, {1: 1}, ())]).is_zero()
-    assert BosonPolynomial([a1, BosonMonomial(ZERO, (), {2: 1})]) == BosonPolynomial([a1])
 
 
 def test_ccr_exact_at_mode_one_million():

@@ -5,13 +5,13 @@ import pytest
 
 from cuntzboson.boson import BosonMonomial
 from cuntzboson.branching import (basis_lambda_j, basis_onetwov,
-                                  basis_typej, classify_vacuum, component_of,
+                                  basis_typej, classify_vacuum,
                                   cyclicity_witness, enumerate_components,
                                   enumerate_labels, inequivalence_witness,
                                   vacuum_orthogonality)
 from cuntzboson.common import DomainError
 from cuntzboson.cuntz import RepSpec
-from cuntzboson.scalar import ONE, inv_sqrt_nat, sqrt_nat
+from cuntzboson.scalar import ONE, sqrt_nat
 from cuntzboson.states import Ket
 from cuntzboson.words import EPWord
 
@@ -66,7 +66,7 @@ def test_cyclicity_witness_examples():
     assert witness == BosonMonomial(ONE, {}, {2: 1})
     assert witness.apply(Ket.basis(comp12.vacuum_label)) == Ket.basis(target)
 
-    assert cyclicity_witness(fock, fock.vacuum_label) == BosonMonomial.identity()
+    assert cyclicity_witness(fock, fock.vacuum_label) == BosonMonomial()
 
     with pytest.raises(DomainError):
         cyclicity_witness(fock, EPWord((), (2,)))
@@ -79,11 +79,12 @@ def test_cyclicity_witness_sweep():
         prefix = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4)))
         phase = rng.choice(((1, 2), (2, 1)))
         target = EPWord(prefix, phase)
-        comp = component_of(comps, target)
-        assert comp is not None
+        hits = [c for c in comps if c.vacuum_label.tail_equivalent(target)]
+        assert len(hits) == 1
+        comp = hits[0]
         image = cyclicity_witness(comp, target).apply(Ket.basis(comp.vacuum_label))
         assert image.labels() == [target]
-        assert not image.amplitude(target).is_zero()
+        assert not dict(image.items())[target].is_zero()
 
 
 def brute_labels(j, bound):
@@ -114,11 +115,11 @@ def test_basis_lambda_matches_enumeration():
 
 def test_typej_normalizers():
     family = dict((m.key(), norm) for m, norm in basis_typej(1, 2, 2))
-    assert family[(((1, 2),), ())] == inv_sqrt_nat(2)
+    assert family[(((1, 2),), ())] == sqrt_nat(2).inverse()
     assert all(not key[1] for key in family)  # j = 1 never lowers
     family = dict((m.key(), norm) for m, norm in basis_typej(2, 2, 2))
     assert family[((), ((1, 1),))] == ONE
-    assert family[(((1, 1),), ())] == inv_sqrt_nat(2)
+    assert family[(((1, 1),), ())] == sqrt_nat(2).inverse()
     # oracle for the last: |a_1* vac|^2 = 2 over the cycle-(2) vacuum
     vac = Ket.basis(EPWord((), (2,)))
     from cuntzboson.boson import apply_create
@@ -137,8 +138,8 @@ def test_typej_orthonormal_small():
 
 def test_onetwov_normalizers_and_orthonormality():
     family = dict((m.key(), norm) for m, norm in basis_onetwov(2, 2))
-    assert family[(((1, 2),), ())] == inv_sqrt_nat(2)
-    assert family[(((2, 1),), ())] == inv_sqrt_nat(2)
+    assert family[(((1, 2),), ())] == sqrt_nat(2).inverse()
+    assert family[(((2, 1),), ())] == sqrt_nat(2).inverse()
     assert family[((), ((2, 1),))] == ONE
     vac = Ket.basis(EPWord((), (1, 2)))
     kets = [norm * m.apply(vac) for m, norm in basis_onetwov(3, 2)]
@@ -185,11 +186,6 @@ def test_inequivalence_witnesses():
 
     with pytest.raises(DomainError):
         inequivalence_witness(f1, f1)
-
-
-def test_component_of_rejects_foreign_labels():
-    comps = enumerate_components(RepSpec((1, 2)))
-    assert component_of(comps, EPWord((), (3,))) is None
 
 
 def test_normalizers_of_high_powers_factor_no_large_radicand():

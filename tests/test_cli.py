@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuntzboson import branching, cli
 from cuntzboson.cli import main
 from cuntzboson.common import MAX_MODE
 
@@ -128,6 +129,52 @@ def test_bases_command(capsys):
     assert json.loads(out)["orthonormal"] is True
 
 
+def _planted_typej(monkeypatch, plant):
+    """Route ``verify bases`` and ``bases`` through a type-j family changed by ``plant``."""
+    original = branching.basis_typej
+
+    def family(*args):
+        out = list(original(*args))
+        plant(out)
+        return out
+
+    monkeypatch.setattr(branching, "basis_typej", family)
+    monkeypatch.setattr(cli, "basis_typej", family)
+
+
+def _double_normalizer(family):
+    monomial, normalizer = family[3]
+    family[3] = (monomial, 2 * normalizer)
+
+
+def _repeat_monomial(family):  # v_4 becomes a multiple of v_5
+    family[4] = (family[5][0], family[4][1])
+
+
+# Expected output captured before verify and bases shared one orthonormality check.
+@pytest.mark.parametrize("plant, expected", [
+    (_double_normalizer,
+     "suite bases: 374580/374582 checks passed\n"
+     "  first failures: [FAIL] typej j=1 modes 4 exps 3: |v_3|^2 = 1: norm^2 4\n"
+     "  first failures: [FAIL] typej j=2 modes 4 exps 3: |v_3|^2 = 1: norm^2 4\n"),
+    (_repeat_monomial,
+     "suite bases: 374577/374582 checks passed\n"
+     "  first failures: [FAIL] typej j=1 modes 4 exps 3: <v_4, v_5> = 0: inner 1\n"
+     "  first failures: [FAIL] typej j=1: span matches occupation-bounded labels: 255 labels\n"
+     "  first failures: [FAIL] typej j=2 modes 4 exps 3: |v_4|^2 = 1: norm^2 2\n"
+     "  first failures: [FAIL] typej j=2 modes 4 exps 3: <v_4, v_5> = 0: inner sqrt(2)\n"
+     "  first failures: [FAIL] typej j=2: span matches occupation-bounded labels: 624 labels\n"),
+])
+def test_planted_basis_failure_is_reported(capsys, monkeypatch, plant, expected):
+    _planted_typej(monkeypatch, plant)
+    assert run(capsys, "verify", "bases")[:2] == (1, expected)
+    argv = ("bases", "--family", "typej", "--j", "2", "--modes", "2", "--exps", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.startswith("family typej: 16 elements, orthonormal: False\n")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1 and json.loads(out)["orthonormal"] is False
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         # argparse raises through parse_args when invoked with no subcommand
@@ -151,6 +198,20 @@ def test_verify_rejects_counts_below_one(capsys, option, value):
     code, out, err = run(capsys, "verify", "ccr", option, value)
     assert code == 2 and out == ""
     assert "usage:" in err and option in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "|1", "--modes", "-5"),
+    ("branch", "--rep", "|1", "--modes", "0"),
+    ("bases", "--family", "typej", "--modes", "0"),
+    ("bases", "--family", "lambda", "--modes", "-1"),
+    ("bases", "--family", "onetwov", "--exps", "0"),
+    ("bases", "--family", "typej", "--exps", "-2"),
+])
+def test_branch_and_bases_reject_counts_below_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "usage:" in err and argv[-2] in err
 
 
 def test_unfactorable_radicand_is_domain_error_within_deadline():
@@ -183,6 +244,19 @@ def test_mode_above_max_mode_is_domain_error_within_deadline(argv):
     assert elapsed < 2
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("domain error: mode ") and str(MAX_MODE) in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("fock", "--occ", "1:30000"),  # the coefficient sqrt(30000!)
+    ("fock", "--occ", "1:30000", "--json"),
+    ("act", "--model", "odometer", "--expr", "s20000"),  # the index 2**19999
+    ("act", "--model", "odometer", "--expr", "a20000*", "--json"),
+])
+def test_integer_beyond_the_text_limit_is_domain_error_within_deadline(argv):
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 10
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("domain error: ") and "4300 decimal digits" in done.stderr
 
 
 def test_max_mode_itself_is_served(capsys):

@@ -6,7 +6,7 @@ from cuntzboson.boson import apply_annihilate, apply_create, fock_word
 from cuntzboson.common import DomainError
 from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_monomial
 from cuntzboson.embed import (EmbeddingSpec, decode_label, embed_generator,
-                              embedded_annihilate, embedded_create, embedded_fock_state,
+                              embedded_annihilate, embedded_create,
                               encode_label, fock_word_in_ON, ladder_action,
                               odometer_action, odometer_boson, odometer_index,
                               odometer_isomorphism, translate_word)
@@ -111,7 +111,8 @@ def test_embedded_fock_state_matches_creators():
             for mode, count in sorted(occ.items()):
                 for _ in range(count):
                     state = embedded_create(spec, mode, state)
-            assert state == embedded_fock_state(spec, occ)
+            coeff, _ = fock_word(occ)
+            assert state == coeff * Ket.basis(EPWord(fock_word_in_ON(spec, occ), (1,)))
 
 
 def test_embedded_isometry_relations():

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzboson.common import DomainError, ExprError
-from cuntzboson.cuntz import CuntzMonomial, CuntzPolynomial, RepSpec
-from cuntzboson.expr import Factor, eval_on_ket, parse_expression, to_cuntz_polynomial
+from cuntzboson.common import ExprError
+from cuntzboson.cuntz import RepSpec
+from cuntzboson.expr import Factor, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, sqrt_nat
 from cuntzboson.states import Ket
 from cuntzboson.words import EPWord
@@ -70,21 +70,6 @@ def test_eval_with_finite_alphabet_uses_embedding():
     # a1* on the embedded vacuum lands on |2 . 1^inf> over the binary alphabet
     got = eval_on_ket(spec, parse_expression("a1*"), omega)
     assert got == Ket.basis(EPWord((2,), (1,)))
-
-
-def test_to_cuntz_polynomial_normalizes():
-    poly = to_cuntz_polynomial(parse_expression("s1* s1"))
-    assert poly == CuntzPolynomial.identity()
-    assert to_cuntz_polynomial(parse_expression("s2* s1")).is_zero()
-    poly = to_cuntz_polynomial(parse_expression("s1 s2* + sqrt(2) s3"))
-    assert poly == CuntzPolynomial([
-        CuntzMonomial(ONE, (1,), (2,)),
-        CuntzMonomial(sqrt_nat(2), (3,), ()),
-    ])
-    poly = to_cuntz_polynomial(parse_expression("s1* s1 s2 s2*"))
-    assert poly == CuntzPolynomial([CuntzMonomial(ONE, (2,), (2,))])
-    with pytest.raises(DomainError):
-        to_cuntz_polynomial(parse_expression("a1"))
 
 
 def test_cancelling_terms_give_the_empty_ket():

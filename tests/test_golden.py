@@ -1,8 +1,10 @@
 """CLI output on a fixed command corpus, byte for byte.
 
 ``data/golden_cli.json`` holds the exit code and standard output of each
-command as produced before the scalar layer moved to integer numerators over
-a common denominator; any change to the text or JSON forms shows up here.
+command as produced before the change it guards: the first 30 entries before
+the scalar layer moved to integer numerators over a common denominator, the
+``bases`` and ``verify bases`` entries before both came to share one
+orthonormality check.  Any change to the text or JSON forms shows up here.
 """
 
 import json

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuntzboson.common import DomainError
-from cuntzboson.scalar import (ONE, RadicalScalar, ZERO, inv_sqrt_nat,
-                               sqrt_factorial, sqrt_nat, squarefree_split)
+from cuntzboson.scalar import (ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat,
+                               squarefree_split)
 
 
 def brute_squarefree(n):
@@ -77,7 +77,7 @@ def test_sqrt_squares_to_rational():
 
 def test_division_and_inverse():
     assert sqrt_nat(2).inverse() * sqrt_nat(2) == ONE
-    assert inv_sqrt_nat(6) * sqrt_nat(6) == ONE
+    assert sqrt_nat(6).inverse() * sqrt_nat(6) == ONE
     assert (sqrt_nat(8) / 2) == sqrt_nat(2)
     assert RadicalScalar.rational(Fraction(3, 2)) / Fraction(3, 2) == ONE
     with pytest.raises(ValueError):
