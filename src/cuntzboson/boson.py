@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .common import CheckResult, add_term
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
-from .scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
+from .scalar import ONE, RadicalScalar, ZERO, _grouped, sqrt_factorial, sqrt_nat
 from .states import Ket, _canonical
 from .words import EPWord, Word
 
@@ -104,10 +104,7 @@ class BosonMonomial:
         body = " ".join(factors) if factors else "1"
         if self.coeff == ONE:
             return body
-        coeff = str(self.coeff)
-        if len(self.coeff.terms()) > 1:
-            coeff = f"({coeff})"
-        return f"{coeff} {body}" if factors else coeff
+        return f"{_grouped(self.coeff)} {body}" if factors else _grouped(self.coeff)
 
     __repr__ = __str__
 

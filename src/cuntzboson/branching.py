@@ -34,13 +34,12 @@ class ClassificationError(RuntimeError):
 @dataclass
 class ComponentReport:
     vacuum_label: EPWord
-    occupation_pattern: Word
     classification: str
     verified_conditions: list[CheckResult] = field(default_factory=list)
 
     def lines(self) -> list[str]:
         out = [
-            f"component vacuum |{self.vacuum_label}>  pattern ({format_word(self.occupation_pattern)})"
+            f"component vacuum |{self.vacuum_label}>  pattern ({format_word(self.vacuum_label.cycle)})"
             f"  classification {self.classification}",
         ]
         out.extend("  " + check.line() for check in self.verified_conditions)
@@ -122,7 +121,7 @@ def enumerate_components(spec: RepSpec, modes: int = 6) -> list[ComponentReport]
     out = []
     for vacuum in spec.rotation_vacua():
         name, checks = classify_vacuum(vacuum, modes)
-        out.append(ComponentReport(vacuum, vacuum.cycle, name, checks))
+        out.append(ComponentReport(vacuum, name, checks))
     return out
 
 
@@ -165,8 +164,8 @@ def basis_lambda_j(j: int, bound: int) -> list[EPWord]:
     return sorted(out, key=EPWord.sort_key)
 
 
-def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> list[EPWord]:
-    """All canonical labels with prefix length <= prefix_bound, letters <= letter_bound."""
+def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> set[EPWord]:
+    """The set of canonical labels with prefix length <= prefix_bound, letters <= letter_bound."""
     top = letter_bound if spec.alphabet is None else min(letter_bound, spec.alphabet)
     out = set()
     for rotation in spec.rotation_vacua():
@@ -176,7 +175,7 @@ def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> lis
                 word = EPWord(prefix, rotation.cycle)
                 if len(word.prefix) <= prefix_bound:
                     out.add(word)
-    return sorted(out, key=EPWord.sort_key)
+    return out
 
 
 def _falling(j: int, l: int) -> int:
@@ -261,13 +260,13 @@ def vacuum_orthogonality(j: int, mode_bound: int, power_bound: int) -> list[Chec
                 lowered = apply_annihilate(n, lowered)
             inner = vacuum.inner(lowered)
             checks.append(CheckResult(
-                f"<vac | a{n}^{k} vac> = 0 in F_{j}", inner.is_zero(), f"inner {inner}"))
+                f"<vac | a{n}^{k} vac> = 0 in F_{j}", not inner, f"inner {inner}"))
             raised = vacuum
             for _ in range(k):
                 raised = apply_create(n, raised)
             inner = vacuum.inner(raised)
             checks.append(CheckResult(
-                f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}", inner.is_zero(), f"inner {inner}"))
+                f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}", not inner, f"inner {inner}"))
     return checks
 
 
@@ -306,7 +305,7 @@ def inequivalence_witness(
     other) the orthogonality <x vac1 | vac2> = 0 is additionally sampled over
     random normal-ordered monomials x, exactly.
     """
-    p1, p2 = c1.occupation_pattern, c2.occupation_pattern
+    p1, p2 = c1.vacuum_label.cycle, c2.vacuum_label.cycle
     if p1 == p2:
         raise DomainError("components have identical patterns; nothing to distinguish")
     window = 2 * lcm(len(p1), len(p2))
@@ -330,7 +329,7 @@ def inequivalence_witness(
             inner = x.apply(vac1).inner(vac2)
             report.checks.append(CheckResult(
                 f"<x vac1 | vac2> = 0 for sample {idx}: x = {x}",
-                inner.is_zero(), f"inner {inner}"))
+                not inner, f"inner {inner}"))
         report.orthogonality_samples = sample_size
     return report
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .boson import fock_word
@@ -18,7 +19,7 @@ from .common import DomainError, ExprError, check_index
 from .cuntz import RepSpec
 from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
-from .scalar import ONE
+from .scalar import ONE, _grouped
 from .states import Ket
 from .verify import SUITES, orthonormality_checks, run_suite
 from .words import EPWord, format_word, parse_word
@@ -70,15 +71,14 @@ def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
         else:
             raise ValueError(f"odometer states are e<n>, got {args.state!r}")
         result = eval_on_ket(spec, terms, Ket.basis(odometer_isomorphism(index)))
-        pairs = sorted((odometer_index(w), c) for w, c in result.items())
+        pairs = sorted((odometer_index(w), c) for w, c in result._amps.items())
         if args.json:
             return 0, json.dumps({"terms": [
                 {"index": i, "coeff": c.to_json_terms()} for i, c in pairs]},
                 indent=2, sort_keys=True)
         if not pairs:
             return 0, "0"
-        return 0, "\n".join(f"({c}) * e{i}" if len(c.terms()) > 1 else f"{c} * e{i}"
-                            for i, c in pairs)
+        return 0, "\n".join(f"{_grouped(c)} * e{i}" for i, c in pairs)
     spec = _parse_rep(args.rep, args.N)
     if args.state == "omega":
         state = spec.gp_vector()
@@ -97,7 +97,7 @@ def cmd_branch(args: argparse.Namespace) -> tuple[int, str]:
             "components": [
                 {
                     "vacuum": str(c.vacuum_label),
-                    "pattern": list(c.occupation_pattern),
+                    "pattern": list(c.vacuum_label.cycle),
                     "classification": c.classification,
                     "verified": [
                         {"name": chk.name, "passed": chk.passed, "detail": chk.detail}
@@ -266,7 +266,14 @@ def main(argv: list[str] | None = None) -> int:
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head -1``).  Point standard
+        # output at the null device so the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .common import AlphabetError, CheckResult, DomainError, add_term
-from .scalar import ONE, RadicalScalar
+from .scalar import ONE, RadicalScalar, _grouped
 from .states import Ket, _canonical, _sum
 from .words import EPWord, Word, _check_word, format_word, is_primitive, rotations
 
@@ -58,11 +58,6 @@ class RepSpec:
     def rotation_vacua(self) -> list[EPWord]:
         return [EPWord((), c) for c in rotations(self.cycle)]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RepSpec):
-            return NotImplemented
-        return self.cycle == other.cycle and self.alphabet == other.alphabet
-
     def __str__(self) -> str:
         bound = "inf" if self.alphabet is None else str(self.alphabet)
         return f"P_{bound}({format_word(self.cycle)})"
@@ -97,10 +92,7 @@ class CuntzMonomial:
         body = " ".join(factors) if factors else "1"
         if self.coeff == ONE:
             return body
-        coeff = str(self.coeff)
-        if len(self.coeff.terms()) > 1:
-            coeff = f"({coeff})"
-        return f"{coeff} {body}" if factors else coeff
+        return f"{_grouped(self.coeff)} {body}" if factors else _grouped(self.coeff)
 
     __repr__ = __str__
 
@@ -122,9 +114,6 @@ class CuntzPolynomial:
             CuntzMonomial(coeff, left, right)
             for (left, right), coeff in sorted(self._terms.items())
         ]
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -201,7 +190,8 @@ def apply_monomial(spec: RepSpec, m: CuntzMonomial, v: Ket) -> Ket:
 
 
 def apply_polynomial(spec: RepSpec, p: CuntzPolynomial, v: Ket) -> Ket:
-    return _sum(apply_monomial(spec, m, v) for m in p.monomials())
+    return _sum(apply_monomial(spec, CuntzMonomial(coeff, left, right), v)
+                for (left, right), coeff in p._terms.items())
 
 
 def check_isometry_relations(spec: RepSpec, k: int, sample: Iterable[Ket]) -> list[CheckResult]:

@@ -17,18 +17,21 @@ no terms), which makes it unique: equality is a compare of the denominator
 and the map.  ``terms()``, the text form and the JSON form still present
 each coefficient as a reduced ``Fraction``.  All identity checks in the
 package therefore run with exact equality, and no text or JSON form uses a
-float; ``to_float`` is a numeric view for callers and tests.
+float; ``float(x)`` is a numeric view for callers and tests.
+
+Radicands are made squarefree by trial division by 2 and the odd numbers,
+with no table of primes: a composite divisor never divides, because its
+prime factors were all divided out before it is tried.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .common import DomainError, add_term
-
-_SIEVE_BOUND = 10_000
 
 # Trial division stops at this divisor.  A radicand factors when what is left
 # of it after dividing out every prime below the limit is below the limit
@@ -36,21 +39,6 @@ _SIEVE_BOUND = 10_000
 # radicand below 10**12 and for every product of factorials of numbers below
 # the limit.  Beyond it squarefree_split raises DomainError.
 _TRIAL_LIMIT = 1_000_000
-
-
-def _sieve(bound: int) -> tuple[int, ...]:
-    composite = bytearray(bound + 1)
-    primes = []
-    for p in range(2, bound + 1):
-        if not composite[p]:
-            primes.append(p)
-            for q in range(p * p, bound + 1, p):
-                composite[q] = 1
-    return tuple(primes)
-
-
-_PRIMES = _sieve(_SIEVE_BOUND)
-
 
 # Radicands longer than this many bits are refused before any division, even
 # when they would factor: trial division of such a number takes seconds
@@ -62,15 +50,10 @@ _PRIMES = _sieve(_SIEVE_BOUND)
 _RADICAND_BITS = 1024
 
 
-def _trial_divisors() -> Iterator[int]:
-    yield from _PRIMES
-    yield from range(_PRIMES[-1] + 2, _TRIAL_LIMIT, 2)
-
-
 def squarefree_split(n: int) -> tuple[int, int]:
     """Factor ``n = q*q*r`` with ``r`` squarefree; returns ``(q, r)``.
 
-    Trial division by the divisors below ``_TRIAL_LIMIT``; raises
+    Trial division by 2 and the odd numbers below ``_TRIAL_LIMIT``; raises
     ``DomainError`` when the part of ``n`` left after them is too large to be
     known prime.  A radicand of more than ``_RADICAND_BITS`` bits raises
     ``DomainError`` before any division, even when it would factor.
@@ -81,7 +64,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
         raise DomainError(
             f"radicand has {n.bit_length()} bits, more than the {_RADICAND_BITS} that are factored")
     q, r, m = 1, 1, n
-    for p in _trial_divisors():
+    for p in itertools.chain((2,), range(3, _TRIAL_LIMIT, 2)):
         if p * p > m:
             break
         if m % p == 0:
@@ -148,9 +131,6 @@ class RadicalScalar:
         """Canonical (radicand, coefficient) pairs, sorted by radicand."""
         den = self._den
         return tuple((r, Fraction(n, den)) for r, n in sorted(self._num.items()))
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -234,17 +214,8 @@ class RadicalScalar:
         sign = 1 if n > 0 else -1
         return _reduced(abs(n) * r, {r: sign * self._den})
 
-    def __truediv__(self, other) -> "RadicalScalar":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, RadicalScalar):
-            return self * other.inverse()
-        return NotImplemented
-
-    def to_float(self) -> float:
+    def __float__(self) -> float:
         return math.fsum(float(q) * math.sqrt(r) for r, q in self.terms())
-
-    __float__ = to_float
 
     def __str__(self) -> str:
         if not self._num:
@@ -298,6 +269,11 @@ def _reduced(den: int, num: dict[int, int]) -> RadicalScalar:
     return _raw(den, num)
 
 
+def _grouped(c: RadicalScalar) -> str:
+    """The text of ``c`` as a factor: parenthesized when it is a sum of several terms."""
+    return f"({c})" if len(c._num) > 1 else str(c)
+
+
 def _coerce(value) -> RadicalScalar:
     if isinstance(value, RadicalScalar):
         return value
@@ -309,7 +285,8 @@ def _coerce(value) -> RadicalScalar:
 ZERO = RadicalScalar()
 ONE = RadicalScalar.rational(1)
 
-_SQRT_CACHE: dict[int, RadicalScalar] = {}  # n -> sqrt(n) for n <= _SIEVE_BOUND, filled on demand
+_SQRT_CACHE_BOUND = 10_000
+_SQRT_CACHE: dict[int, RadicalScalar] = {}  # n -> sqrt(n) for n <= _SQRT_CACHE_BOUND, filled on demand
 
 
 def sqrt_nat(n: int) -> RadicalScalar:
@@ -321,7 +298,7 @@ def sqrt_nat(n: int) -> RadicalScalar:
         raise ValueError(f"sqrt_nat requires n >= 1, got {n}")
     q, r = squarefree_split(n)
     value = _raw(1, {r: q})
-    if n <= _SIEVE_BOUND:
+    if n <= _SQRT_CACHE_BOUND:
         _SQRT_CACHE[n] = value
     return value
 

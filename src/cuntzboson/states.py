@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .common import add_term
-from .scalar import RadicalScalar, ZERO, _coerce
+from .scalar import RadicalScalar, ZERO, _coerce, _grouped
 from .words import EPWord
 
 ScalarLike = Union[RadicalScalar, int, Fraction]
@@ -45,9 +45,6 @@ class Ket:
     def labels(self) -> list[EPWord]:
         """The labels in label order, for printing."""
         return sorted(self._amps, key=EPWord.sort_key)
-
-    def is_zero(self) -> bool:
-        return not self._amps
 
     def __bool__(self) -> bool:
         return bool(self._amps)
@@ -94,22 +91,10 @@ class Ket:
                 total = total + coeff * coeff2
         return total
 
-    def norm_squared(self) -> RadicalScalar:
-        total = ZERO
-        for coeff in self._amps.values():
-            total = total + coeff * coeff
-        return total
-
     def __str__(self) -> str:
         if not self._amps:
             return "0"
-        lines = []
-        for word, coeff in self.items():
-            text = str(coeff)
-            if len(coeff.terms()) > 1:
-                text = f"({text})"
-            lines.append(f"{text} * |{word}>")
-        return "\n".join(lines)
+        return "\n".join(f"{_grouped(coeff)} * |{word}>" for word, coeff in self.items())
 
     __repr__ = __str__
 

@@ -6,6 +6,10 @@ not counted) is reached by tests alone.  Such a name stays only with a reason:
 it is an oracle that a fast path is checked against, it backs an acceptance
 criterion, or a ROADMAP item is about to use it.  Anything else is a parallel
 API and is deleted instead of listed here.
+
+A class body may also give a method a second name (``__radd__ = __add__``).
+Between two dunders that is how Python spells the reflected or fallback
+operator; any other alias is a second public way to do one job.
 """
 
 import ast
@@ -55,3 +59,29 @@ def _unreferenced() -> set[str]:
 def test_only_kept_names_are_unreferenced_in_the_package():
     assert _unreferenced() == set(KEPT)
 
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _method_aliases() -> set[str]:
+    """``Class.alias = method`` assignments in class bodies, except dunder to dunder."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+            for item in cls.body:
+                if not (isinstance(item, ast.Assign) and isinstance(item.value, ast.Name)
+                        and item.value.id in methods):
+                    continue
+                for target in item.targets:
+                    if isinstance(target, ast.Name) and not (
+                            _dunder(target.id) and _dunder(item.value.id)):
+                        found.add(f"{path.stem}.{cls.name}.{target.id} = {item.value.id}")
+    return found
+
+
+def test_class_bodies_alias_only_dunders():
+    assert _method_aliases() == set()

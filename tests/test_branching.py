@@ -84,7 +84,7 @@ def test_cyclicity_witness_sweep():
         comp = hits[0]
         image = cyclicity_witness(comp, target).apply(Ket.basis(comp.vacuum_label))
         assert image.labels() == [target]
-        assert not dict(image.items())[target].is_zero()
+        assert dict(image.items())[target]
 
 
 def brute_labels(j, bound):
@@ -123,7 +123,8 @@ def test_typej_normalizers():
     # oracle for the last: |a_1* vac|^2 = 2 over the cycle-(2) vacuum
     vac = Ket.basis(EPWord((), (2,)))
     from cuntzboson.boson import apply_create
-    assert apply_create(1, vac).norm_squared() == ONE + ONE
+    raised = apply_create(1, vac)
+    assert raised.inner(raised) == ONE + ONE
 
 
 def test_typej_orthonormal_small():
@@ -131,9 +132,9 @@ def test_typej_orthonormal_small():
         vac = Ket.basis(EPWord((), (j,)))
         kets = [norm * m.apply(vac) for m, norm in basis_typej(j, 3, 2)]
         for i, u in enumerate(kets):
-            assert u.norm_squared() == ONE
+            assert u.inner(u) == ONE
             for v in kets[i + 1:]:
-                assert u.inner(v).is_zero()
+                assert not u.inner(v)
 
 
 def test_onetwov_normalizers_and_orthonormality():
@@ -144,9 +145,9 @@ def test_onetwov_normalizers_and_orthonormality():
     vac = Ket.basis(EPWord((), (1, 2)))
     kets = [norm * m.apply(vac) for m, norm in basis_onetwov(3, 2)]
     for i, u in enumerate(kets):
-        assert u.norm_squared() == ONE
+        assert u.inner(u) == ONE
         for v in kets[i + 1:]:
-            assert u.inner(v).is_zero()
+            assert not u.inner(v)
 
 
 def test_vacuum_orthogonality_relations():

@@ -259,6 +259,23 @@ def test_integer_beyond_the_text_limit_is_domain_error_within_deadline(argv):
     assert done.stderr.startswith("domain error: ") and "4300 decimal digits" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("bases", "--family", "typej", "--modes", "5"),  # 1,025 lines, 43 kB
+    ("act", "--expr", "a1* + a200000*"),  # a short line, then one of 400 kB
+])
+def test_reader_closing_the_pipe_after_one_line_ends_cleanly(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "cuntzboson.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    first = proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does
+    proc.stdout = None
+    _, err = proc.communicate(timeout=30)
+    assert first.endswith(b"\n")
+    assert (proc.returncode, err) == (0, b"")
+
+
 def test_max_mode_itself_is_served(capsys):
     expected = "1 * |" + "1," * (MAX_MODE - 1) + "2|1>\n"
     for alphabet in ([], ["--N", "2"]):  # O_2 encodes letter 2 as 2,1

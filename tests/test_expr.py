@@ -59,7 +59,7 @@ def test_eval_matches_direct_application():
     assert got == Ket.basis(EPWord((1, 2), (1,)))
     assert eval_on_ket(P1, parse_expression("s1*"), omega) == omega
     spec12 = RepSpec((1, 2))
-    assert eval_on_ket(spec12, parse_expression("a1"), spec12.gp_vector()).is_zero()
+    assert not eval_on_ket(spec12, parse_expression("a1"), spec12.gp_vector())
     mixed = eval_on_ket(P1, parse_expression("a1 a1* - a1* a1"), omega)
     assert mixed == omega
 

@@ -4,7 +4,10 @@
 command as produced before the change it guards: the first 30 entries before
 the scalar layer moved to integer numerators over a common denominator, the
 ``bases`` and ``verify bases`` entries before both came to share one
-orthonormality check.  Any change to the text or JSON forms shows up here.
+orthonormality check, the last three (an odometer ``act`` with a
+parenthesized coefficient and a ``branch --json``) before the coefficient
+parentheses and the component pattern each came to have one source.  Any
+change to the text or JSON forms shows up here.
 """
 
 import json

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.scalar import RadicalScalar
+from cuntzboson.scalar import RadicalScalar, _TRIAL_LIMIT, squarefree_split
 
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 term_maps = st.dictionaries(st.integers(min_value=1, max_value=60), coefficients, max_size=4)
@@ -62,7 +62,7 @@ def test_equality_matches_sympy(a, b):
     assert (a == b) == (sympy.expand(to_sympy(a) - to_sympy(b)) == 0)
     assert a == RadicalScalar(dict(a.terms())) == a * 1 + 0
     if a:  # a/k differs from a, in its denominator or in its numerators
-        assert a / 7 != a and RadicalScalar.rational(Fraction(1, 2)) != Fraction(1, 3)
+        assert a * Fraction(1, 7) != a and RadicalScalar.rational(Fraction(1, 2)) != Fraction(1, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,3 +100,32 @@ def test_terms_are_reduced_fractions():
     assert value.terms() == ((1, Fraction(1, 6)), (2, Fraction(1, 3)), (3, Fraction(1, 2)))
     with pytest.raises(ValueError):
         (value - value).inverse()
+
+
+SMALL_PRIMES = list(sympy.primerange(2, 200))
+# primes on both sides of the trial-division limit: one above it is left over
+# as the cofactor, one below it is found by the last divisions
+NEAR_LIMIT_PRIMES = list(sympy.primerange(_TRIAL_LIMIT - 300, _TRIAL_LIMIT + 300))
+
+
+@st.composite
+def factorable_radicands(draw):
+    n = 1
+    for p in draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=12)):
+        n *= p
+    n *= draw(st.integers(min_value=1, max_value=10**4)) ** 2
+    if draw(st.booleans()):
+        big = draw(st.sampled_from(NEAR_LIMIT_PRIMES))
+        # a prime above the limit may appear once: its square has no divisor below the limit
+        n *= big ** (draw(st.integers(1, 2)) if big < _TRIAL_LIMIT else 1)
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(factorable_radicands())
+def test_squarefree_split_matches_factorint(n):
+    q, r = 1, 1
+    for p, e in sympy.factorint(n).items():
+        q *= p ** (e // 2)
+        r *= p ** (e % 2)
+    assert squarefree_split(n) == (q, r)
