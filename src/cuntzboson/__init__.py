@@ -1,6 +1,6 @@
 """Exact bosonic ladder calculus on permutative Cuntz-algebra representations."""
 
-from .scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
+from .scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
 from .words import EPWord, Word, rotations
 from .states import Ket
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial

@@ -8,10 +8,16 @@ label rule used here:
     a_n   |w> = sqrt(c-1) |w with letter c-1 at position n>   (c = letter, 0 if c = 1)
     a_n*  |w> = sqrt(c)   |w with letter c+1 at position n>
 
-so letter c at position n encodes occupation number c-1 of mode n.  The
-closed rule is O(1) per label; ``literal_annihilate``/``literal_create``
-evaluate the truncated series through Cuntz monomials instead and exist to
-cross-validate the closed form against its defining expansion.
+so letter c at position n encodes occupation number c-1 of mode n.  A power
+moves the letter in one step:
+
+    a_n^k     |w> = sqrt((c-1)(c-2)...(c-k)) |w with letter c-k at position n>   (0 if c <= k)
+    (a_n*)^k  |w> = sqrt(c(c+1)...(c+k-1))   |w with letter c+k at position n>
+
+The closed rule takes one step per label, whatever the power;
+``literal_annihilate``/``literal_create`` evaluate the truncated series
+through Cuntz monomials instead and exist to cross-validate the closed form
+against its defining expansion.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .common import CheckResult, add_term
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
-from .scalar import ONE, RadicalScalar, ZERO, _grouped, sqrt_factorial, sqrt_nat
+from .scalar import ONE, RadicalScalar, ZERO, _grouped, sqrt_nat, sqrt_product
 from .states import Ket, _canonical
 from .words import EPWord, Word
 
@@ -41,26 +47,32 @@ def _as_exponents(data: Union[Mapping[int, int], Iterable[tuple[int, int]]]) -> 
     return tuple(sorted(merged.items()))
 
 
-def apply_annihilate(n: int, v: Ket) -> Ket:
+def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
+    """a_n^power (sign -1) or (a_n*)^power (sign 1) by the power rule above."""
     if n < 1:
         raise ValueError(f"modes are 1-based, got {n}")
+    if power < 1:
+        raise ValueError(f"ladder powers are >= 1, got {power}")
+    step = sign * power
+    shift = step if step < 0 else 0  # letter + shift is the smallest factor under the root
+    single = power == 1
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
         c = word.letter_at(n)
-        if c < 2:
+        low = c + shift
+        if low < 1:
             continue
-        add_term(out, word.set_letter(n, c - 1), sqrt_nat(c - 1) * coeff)
+        root = sqrt_nat(low) if single else sqrt_product(low, low + power - 1)
+        add_term(out, word.set_letter(n, c + step), root * coeff)
     return _canonical(out)
 
 
-def apply_create(n: int, v: Ket) -> Ket:
-    if n < 1:
-        raise ValueError(f"modes are 1-based, got {n}")
-    out: dict[EPWord, RadicalScalar] = {}
-    for word, coeff in v._amps.items():
-        c = word.letter_at(n)
-        add_term(out, word.set_letter(n, c + 1), sqrt_nat(c) * coeff)
-    return _canonical(out)
+def apply_annihilate(n: int, v: Ket, power: int = 1) -> Ket:
+    return _ladder(n, v, power, -1)
+
+
+def apply_create(n: int, v: Ket, power: int = 1) -> Ket:
+    return _ladder(n, v, power, 1)
 
 
 class BosonMonomial:
@@ -86,11 +98,9 @@ class BosonMonomial:
 
     def apply(self, v: Ket) -> Ket:
         for mode, exp in self.annihilators:
-            for _ in range(exp):
-                v = apply_annihilate(mode, v)
+            v = apply_annihilate(mode, v, exp)
         for mode, exp in self.creators:
-            for _ in range(exp):
-                v = apply_create(mode, v)
+            v = apply_create(mode, v, exp)
         return self.coeff * v
 
     def __eq__(self, other: object) -> bool:
@@ -121,7 +131,7 @@ def fock_word(occupations: Mapping[int, int]) -> tuple[RadicalScalar, Word]:
     word = tuple(occ.get(mode, 0) + 1 for mode in range(1, top + 1))
     coeff = ONE
     for count in occ.values():
-        coeff = coeff * sqrt_factorial(count)
+        coeff = coeff * sqrt_product(1, count)
     return coeff, word
 
 
@@ -149,7 +159,7 @@ def fock_extension_action(
         shifted = [(n + 1, k) for n, k in state]
         if m >= 2:
             shifted.append((1, m - 1))
-        coeff = sqrt_factorial(m - 1).inverse()
+        coeff = sqrt_product(1, m - 1).inverse()
         return coeff, _as_exponents(shifted)
     if not state:
         return (ONE, ()) if m == 1 else (ZERO, ())
@@ -161,7 +171,7 @@ def fock_extension_action(
     if m != k1 + 1:
         return ZERO, ()
     rest = _as_exponents((n - 1, k) for n, k in state[1:])
-    return sqrt_factorial(k1), rest
+    return sqrt_product(1, k1), rest
 
 
 def _probe_bound(v: Ket) -> int:

@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, perm
 from typing import Iterable, Optional
 
 from .boson import BosonMonomial, apply_annihilate, apply_create
 from .common import CheckResult, DomainError
 from .cuntz import RepSpec
-from .scalar import ONE, RadicalScalar, sqrt_factorial, sqrt_nat
+from .scalar import ONE, RadicalScalar, sqrt_product
 from .states import Ket
 from .words import EPWord, Word, format_word
 
@@ -83,15 +83,10 @@ def classify_vacuum(vacuum: EPWord, modes: int = 6) -> tuple[str, list[CheckResu
                 check(f"a{n} vac = 0", apply_annihilate(n, vac), Ket())
         else:
             for n in range(1, M + 1):
-                state = vac
                 for l in range(1, j):
-                    state = apply_annihilate(n, state)
-                    expected = _falling(j, l)
-                    lowered = state
-                    for _ in range(l):
-                        lowered = apply_create(n, lowered)
+                    expected = perm(j - 1, l)
                     check(f"(a{n}*)^{l} a{n}^{l} vac = {expected} vac",
-                          lowered, expected * vac)
+                          apply_create(n, apply_annihilate(n, vac, l), l), expected * vac)
     elif pattern in ((1, 2), (2, 1)):
         for half in range(1, M // 2 + 1):
             odd, even = 2 * half - 1, 2 * half
@@ -178,13 +173,6 @@ def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> set
     return out
 
 
-def _falling(j: int, l: int) -> int:
-    out = 1
-    for t in range(1, l + 1):
-        out *= j - t
-    return out
-
-
 def basis_typej(j: int, mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial, RadicalScalar]]:
     """Orthonormal-basis monomials over the cycle-(j) vacuum, with normalizers.
 
@@ -196,15 +184,10 @@ def basis_typej(j: int, mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMo
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    # sqrt of each per-mode norm factor, built one small radicand at a time
-    rising, falling = [ONE], [ONE]
-    for t in range(exp_cutoff):
-        rising.append(rising[-1] * sqrt_nat(j + t))
-    for t in range(1, min(j - 1, exp_cutoff) + 1):
-        falling.append(falling[-1] * sqrt_nat(j - t))
     per_mode = [("skip", 0, ONE)]
-    per_mode += [("create", k, rising[k]) for k in range(1, exp_cutoff + 1)]
-    per_mode += [("lower", l, falling[l]) for l in range(1, len(falling))]
+    per_mode += [("create", k, sqrt_product(j, j + k - 1)) for k in range(1, exp_cutoff + 1)]
+    per_mode += [("lower", l, sqrt_product(j - l, j - 1))
+                 for l in range(1, min(j - 1, exp_cutoff) + 1)]
     return _basis(itertools.product(per_mode, repeat=mode_cutoff))
 
 
@@ -219,7 +202,7 @@ def basis_onetwov(mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial
     per_mode: list[list[tuple[str, int, RadicalScalar]]] = []
     for mode in range(1, mode_cutoff + 1):
         choices = [("skip", 0, ONE)]
-        choices += [("create", k, sqrt_factorial(k if mode % 2 else k + 1))
+        choices += [("create", k, sqrt_product(1, k if mode % 2 else k + 1))
                     for k in range(1, exp_cutoff + 1)]
         if mode % 2 == 0:
             choices.append(("lower", 1, ONE))
@@ -255,16 +238,10 @@ def vacuum_orthogonality(j: int, mode_bound: int, power_bound: int) -> list[Chec
     checks = []
     for n in range(1, mode_bound + 1):
         for k in range(1, power_bound + 1):
-            lowered = vacuum
-            for _ in range(k):
-                lowered = apply_annihilate(n, lowered)
-            inner = vacuum.inner(lowered)
+            inner = vacuum.inner(apply_annihilate(n, vacuum, k))
             checks.append(CheckResult(
                 f"<vac | a{n}^{k} vac> = 0 in F_{j}", not inner, f"inner {inner}"))
-            raised = vacuum
-            for _ in range(k):
-                raised = apply_create(n, raised)
-            inner = vacuum.inner(raised)
+            inner = vacuum.inner(apply_create(n, vacuum, k))
             checks.append(CheckResult(
                 f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}", not inner, f"inner {inner}"))
     return checks

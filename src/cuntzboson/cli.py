@@ -15,7 +15,7 @@ import sys
 
 from .boson import fock_word
 from .branching import basis_lambda_j, basis_onetwov, basis_typej, enumerate_components
-from .common import DomainError, ExprError, check_index
+from .common import AlphabetError, DomainError, ExprError, check_index
 from .cuntz import RepSpec
 from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
@@ -83,7 +83,11 @@ def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
     if args.state == "omega":
         state = spec.gp_vector()
     else:
-        state = Ket.basis(EPWord.parse(args.state))
+        label = EPWord.parse(args.state)
+        top = max(label.prefix + label.cycle)
+        if args.N is not None and top > args.N:
+            raise AlphabetError(f"state letter {top} exceeds alphabet bound {args.N}")
+        state = Ket.basis(label)
     result = eval_on_ket(spec, terms, state)
     return 0, json.dumps(result.to_json(), indent=2, sort_keys=True) if args.json else str(result)
 
@@ -249,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.func is cmd_act and args.model == "odometer" and (args.rep != "|1" or args.N is not None):
+            parser.error("act --model odometer acts on the representation |1 of O_inf: "
+                         "it takes no --N and no --rep other than '|1'")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

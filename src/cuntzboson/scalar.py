@@ -44,9 +44,9 @@ _TRIAL_LIMIT = 1_000_000
 # when they would factor: trial division of such a number takes seconds
 # before it can fail.  The radicands the package forms itself are label
 # letters, truncation bounds of the literal series and single factors of
-# basis normalizers (a product of factors is multiplied as scalars, never
-# factored), all far below 2**1024 unless the input names such a number: a
-# letter in ``--state``, ``sqrt(...)``, a JSON coefficient.
+# ladder and normalizer products (``sqrt_product`` never factors a product),
+# all far below 2**1024 unless the input names such a number: a letter in
+# ``--state``, ``sqrt(...)``, a JSON coefficient.
 _RADICAND_BITS = 1024
 
 
@@ -303,12 +303,16 @@ def sqrt_nat(n: int) -> RadicalScalar:
     return value
 
 
-def sqrt_factorial(k: int) -> RadicalScalar:
-    """Exact sqrt(k!), built incrementally so radicands stay small."""
-    if k < 0:
-        raise ValueError(f"sqrt_factorial requires k >= 0, got {k}")
-    out = ONE
-    for i in range(2, k + 1):
-        out = out * sqrt_nat(i)
-    return out
+def sqrt_product(low: int, high: int) -> RadicalScalar:
+    """Exact sqrt(low * (low+1) * ... * high), ``ONE`` for the empty range high < low.
 
+    The root is kept as one integer pair q*sqrt(r) with r squarefree, and the
+    root of each factor is merged into it, so no product is ever factored.
+    """
+    q, r = 1, 1
+    for i in range(low, high + 1):
+        (ri, qi), = sqrt_nat(i)._num.items()
+        g = math.gcd(r, ri)
+        q *= qi * g
+        r = (r // g) * (ri // g)
+    return _raw(1, {r: q})

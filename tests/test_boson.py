@@ -2,11 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from cuntzboson.boson import (BosonMonomial, apply_annihilate, apply_create,
                               check_intertwining, fock_extension_action, fock_word,
                               literal_annihilate, literal_create)
+from cuntzboson.common import MAX_MODE
 from cuntzboson.cuntz import RepSpec, apply_generator
-from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat
+from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
 from cuntzboson.states import Ket
 from cuntzboson.verify import random_ket, random_occupations
 from cuntzboson.words import EPWord
@@ -29,6 +33,41 @@ def test_create_examples():
         assert apply_create(n, OMEGA) == expected
     v = Ket.basis(EPWord((), (2,)))
     assert apply_create(1, v) == sqrt_nat(2) * Ket.basis(EPWord((3,), (2,)))
+
+
+def test_power_examples():
+    v = Ket.basis(EPWord((4,), (1,)))
+    assert apply_annihilate(1, v, 2) == sqrt_nat(6) * Ket.basis(EPWord((2,), (1,)))
+    assert apply_annihilate(1, v, 3) == sqrt_nat(6) * Ket.basis(EPWord((), (1,)))
+    assert apply_annihilate(1, v, 4) == Ket()  # letter 4 cannot fall by 4
+    assert apply_create(1, v, 3) == sqrt_nat(4 * 5 * 6) * Ket.basis(EPWord((7,), (1,)))
+
+
+def _single_steps(op, n, v, k):
+    for _ in range(k):
+        v = op(n, v)
+    return v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from([P1, RepSpec((2,)), P12]),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=6) | st.integers(min_value=MAX_MODE - 2, max_value=MAX_MODE))
+def test_power_equals_single_steps(seed, spec, k, n):
+    v = random_ket(random.Random(seed), spec)
+    # raise a copy at mode n so that lowering by k both empties and keeps labels
+    v = v + _single_steps(apply_create, n, v, 2)
+    for op in (apply_annihilate, apply_create):
+        # a bare bool: the text of a label that deviates near MAX_MODE has a million letters
+        same = op(n, v, k) == _single_steps(op, n, v, k)
+        assert same, f"{op.__name__}(mode {n}, power {k}) differs from {k} single steps"
+
+
+@pytest.mark.parametrize("power", [0, -1])
+def test_power_below_one_is_refused(power):
+    for op in (apply_annihilate, apply_create):
+        with pytest.raises(ValueError, match="powers"):
+            op(1, OMEGA, power)
 
 
 def test_closed_form_matches_literal_series():
@@ -97,7 +136,7 @@ def test_fock_word_round_trip():
 def test_fock_extension_examples():
     coeff, creators = fock_extension_action(3, False, ())
     assert creators == ((1, 2),)
-    assert coeff == sqrt_factorial(2).inverse()
+    assert coeff == sqrt_product(1, 2).inverse()
     assert fock_extension_action(1, True, ()) == (ONE, ())
     assert fock_extension_action(2, True, ()) == (ZERO, ())
     assert fock_extension_action(2, True, ((1, 1),)) == (ONE, ())

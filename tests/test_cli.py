@@ -43,6 +43,15 @@ def test_act_odometer_model(capsys):
     assert code == 0 and out == "1 * e2\n"
     code, out, _ = run(capsys, "act", "--model", "odometer", "--expr", "a4*", "--state", "e1")
     assert code == 0 and out == "1 * e9\n"
+    code, out, _ = run(capsys, "act", "--model", "odometer", "--rep", "|1", "--expr", "s1")
+    assert code == 0 and out == "1 * e1\n"
+
+
+@pytest.mark.parametrize("extra", [("--rep", "|2"), ("--N", "5"), ("--rep", "|2", "--N", "5")])
+def test_act_odometer_model_refuses_rep_and_alphabet(capsys, extra):
+    code, out, err = run(capsys, "act", "--model", "odometer", *extra, "--expr", "s1")
+    assert code == 2 and out == ""
+    assert "usage:" in err and "odometer" in err
 
 
 def test_act_parse_error_exit_2(capsys):
@@ -53,6 +62,14 @@ def test_act_parse_error_exit_2(capsys):
 def test_act_alphabet_violation_exit_3(capsys):
     code, _, err = run(capsys, "act", "--rep", "|1", "--N", "2", "--expr", "s3")
     assert code == 3 and "alphabet" in err.lower() or "exceeds" in err
+
+
+@pytest.mark.parametrize("state, expr, letter", [
+    ("5|1", "s1", 5), ("5|1", "a1*", 5), ("1|3", "s2*", 3), ("2,1|1,4", "s1", 4)])
+def test_act_state_letter_above_alphabet_exit_3(capsys, state, expr, letter):
+    code, out, err = run(capsys, "act", "--rep", "|1", "--N", "2", "--state", state, "--expr", expr)
+    assert code == 3 and out == ""
+    assert err == f"domain error: state letter {letter} exceeds alphabet bound 2\n"
 
 
 def test_branch_text(capsys):

@@ -6,8 +6,10 @@ the scalar layer moved to integer numerators over a common denominator, the
 ``bases`` and ``verify bases`` entries before both came to share one
 orthonormality check, the last three (an odometer ``act`` with a
 parenthesized coefficient and a ``branch --json``) before the coefficient
-parentheses and the component pattern each came to have one source.  Any
-change to the text or JSON forms shows up here.
+parentheses and the component pattern each came to have one source, and the
+last four (a ``branch`` on cycle letter 5 and a ``typej`` basis with powers
+up to 4, each as text and as JSON) before ladder powers came to be applied
+in one step.  Any change to the text or JSON forms shows up here.
 """
 
 import json

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuntzboson.common import DomainError
-from cuntzboson.scalar import (ONE, RadicalScalar, ZERO, sqrt_factorial, sqrt_nat,
+from cuntzboson.scalar import (ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product,
                                squarefree_split)
 
 
@@ -48,18 +48,18 @@ def test_squarefree_split_limit():
 
 
 def test_sqrt_factorial_examples():
-    assert sqrt_factorial(0) == ONE
-    assert sqrt_factorial(2) == sqrt_nat(2)
+    assert sqrt_product(1, 0) == ONE
+    assert sqrt_product(1, 2) == sqrt_nat(2)
     # 4! = 24 factors as 4 * 6
     q, r = brute_squarefree(24)
     assert (q, r) == (2, 6)
-    assert sqrt_factorial(4) == RadicalScalar({r: q})
+    assert sqrt_product(1, 4) == RadicalScalar({r: q})
 
 
 def test_sqrt_factorial_matches_direct_root():
     fact = 1
     for k in range(13):
-        assert sqrt_factorial(k) == sqrt_nat(fact)
+        assert sqrt_product(1, k) == sqrt_nat(fact)
         fact *= k + 1
 
 

@@ -7,7 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.scalar import RadicalScalar, _TRIAL_LIMIT, squarefree_split
+from cuntzboson.scalar import (ONE, RadicalScalar, _SQRT_CACHE_BOUND, _TRIAL_LIMIT, sqrt_product,
+                               squarefree_split)
 
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 term_maps = st.dictionaries(st.integers(min_value=1, max_value=60), coefficients, max_size=4)
@@ -129,3 +130,22 @@ def test_squarefree_split_matches_factorint(n):
         q *= p ** (e // 2)
         r *= p ** (e % 2)
     assert squarefree_split(n) == (q, r)
+
+
+@pytest.mark.parametrize("low, high", [
+    (1, 0), (8, 7), (1, 1), (1, 12), (2, 30), (7, 7), (40, 60),
+    (_SQRT_CACHE_BOUND, _SQRT_CACHE_BOUND + 1),  # the first factor past the cache bound
+    (_SQRT_CACHE_BOUND - 10, _SQRT_CACHE_BOUND + 10),
+    (_SQRT_CACHE_BOUND + 1, _SQRT_CACHE_BOUND + 40),
+])
+def test_sqrt_product_matches_sympy(low, high):
+    value = sqrt_product(low, high)
+    assert_canonical(value)
+    assert same(value, sympy.sqrt(math.prod(range(low, high + 1))))
+    if high < low:
+        assert value == ONE
+
+
+def test_sqrt_product_refuses_a_factor_below_one():
+    with pytest.raises(ValueError):
+        sqrt_product(0, 3)
