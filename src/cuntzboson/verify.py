@@ -165,21 +165,31 @@ _ORTHONORMAL = CheckResult("orthonormal", True)
 def orthonormality_checks(name: str, kets: Sequence[Ket]) -> Iterator[CheckResult]:
     """One check per norm and per pair: |v_i|^2 = 1, then <v_i, v_j> = 0 for j > i.
 
-    Every passing check yields the one shared record; the name and the exact
-    scalar are formatted only for a failing check.
+    The labels are orthonormal, so two kets with no label in common have inner
+    product exactly 0; only pairs that share a label take ``Ket.inner``.  Every
+    passing check still costs one yield of the one shared record; the name and
+    the exact scalar are formatted only for a failing check.
     """
+    sharing: dict[EPWord, list[int]] = {}
+    for j, ket in enumerate(kets):
+        for word in ket._amps:
+            sharing.setdefault(word, []).append(j)
     for i, u in enumerate(kets):
         norm = u.inner(u)
         if norm == ONE:
             yield _ORTHONORMAL
         else:
             yield CheckResult(f"{name}: |v_{i}|^2 = 1", False, f"norm^2 {norm}")
-        for j in range(i + 1, len(kets)):
+        after = i + 1
+        for j in sorted({j for word in u._amps for j in sharing[word] if j > i}):
+            yield from itertools.repeat(_ORTHONORMAL, j - after)
             inner = u.inner(kets[j])
             if inner:
                 yield CheckResult(f"{name}: <v_{i}, v_{j}> = 0", False, f"inner {inner}")
             else:
                 yield _ORTHONORMAL
+            after = j + 1
+        yield from itertools.repeat(_ORTHONORMAL, len(kets) - after)
 
 
 def _typej_expected_labels(j: int, modes: int, exps: int) -> set[EPWord]:

@@ -179,11 +179,20 @@ def test_ccr_exact_at_mode_one_million():
     v = random_ket(rng, P12, max_labels=4) + Ket.basis(EPWord((), (1, 2)).set_letter(n, 5))
     for m in (n, n - 1, n + 1, 1):
         comm = apply_annihilate(n, apply_create(m, v)) - apply_create(m, apply_annihilate(n, v))
-        assert comm == (v if m == n else Ket())
+        expected = v if m == n else Ket()
+        same = comm == expected
+        assert same, f"[a_n, a_{m}*] v differs on {_differing_labels(comm, expected)} labels"
     # the number operator reads the letter at mode n: vacuum letter 2 (n even), or 5
     number = apply_create(n, apply_annihilate(n, v))
     expected = Ket({w: c * (w.letter_at(n) - 1) for w, c in v._amps.items()})
-    assert number == expected and number != Ket()
+    same, nonzero = number == expected, bool(number)
+    assert same, f"a_n* a_n v differs on {_differing_labels(number, expected)} labels"
+    assert nonzero, "a_n* a_n v is 0"
+
+
+def _differing_labels(got, want):
+    """How many labels two kets disagree on: a failure message that stays short at deep modes."""
+    return sum(got._amps.get(w) != want._amps.get(w) for w in got._amps.keys() | want._amps.keys())
 
 
 def test_monomial_text_parenthesizes_multi_term_coefficients():

@@ -146,17 +146,17 @@ def test_bases_command(capsys):
     assert json.loads(out)["orthonormal"] is True
 
 
-def _planted_typej(monkeypatch, plant):
-    """Route ``verify bases`` and ``bases`` through a type-j family changed by ``plant``."""
-    original = branching.basis_typej
+def _planted(monkeypatch, name, plant):
+    """Route ``verify bases`` and ``bases`` through the family ``name`` changed by ``plant``."""
+    original = getattr(branching, name)
 
     def family(*args):
         out = list(original(*args))
         plant(out)
         return out
 
-    monkeypatch.setattr(branching, "basis_typej", family)
-    monkeypatch.setattr(cli, "basis_typej", family)
+    monkeypatch.setattr(branching, name, family)
+    monkeypatch.setattr(cli, name, family)
 
 
 def _double_normalizer(family):
@@ -183,13 +183,35 @@ def _repeat_monomial(family):  # v_4 becomes a multiple of v_5
      "  first failures: [FAIL] typej j=2: span matches occupation-bounded labels: 624 labels\n"),
 ])
 def test_planted_basis_failure_is_reported(capsys, monkeypatch, plant, expected):
-    _planted_typej(monkeypatch, plant)
+    _planted(monkeypatch, "basis_typej", plant)
     assert run(capsys, "verify", "bases")[:2] == (1, expected)
     argv = ("bases", "--family", "typej", "--j", "2", "--modes", "2", "--exps", "2")
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out.startswith("family typej: 16 elements, orthonormal: False\n")
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 1 and json.loads(out)["orthonormal"] is False
+
+
+def _repeat_last_label(labels):  # v_{n-1} becomes v_{n-2}, after a run of disjoint pairs
+    labels[-1] = labels[-2]
+
+
+# Expected output captured while every pair still took an inner product.
+def test_planted_lambda_failure_is_reported(capsys, monkeypatch):
+    _planted(monkeypatch, "basis_lambda_j", _repeat_last_label)
+    assert run(capsys, "verify", "bases")[:2] == (1, (
+        "suite bases: 374578/374582 checks passed\n"
+        "  first failures: [FAIL] lambda_1 bound 4: <v_254, v_255> = 0: inner 1\n"
+        "  first failures: [FAIL] lambda_1 bound 4: span matches label enumeration: 256 labels\n"
+        "  first failures: [FAIL] lambda_2 bound 4: <v_254, v_255> = 0: inner 1\n"
+        "  first failures: [FAIL] lambda_2 bound 4: span matches label enumeration: 256 labels\n"))
+    argv = ("bases", "--family", "lambda", "--j", "1", "--modes", "2")
+    assert run(capsys, *argv)[:2] == (
+        1, "family lambda: 4 elements, orthonormal: False\n||1>\n|2|1>\n|1,2|1>\n|1,2|1>\n")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1 and json.loads(out) == {
+        "elements": ["||1>", "|2|1>", "|1,2|1>", "|1,2|1>"],
+        "family": "lambda", "orthonormal": False, "size": 4}
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,0 +1,59 @@
+"""``orthonormality_checks`` against the all-pairs rule it replaces."""
+
+from fractions import Fraction
+
+from hypothesis import example, given, strategies as st
+
+from cuntzboson.common import CheckResult
+from cuntzboson.scalar import ONE, sqrt_nat
+from cuntzboson.states import Ket
+from cuntzboson.verify import orthonormality_checks
+from cuntzboson.words import EPWord
+
+
+PASS = CheckResult("orthonormal", True)
+
+
+def all_pairs(name, kets):
+    """The oracle: an inner product for every norm and every pair i < j."""
+    out = []
+    for i, u in enumerate(kets):
+        norm = u.inner(u)
+        out.append(PASS if norm == ONE else CheckResult(f"{name}: |v_{i}|^2 = 1", False, f"norm^2 {norm}"))
+        for j in range(i + 1, len(kets)):
+            inner = u.inner(kets[j])
+            out.append(CheckResult(f"{name}: <v_{i}, v_{j}> = 0", False, f"inner {inner}") if inner else PASS)
+    return out
+
+
+def records(checks):
+    return [(check.passed, check.line()) for check in checks]
+
+
+# A small pool of labels, so that drawn kets often share some.
+POOL = [EPWord(prefix, (1,)) for prefix in ((), (2,), (3,), (1, 2), (2, 2), (3, 1, 2))]
+HALF = sqrt_nat(2) * Fraction(1, 2)
+amplitudes = st.sampled_from([ONE, -ONE, HALF, -HALF, ONE * 2, ONE * Fraction(1, 3)])
+kets = st.dictionaries(st.sampled_from(POOL), amplitudes, max_size=4).map(Ket)
+families = st.lists(kets, max_size=8).flatmap(
+    lambda family: st.lists(st.sampled_from(family), max_size=3).map(lambda extra: family + extra)
+    if family else st.just(family))
+
+
+def basis(k):
+    return Ket.basis(POOL[k])
+
+
+@given(families)
+@example([])
+@example([Ket()])
+@example([basis(0)])
+@example([basis(0), Ket(), basis(0), Ket()])
+# the only label v_0 shares with v_3 is its last one
+@example([HALF * basis(1) + HALF * basis(2) + HALF * basis(5), basis(0), basis(3), basis(5)])
+# the one failing pair <v_0, v_5> comes after four disjoint pairs
+@example([basis(0), basis(1), basis(2), basis(3), basis(4), 2 * basis(0)])
+def test_orthonormality_checks_match_all_pairs(family):
+    got = records(orthonormality_checks("family", family))
+    assert got == records(all_pairs("family", family))
+    assert len(got) == len(family) * (len(family) + 1) // 2
