@@ -20,7 +20,7 @@ from math import lcm, perm
 from typing import Iterable, Optional
 
 from .boson import BosonMonomial, apply_annihilate, apply_create
-from .common import CheckResult, DomainError
+from .common import MAX_CHECKS, CheckResult, DomainError
 from .cuntz import RepSpec
 from .scalar import ONE, RadicalScalar, sqrt_product
 from .states import Ket
@@ -208,6 +208,39 @@ def basis_onetwov(mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial
             choices.append(("lower", 1, ONE))
         per_mode.append(choices)
     return _basis(itertools.product(*per_mode))
+
+
+def basis_size(family: str, j: int, modes: int, exps: int) -> int:
+    """The number of elements of a ``bases`` family, from its arguments alone.
+
+    ``lambda`` is ``basis_lambda_j(j, modes)``: the vacuum and the words of
+    length 1..modes over 1..modes that do not end in j, which is modes**modes
+    when j <= modes and 1 + modes + ... + modes**modes when j > modes.
+    ``typej`` and ``onetwov`` multiply the per-mode choice counts of
+    ``basis_typej(j, modes, exps)`` and ``basis_onetwov(modes, exps)``.  Any
+    size above ``MAX_CHECKS``, whose orthonormality checks alone exceed that
+    bound, is returned as ``MAX_CHECKS + 1``, so that huge arguments cost no
+    big-integer arithmetic.
+    """
+    if family == "onetwov":
+        size = _power_at_most(1 + exps, (modes + 1) // 2) * _power_at_most(2 + exps, modes // 2)
+    elif j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    elif family == "typej":
+        size = _power_at_most(1 + exps + min(j - 1, exps), modes)
+    elif j <= modes:
+        size = _power_at_most(modes, modes)
+    else:  # no word ends in j
+        size = sum(_power_at_most(modes, length)
+                   for length in range(min(modes, MAX_CHECKS.bit_length()) + 1))
+    return min(size, MAX_CHECKS + 1)
+
+
+def _power_at_most(base: int, exp: int) -> int:
+    """``base**exp`` for ``base >= 1``, or ``MAX_CHECKS + 1`` when that exceeds ``MAX_CHECKS``."""
+    if base > 1 and exp > MAX_CHECKS.bit_length():  # base**exp >= 2**exp > MAX_CHECKS
+        return MAX_CHECKS + 1
+    return min(base ** exp, MAX_CHECKS + 1)
 
 
 def _basis(combos: Iterable[tuple[tuple[str, int, RadicalScalar], ...]]

@@ -14,8 +14,8 @@ import os
 import sys
 
 from .boson import fock_word
-from .branching import basis_lambda_j, basis_onetwov, basis_typej, enumerate_components
-from .common import AlphabetError, DomainError, ExprError, check_index
+from .branching import basis_lambda_j, basis_onetwov, basis_size, basis_typej, enumerate_components
+from .common import AlphabetError, DomainError, ExprError, check_family_sizes, check_index
 from .cuntz import RepSpec
 from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
@@ -166,6 +166,8 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_bases(args: argparse.Namespace) -> tuple[int, str]:
+    check_family_sizes([basis_size(args.family, args.j, args.modes, args.exps)],
+                       f"bases --family {args.family}")
     if args.family == "lambda":
         labels = basis_lambda_j(args.j, args.modes)
         kets = [Ket.basis(w) for w in labels]

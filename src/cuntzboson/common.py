@@ -1,8 +1,9 @@
-"""Shared error types, the CLI index bound, the check-report record and the sparse-sum kernel."""
+"""Shared error types, the CLI bounds, the check-report record and the sparse-sum kernel."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -35,6 +36,20 @@ def check_index(index: int, what: str) -> None:
     """Refuse a mode or generator index above ``MAX_MODE`` with ``DomainError``."""
     if index > MAX_MODE:
         raise DomainError(f"{what} {index} exceeds the largest supported {what} {MAX_MODE}")
+
+
+# Largest number of orthonormality checks one ``bases`` or ``verify bases``
+# call may make.  A family of n elements costs n(n+1)/2 checks, at most about
+# 0.4 us each, so the bound is a few seconds of work; a larger request is
+# refused with DomainError (exit code 3) before any family is built.
+MAX_CHECKS = 10**7
+
+
+def check_family_sizes(sizes: Iterable[int], what: str) -> None:
+    """Refuse families whose orthonormality checks add up to more than ``MAX_CHECKS``."""
+    if sum(n * (n + 1) // 2 for n in sizes) > MAX_CHECKS:
+        raise DomainError(f"{what} needs more orthonormality checks than the largest "
+                          f"supported number, MAX_CHECKS = {MAX_CHECKS}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 Each suite evaluates a family of operator identities with exact scalar
 arithmetic and reports per-check pass/fail; suites are deterministic in
-(parameters, seed).
+(parameters, seed).  ``ccr`` decides each commutation relation by comparing
+its two operator orderings (plus ``v`` for [a_n, a_n*] = 1) as canonical
+kets, without building the commutator.  ``ccr`` and the orthonormality
+checks add one shared record for every pass and format a check's name only
+when it fails, so the failure lines read as if every check were named.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import boson, branching, embed
-from .common import CheckResult
+from .common import CheckResult, check_family_sizes
 from .cuntz import (CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator,
                     apply_monomial, apply_polynomial, check_isometry_relations)
 from .scalar import ONE, RadicalScalar
@@ -82,30 +86,45 @@ class SuiteResult:
         return f"suite {self.name}: {self.passed}/{self.total} checks passed"
 
 
+# The record of every passing check of a suite whose passes print nothing:
+# ccr and the orthonormality checks add it as is and format a name only for a
+# failing check.
+_PASSED = CheckResult("passed", True)
+
+# The three relations ccr checks for each pair of modes (n, m).
+_CCR_RELATIONS = ("[a{n}, a{m}*] = {delta}", "[a{n}, a{m}] = 0", "[a{n}*, a{m}*] = 0")
+
+
 def run_ccr(modes: int = 6, samples: int = 50, seed: int = 7, **_) -> SuiteResult:
-    """Exact commutation relations on seeded random kets of three representations."""
+    """Exact commutation relations on seeded random kets of three representations.
+
+    Each relation compares its two operator orderings, exactly: [a_n, a_m] = 0
+    as a_n a_m v == a_m a_n v, [a_n*, a_m*] = 0 likewise, and
+    [a_n, a_m*] = delta_nm as a_n a_m* v == a_m* a_n v + delta_nm v.  Kets
+    are canonical (unique labels, nonzero amplitudes), so X == Y + E holds
+    exactly when X - Y - E is the zero ket, and no commutator ket is built.
+    A passing check adds the shared record; the check's name is formatted
+    only when it fails.
+    """
     result = SuiteResult("ccr")
     rng = random.Random(seed)
+    create, annihilate = boson.apply_create, boson.apply_annihilate
     for cycle in ((1,), (2,), (1, 2)):
         spec = RepSpec(cycle)
         for idx in range(samples):
             v = random_ket(rng, spec)
             for n in range(1, modes + 1):
                 for m in range(1, modes + 1):
-                    lhs = (boson.apply_annihilate(n, boson.apply_create(m, v))
-                           - boson.apply_create(m, boson.apply_annihilate(n, v)))
-                    expected = v if n == m else Ket()
-                    result.add(CheckResult(
-                        f"{spec} sample {idx}: [a{n}, a{m}*] = {int(n == m)}",
-                        lhs == expected))
-                    lhs = (boson.apply_annihilate(n, boson.apply_annihilate(m, v))
-                           - boson.apply_annihilate(m, boson.apply_annihilate(n, v)))
-                    result.add(CheckResult(
-                        f"{spec} sample {idx}: [a{n}, a{m}] = 0", not lhs))
-                    lhs = (boson.apply_create(n, boson.apply_create(m, v))
-                           - boson.apply_create(m, boson.apply_create(n, v)))
-                    result.add(CheckResult(
-                        f"{spec} sample {idx}: [a{n}*, a{m}*] = 0", not lhs))
+                    left, right = annihilate(n, create(m, v)), create(m, annihilate(n, v))
+                    outcomes = (
+                        left == (right + v if n == m else right),
+                        annihilate(n, annihilate(m, v)) == annihilate(m, annihilate(n, v)),
+                        create(n, create(m, v)) == create(m, create(n, v)),
+                    )
+                    for passed, relation in zip(outcomes, _CCR_RELATIONS):
+                        result.add(_PASSED if passed else CheckResult(
+                            f"{spec} sample {idx}: "
+                            + relation.format(n=n, m=m, delta=int(n == m)), False))
     return result
 
 
@@ -157,11 +176,6 @@ def _random_cuntz_monomial(rng: random.Random) -> CuntzMonomial:
     return CuntzMonomial(random_scalar(rng), left, right)
 
 
-# The record of every passing orthonormality check: a pass prints nothing, so
-# it needs no name and no detail.
-_ORTHONORMAL = CheckResult("orthonormal", True)
-
-
 def orthonormality_checks(name: str, kets: Sequence[Ket]) -> Iterator[CheckResult]:
     """One check per norm and per pair: |v_i|^2 = 1, then <v_i, v_j> = 0 for j > i.
 
@@ -177,19 +191,19 @@ def orthonormality_checks(name: str, kets: Sequence[Ket]) -> Iterator[CheckResul
     for i, u in enumerate(kets):
         norm = u.inner(u)
         if norm == ONE:
-            yield _ORTHONORMAL
+            yield _PASSED
         else:
             yield CheckResult(f"{name}: |v_{i}|^2 = 1", False, f"norm^2 {norm}")
         after = i + 1
         for j in sorted({j for word in u._amps for j in sharing[word] if j > i}):
-            yield from itertools.repeat(_ORTHONORMAL, j - after)
+            yield from itertools.repeat(_PASSED, j - after)
             inner = u.inner(kets[j])
             if inner:
                 yield CheckResult(f"{name}: <v_{i}, v_{j}> = 0", False, f"inner {inner}")
             else:
-                yield _ORTHONORMAL
+                yield _PASSED
             after = j + 1
-        yield from itertools.repeat(_ORTHONORMAL, len(kets) - after)
+        yield from itertools.repeat(_PASSED, len(kets) - after)
 
 
 def _typej_expected_labels(j: int, modes: int, exps: int) -> set[EPWord]:
@@ -209,6 +223,9 @@ def _onetwov_expected_labels(modes: int, exps: int) -> set[EPWord]:
 
 def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
     """Orthonormality, span matching, and vacuum orthogonality of the basis families."""
+    families = [("lambda", 1), ("lambda", 2), ("typej", 1), ("typej", 2), ("onetwov", 1)]
+    check_family_sizes([branching.basis_size(family, j, cutoff, exps) for family, j in families],
+                       "verify bases")
     result = SuiteResult("bases")
     for j in (1, 2):
         labels = branching.basis_lambda_j(j, cutoff)

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from cuntzboson.boson import BosonMonomial
-from cuntzboson.branching import (basis_lambda_j, basis_onetwov,
+from cuntzboson.branching import (basis_lambda_j, basis_onetwov, basis_size,
                                   basis_typej, classify_vacuum,
                                   cyclicity_witness, enumerate_components,
                                   enumerate_labels, inequivalence_witness,
                                   vacuum_orthogonality)
-from cuntzboson.common import DomainError
+from cuntzboson.common import MAX_CHECKS, DomainError
 from cuntzboson.cuntz import RepSpec
 from cuntzboson.scalar import ONE, sqrt_nat
 from cuntzboson.states import Ket
@@ -196,3 +196,27 @@ def test_normalizers_of_high_powers_factor_no_large_radicand():
     assert family[(((1, 300),), ())] == sqrt_product(1, 300).inverse()
     family = dict((m.key(), norm) for m, norm in basis_onetwov(2, 200))
     assert family[(((2, 200),), ())] == sqrt_product(1, 201).inverse()
+
+
+def test_basis_size_is_the_length_of_the_family():
+    for modes in range(1, 5):
+        for j in range(1, 6):  # j > modes included: then no label prefix ends in j
+            assert basis_size("lambda", j, modes, 1) == len(basis_lambda_j(j, modes)), (j, modes)
+        for exps in range(1, 4):
+            for j in range(1, 5):
+                assert basis_size("typej", j, modes, exps) == len(basis_typej(j, modes, exps))
+            assert basis_size("onetwov", 1, modes, exps) == len(basis_onetwov(modes, exps))
+
+
+def test_basis_size_stops_above_max_checks():
+    assert basis_size("typej", 1, 11, 3) == 4**11  # 4,194,304 <= MAX_CHECKS
+    assert basis_size("typej", 1, 12, 3) == MAX_CHECKS + 1
+    assert basis_size("lambda", 9, 7, 1) == (7**8 - 1) // 6  # 1 + 7 + ... + 7**7
+    assert basis_size("lambda", 9, 8, 1) == MAX_CHECKS + 1  # 1 + 8 + ... + 8**8
+    huge = [("lambda", 1, 10**30, 1), ("lambda", 10**40, 10**30, 1), ("lambda", 10**40, 30, 1)]
+    huge += [(family, j, modes, exps) for family, j in (("typej", 10**9), ("onetwov", 1))
+             for modes, exps in ((10**30, 1), (1, 10**30), (10**30, 10**30))]
+    for family, j, modes, exps in huge:
+        assert basis_size(family, j, modes, exps) == MAX_CHECKS + 1, (family, j, modes, exps)
+    with pytest.raises(ValueError, match="j must be >= 1"):
+        basis_size("typej", 0, 10**30, 3)

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson import branching, cli
+from cuntzboson import boson, branching, cli
 from cuntzboson.cli import main
-from cuntzboson.common import MAX_MODE
+from cuntzboson.common import MAX_CHECKS, MAX_MODE, DomainError, check_family_sizes
 
 
 def run(capsys, *argv):
@@ -214,6 +214,33 @@ def test_planted_lambda_failure_is_reported(capsys, monkeypatch):
         "family": "lambda", "orthonormal": False, "size": 4}
 
 
+def _doubled_creator(create, annihilate):
+    return lambda n, v, power=1: 2 * create(n, v, power)
+
+
+def _mode_2_creator_also_lowers_mode_1(create, annihilate):  # a2* + a1 at mode 2
+    return lambda n, v, power=1: create(n, v, power) + annihilate(1, v) if n == 2 else create(n, v, power)
+
+
+# Expected failure lines captured while every ccr check built its commutator.
+@pytest.mark.parametrize("plant, relations", [
+    # [a_n, a_m*] = 2 delta_nm: only the diagonal relation fails, whose right side adds v
+    (_doubled_creator, ("[a1, a1*] = 1", "[a2, a2*] = 1")),
+    # [a_1*, a_2* + a_1] = -1: only the creators of two different modes fail to commute
+    (_mode_2_creator_also_lowers_mode_1, ("[a1*, a2*] = 0", "[a2*, a1*] = 0")),
+])
+def test_planted_ccr_failure_is_reported(capsys, monkeypatch, plant, relations):
+    monkeypatch.setattr(boson, "apply_create", plant(boson.apply_create, boson.apply_annihilate))
+    failures = [f"[FAIL] P_inf({rep}) sample {idx}: {relation}"
+                for rep in ("1", "2", "1,2") for idx in (0, 1) for relation in relations]
+    argv = ("verify", "ccr", "--modes", "2", "--samples", "2")
+    assert run(capsys, *argv)[:2] == (1, "suite ccr: 60/72 checks passed\n" + "".join(
+        f"  first failures: {failure}\n" for failure in failures))
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1 and json.loads(out) == {
+        "suite": "ccr", "total": 72, "passed": 60, "failures": failures}
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         # argparse raises through parse_args when invoked with no subcommand
@@ -286,6 +313,28 @@ def test_mode_above_max_mode_is_domain_error_within_deadline(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("bases", "--family", "lambda", "--modes", "6"),  # 46,656 kets, about 10^9 checks
+    ("bases", "--family", "onetwov", "--modes", str(10**30), "--json"),
+    ("verify", "bases", "--cutoff", "6"),
+    ("verify", "bases", "--cutoff", "1", "--exps", "5000"),  # typej j=1: 5,001 kets
+])
+def test_check_count_above_max_checks_is_domain_error_within_deadline(argv):
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("domain error: ") and f"MAX_CHECKS = {MAX_CHECKS}" in done.stderr
+
+
+def test_check_count_bound_is_inclusive():
+    assert 4471 * 4472 // 2 <= MAX_CHECKS < 4472 * 4473 // 2
+    check_family_sizes([4471], "one family")
+    with pytest.raises(DomainError, match="one family needs more"):
+        check_family_sizes([4472], "one family")
+    with pytest.raises(DomainError):  # families add up
+        check_family_sizes([4000, 2000], "two families")
+
+
+@pytest.mark.parametrize("argv", [
     ("fock", "--occ", "1:30000"),  # the coefficient sqrt(30000!)
     ("fock", "--occ", "1:30000", "--json"),
     ("act", "--model", "odometer", "--expr", "s20000"),  # the index 2**19999
@@ -336,8 +385,9 @@ def test_zero_denominator_is_a_parse_error(capsys):
 #
 # argv drawn from a grammar of subcommands, flags and tokens, hostile integers
 # and malformed words included.  Counts that size a computation (verify
-# samples, bases modes, branch cycles) stay small: large ones run long by
-# design, which is not a hang.
+# samples, branch cycles) stay small: large ones run long by design, which is
+# not a hang.  ``bases`` takes hostile modes and exponents too: a family above
+# MAX_CHECKS is refused before it is built.
 
 _HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE + 1, 10**9, 10**30])
 _index = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=-2, max_value=12),
@@ -385,7 +435,8 @@ _commands = st.one_of(
           _flag_json),
     _argv(["bases"], _opt("--family", st.sampled_from(["lambda", "typej", "onetwov", "x"])),
           _opt("--j", st.one_of(_small, st.just(10**9))),
-          *[_small.map(lambda v, f=f: [f, str(v)]) for f in ("--modes", "--exps")], _flag_json),
+          *[st.one_of(_small, _HOSTILE).map(lambda v, f=f: [f, str(v)]) for f in ("--modes", "--exps")],
+          _flag_json),
     st.lists(st.one_of(_junk, st.sampled_from(["act", "--help", "--expr", "-x"])), max_size=4),
 )
 

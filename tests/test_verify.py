@@ -11,7 +11,7 @@ from cuntzboson.verify import orthonormality_checks
 from cuntzboson.words import EPWord
 
 
-PASS = CheckResult("orthonormal", True)
+PASS = CheckResult("passed", True)
 
 
 def all_pairs(name, kets):
@@ -57,3 +57,27 @@ def test_orthonormality_checks_match_all_pairs(family):
     got = records(orthonormality_checks("family", family))
     assert got == records(all_pairs("family", family))
     assert len(got) == len(family) * (len(family) + 1) // 2
+
+
+# --- ccr compares two orderings instead of building their difference -------
+
+# Labels of the representations |1, |2 and |1,2 that ccr samples, sharing prefixes.
+CCR_POOL = [EPWord(prefix, cycle) for cycle in ((1,), (2,), (1, 2)) for prefix in ((), (3,), (2, 1))]
+ccr_kets = st.dictionaries(st.sampled_from(CCR_POOL), amplitudes, max_size=4).map(Ket)
+
+
+def concatenated(*kets):
+    """The sum of ``kets``, accumulated by the constructor from their terms."""
+    return Ket([term for ket in kets for term in ket._amps.items()])
+
+
+@given(ccr_kets, ccr_kets, ccr_kets, st.one_of(st.none(), ccr_kets))
+@example(Ket(), Ket(), Ket(), None)
+@example(basis(0), basis(0), Ket(), None)
+@example(basis(0), basis(0), basis(0), None)  # the right side adds v to a ket equal to it
+@example(basis(0), HALF * basis(1), -HALF * basis(1), basis(0))  # Y + E cancels to zero
+def test_ordering_comparison_matches_difference(x, y, e, offset):
+    """``X == Y + E`` decides a relation exactly when the difference oracle does."""
+    if offset is not None:  # X = Y + E + offset, equal to Y + E only when offset is 0
+        x = concatenated(y, e, offset)
+    assert (x == y + e) == (not (x - y - e))
