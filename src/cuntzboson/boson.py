@@ -14,7 +14,11 @@ moves the letter in one step:
     a_n^k     |w> = sqrt((c-1)(c-2)...(c-k)) |w with letter c-k at position n>   (0 if c <= k)
     (a_n*)^k  |w> = sqrt(c(c+1)...(c+k-1))   |w with letter c+k at position n>
 
-The closed rule takes one step per label, whatever the power;
+The closed rule takes one step per label, whatever the power.  It is a
+weighted injection on labels: distinct labels have distinct images (only the
+letter at position n moves, by the same step), and each weight is a single
+nonzero radical, so the image of a ket needs no accumulation and drops no
+term; a root of 1 passes the amplitude through unchanged.
 ``literal_annihilate``/``literal_create`` evaluate the truncated series
 through Cuntz monomials instead and exist to cross-validate the closed form
 against its defining expansion.
@@ -25,9 +29,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Union
 
-from .common import CheckResult, add_term
+from .common import CheckResult
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
-from .scalar import ONE, RadicalScalar, ZERO, _grouped, sqrt_nat, sqrt_product
+from .scalar import ONE, RadicalScalar, ZERO, _grouped, _scale_root, sqrt_nat, sqrt_product
 from .states import Ket, _canonical
 from .words import EPWord, Word
 
@@ -62,8 +66,8 @@ def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
         low = c + shift
         if low < 1:
             continue
-        root = sqrt_nat(low) if single else sqrt_product(low, low + power - 1)
-        add_term(out, word.set_letter(n, c + step), root * coeff)
+        (r, q), = (sqrt_nat(low) if single else sqrt_product(low, low + power - 1))._num.items()
+        out[word.set_letter(n, c + step)] = _scale_root(coeff, q, r)
     return _canonical(out)
 
 

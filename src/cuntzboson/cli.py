@@ -40,14 +40,23 @@ def _parse_occupations(text: str) -> dict[int, int]:
     if not text:
         return occ
     for chunk in text.split(","):
-        mode_text, _, count_text = chunk.partition(":")
-        mode, count = int(mode_text), int(count_text)
+        try:
+            mode, count = map(int, chunk.split(":"))
+        except ValueError as exc:
+            if _past_int_text_limit(exc):
+                raise
+            raise ValueError(f"bad occupation entry {chunk!r}: expected mode:count") from None
         if mode < 1 or count < 0:
             raise ValueError(f"bad occupation entry {chunk!r}")
         check_index(mode, "mode")
         if count:
             occ[mode] = occ.get(mode, 0) + count
     return occ
+
+
+def _past_int_text_limit(exc: ValueError) -> bool:
+    """Whether ``exc`` is int() or str() refusing more than sys.get_int_max_str_digits() digits."""
+    return str(exc).startswith("Exceeds the limit (")
 
 
 def _positive_int(text: str) -> int:
@@ -269,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        if str(exc).startswith("Exceeds the limit ("):  # int() or str() past sys.get_int_max_str_digits()
+        if _past_int_text_limit(exc):
             print(f"domain error: an integer has more than {sys.get_int_max_str_digits()} "
                   "decimal digits, the limit of Python's integer-text conversion", file=sys.stderr)
             return 3

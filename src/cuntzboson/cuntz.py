@@ -162,21 +162,21 @@ def _strip_word(word: Word, label: EPWord) -> Optional[EPWord]:
 
 
 def apply_generator(spec: RepSpec, i: int, v: Ket, star: bool = False) -> Ket:
-    """Action of s_i (or s_i*) on a ket, extended linearly."""
+    """Action of s_i (or s_i*) on a ket, extended linearly.
+
+    Prepending a letter, or stripping the leading i, sends distinct labels to
+    distinct labels, so each image is stored as it is, with no accumulation.
+    """
     spec.check_letter(i)
-    out: dict[EPWord, RadicalScalar] = {}
-    for word, coeff in v._amps.items():
-        if star:
-            if word.letter_at(1) != i:
-                continue
-            image = word.drop_first(1)
-        else:
-            image = word.prepend((i,))
-        add_term(out, image, coeff)
-    return _canonical(out)
+    if star:
+        return _canonical({word.drop_first(1): coeff for word, coeff in v._amps.items()
+                           if word.letter_at(1) == i})
+    letter = (i,)
+    return _canonical({word.prepend(letter): coeff for word, coeff in v._amps.items()})
 
 
 def apply_monomial(spec: RepSpec, m: CuntzMonomial, v: Ket) -> Ket:
+    """Action of s_J s_K* on a ket: strip K, prepend J, scale; injective on labels."""
     spec.check_word(m.left)
     spec.check_word(m.right)
     if not m.coeff:
@@ -185,7 +185,7 @@ def apply_monomial(spec: RepSpec, m: CuntzMonomial, v: Ket) -> Ket:
     for word, coeff in v._amps.items():
         stripped = _strip_word(m.right, word)
         if stripped is not None:
-            add_term(out, stripped.prepend(m.left), m.coeff * coeff)
+            out[stripped.prepend(m.left)] = m.coeff * coeff
     return _canonical(out)
 
 

@@ -192,6 +192,12 @@ class RadicalScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if len(other._num) == 1:
+            (r, n), = other._num.items()
+            return _scale_root(self, n, r, other._den)
+        if len(self._num) == 1:
+            (r, n), = self._num.items()
+            return _scale_root(other, n, r, self._den)
         num: dict[int, int] = {}
         for r1, n1 in self._num.items():
             for r2, n2 in other._num.items():
@@ -267,6 +273,22 @@ def _reduced(den: int, num: dict[int, int]) -> RadicalScalar:
             den //= g
             num = {r: n // g for r, n in num.items()}
     return _raw(den, num)
+
+
+def _scale_root(c: RadicalScalar, q: int, r: int, d: int = 1) -> RadicalScalar:
+    """``c * (q/d) * sqrt(r)`` for a squarefree ``r``, a nonzero ``q`` and ``d >= 1``.
+
+    A factor of 1 (``q == d``, ``r == 1``) returns ``c`` itself.  Otherwise
+    each radicand ``s`` of ``c`` goes to ``r*s/gcd(r, s)**2``, which permutes
+    the squarefree numbers, so no two products meet and none is zero.
+    """
+    if r == 1 and q == d:
+        return c
+    num: dict[int, int] = {}
+    for s, n in c._num.items():
+        g = math.gcd(r, s)
+        num[(r // g) * (s // g)] = n * q * g
+    return _reduced(c._den * d, num)
 
 
 def _grouped(c: RadicalScalar) -> str:

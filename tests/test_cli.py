@@ -106,6 +106,19 @@ def test_fock_examples(capsys):
     assert code == 0 and out == "word: 1,1,2\ncoefficient: 1\n"
 
 
+@pytest.mark.parametrize("argv, entry", [
+    (("fock", "--occ", "1"), "'1'"),
+    (("fock", "--occ", "1:2:3"), "'1:2:3'"),
+    (("fock", "--occ", "1:x"), "'1:x'"),
+    (("fock", "--occ", "1:2,"), "''"),
+    (("embed", "--N", "2", "--occ", ","), "''"),
+])
+def test_malformed_occupation_entry_names_the_entry(capsys, argv, entry):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bad occupation entry {entry}: expected mode:count\n"
+
+
 def test_embed_command(capsys):
     code, out, _ = run(capsys, "embed", "--N", "2", "--gen", "3")
     assert code == 0 and out == "s3 -> 2,2,1\n"

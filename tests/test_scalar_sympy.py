@@ -7,8 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.scalar import (ONE, RadicalScalar, _SQRT_CACHE_BOUND, _TRIAL_LIMIT, sqrt_product,
-                               squarefree_split)
+from cuntzboson.scalar import (ONE, RadicalScalar, _SQRT_CACHE_BOUND, _TRIAL_LIMIT, _scale_root,
+                               sqrt_nat, sqrt_product, squarefree_split)
 
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 term_maps = st.dictionaries(st.integers(min_value=1, max_value=60), coefficients, max_size=4)
@@ -149,3 +149,40 @@ def test_sqrt_product_matches_sympy(low, high):
 def test_sqrt_product_refuses_a_factor_below_one():
     with pytest.raises(ValueError):
         sqrt_product(0, 3)
+
+
+# every sqrt_nat(k) and sqrt_product(low, high) root of a small range, as (label, scalar)
+ROOTS = ([(f"sqrt_nat({k})", sqrt_nat(k)) for k in range(1, 41)]
+         + [(f"sqrt_product({low}, {high})", sqrt_product(low, high))
+            for low in range(1, 9) for high in range(low, 9)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(scalars, min_size=1, max_size=3))
+def test_scale_root_matches_mul_and_sympy(amplitudes):
+    for c in amplitudes:
+        sc = to_sympy(c)
+        for name, root in ROOTS:
+            (r, q), = root._num.items()
+            got = _scale_root(c, q, r)
+            assert_canonical(got)
+            assert got == c * root == root * c, name
+            # the constructor factors each product radicand itself
+            assert got == RadicalScalar({s * r: Fraction(n * q, c._den) for s, n in c._num.items()}), name
+            assert same(got, sc * to_sympy(root)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars, single_terms)
+def test_mul_by_one_term_matches_sympy(a, b):
+    for got in (a * b, b * a):
+        assert_canonical(got)
+        assert same(got, to_sympy(a) * to_sympy(b))
+
+
+@settings(max_examples=50, deadline=None)
+@given(scalars)
+def test_unit_root_returns_the_amplitude_itself(c):
+    assert sqrt_nat(1)._num == {1: 1} and sqrt_product(3, 2) == ONE
+    assert _scale_root(c, 1, 1) is c
+    assert c * ONE is c
