@@ -9,6 +9,7 @@ has finished, so a command that fails leaves standard output empty.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,8 +47,10 @@ def _parse_occupations(text: str) -> dict[int, int]:
             if _past_int_text_limit(exc):
                 raise
             raise ValueError(f"bad occupation entry {chunk!r}: expected mode:count") from None
-        if mode < 1 or count < 0:
-            raise ValueError(f"bad occupation entry {chunk!r}")
+        if mode < 1:
+            raise ValueError(f"bad occupation entry {chunk!r}: mode is below 1")
+        if count < 0:
+            raise ValueError(f"bad occupation entry {chunk!r}: count is negative")
         check_index(mode, "mode")
         if count:
             occ[mode] = occ.get(mode, 0) + count
@@ -203,7 +206,11 @@ def cmd_bases(args: argparse.Namespace) -> tuple[int, str]:
         [f"family {args.family}: {len(rows)} elements, orthonormal: {orthonormal}"] + rows)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves nothing on it, since
+    ``parse_args`` returns a fresh ``Namespace``, every default is immutable and
+    help and usage text read the terminal width when they are formatted."""
     parser = argparse.ArgumentParser(
         prog="cuntzboson",
         description="Exact ladder-operator calculus on permutative representations.")

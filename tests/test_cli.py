@@ -119,6 +119,18 @@ def test_malformed_occupation_entry_names_the_entry(capsys, argv, entry):
     assert err == f"error: bad occupation entry {entry}: expected mode:count\n"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("fock", "--occ", "0:1"), "'0:1': mode is below 1"),
+    (("fock", "--occ", "1:-1"), "'1:-1': count is negative"),
+    (("embed", "--N", "2", "--occ", "2:1,-3:1"), "'-3:1': mode is below 1"),
+    (("fock", "--occ", "1:x"), "'1:x': expected mode:count"),
+])
+def test_occupation_entry_error_names_the_reason(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bad occupation entry {reason}\n"
+
+
 def test_embed_command(capsys):
     code, out, _ = run(capsys, "embed", "--N", "2", "--gen", "3")
     assert code == 0 and out == "s3 -> 2,2,1\n"
@@ -264,6 +276,57 @@ def test_usage_error_exit_2(capsys):
 def main_no_catch():
     from cuntzboson.cli import build_parser
     build_parser().parse_args([])
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    # A fresh interpreter, so that no earlier test has built the parser yet;
+    # it counts every ArgumentParser made, subcommand parsers included.
+    script = """if True:
+        import argparse, contextlib, io
+        made = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        import cuntzboson.cli as cli
+        at_import = len(made)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["fock", "--occ", "1:2"], ["act", "--expr", "a1*"], ["verify", "nope"],
+                         ["act", "--model", "odometer", "--rep", "|2", "--expr", "s1"],
+                         ["embed", "--N", "2", "--gen", "3", "--json"], []):
+                cli.main(argv)
+        after_main = len(made)
+        cli.build_parser.__wrapped__()
+        print(at_import, after_main, len(made) - after_main)
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=30)
+    assert done.returncode == 0, done.stderr
+    at_import, after_main, one_build = map(int, done.stdout.split())
+    assert at_import == 0
+    assert after_main == one_build > 1  # the top parser and its subcommand parsers
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["act", "--help"], ["verify", "--help"], ["bases", "--help"],
+    [], ["act"], ["verify", "nope"], ["bases", "--family", "x"],
+])
+def test_reused_parser_formats_at_the_current_width(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "120")
+    main(["fock"])  # the parser exists before the widths below are set
+    capsys.readouterr()
+    outputs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = (main(list(argv)), *capsys.readouterr())
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser.__wrapped__().parse_args(list(argv))
+        fresh = (int(exc.value.code or 0), *capsys.readouterr())
+        assert reused == fresh
+        outputs.append(reused)
+    assert outputs[0] != outputs[1]  # the text does depend on the width
 
 
 def test_nonprimitive_rep_is_domain_error(capsys):

@@ -16,6 +16,7 @@ shows up here.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,33 @@ CORPUS = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 def test_cli_output_is_unchanged(capsys, entry):
     code = main(list(entry["argv"]))
     assert (code, capsys.readouterr().out) == (entry["code"], entry["stdout"])
+
+
+def test_reused_parser_keeps_calls_independent(capsys):
+    """Every entry twice in one process, in a seeded shuffled order.
+
+    Interleaved are three calls that could leave state on the one parser of
+    the process, each followed by the call it would leak into: a usage error
+    and a valid ``act``, the post-parse refusal of ``act --model odometer
+    --rep '|2'`` and a valid odometer call, a ``--json`` call and the same
+    call without ``--json``.
+    """
+    golden = [(e["argv"], e["code"], e["stdout"], "") for e in CORPUS]
+    act, act_json, odometer = golden[0], golden[1], golden[18]
+    assert act_json[0] == act[0] + ["--json"] and odometer[0][:3] == ["act", "--model", "odometer"]
+    usage_error = (["act", "--rep", "|1", "--state", "omega"], 2, "",
+                   "error: the following arguments are required: --expr\n")
+    refusal = (["act", "--model", "odometer", "--rep", "|2", "--expr", "s1"], 2, "",
+               "error: act --model odometer acts on the representation |1 of O_inf: "
+               "it takes no --N and no --rep other than '|1'\n")
+    units = [[call] for call in golden] * 2 + [
+        [usage_error, act], [refusal, odometer], [act_json, act]]
+    random.Random(12).shuffle(units)
+    for argv, code, stdout, error in (call for unit in units for call in unit):
+        got = main(list(argv))
+        captured = capsys.readouterr()
+        assert (got, captured.out) == (code, stdout), argv
+        if error:
+            assert captured.err.startswith("usage: cuntzboson") and captured.err.endswith(error)
+        else:
+            assert captured.err == "", argv
