@@ -27,11 +27,13 @@ against its defining expansion.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Union
+from collections.abc import Iterable, Mapping
+from typing import Optional, Union
 
 from .common import CheckResult
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
-from .scalar import ONE, RadicalScalar, ZERO, _grouped, _scale_root, sqrt_nat, sqrt_product
+from .scalar import (ONE, RadicalScalar, ZERO, _SQRT_CACHE, _grouped, _root, _scale_root, sqrt_nat,
+                     sqrt_product)
 from .states import Ket, _canonical
 from .words import EPWord, Word
 
@@ -59,14 +61,16 @@ def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
         raise ValueError(f"ladder powers are >= 1, got {power}")
     step = sign * power
     shift = step if step < 0 else 0  # letter + shift is the smallest factor under the root
-    single = power == 1
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
         c = word.letter_at(n)
         low = c + shift
         if low < 1:
             continue
-        (r, q), = (sqrt_nat(low) if single else sqrt_product(low, low + power - 1))._num.items()
+        if power == 1:
+            r, q = _SQRT_CACHE.get(low) or _root(low)
+        else:
+            (r, q), = sqrt_product(low, low + power - 1)._num.items()
         out[word.set_letter(n, c + step)] = _scale_root(coeff, q, r)
     return _canonical(out)
 

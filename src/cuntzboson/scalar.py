@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .common import DomainError, add_term
 
@@ -308,21 +309,26 @@ ZERO = RadicalScalar()
 ONE = RadicalScalar.rational(1)
 
 _SQRT_CACHE_BOUND = 10_000
-_SQRT_CACHE: dict[int, RadicalScalar] = {}  # n -> sqrt(n) for n <= _SQRT_CACHE_BOUND, filled on demand
+_SQRT_CACHE: dict[int, tuple[int, int]] = {}  # n -> _root(n) for n <= _SQRT_CACHE_BOUND, filled on demand
+
+
+def _root(n: int) -> tuple[int, int]:
+    """``(r, q)`` with sqrt(n) = q*sqrt(r), r squarefree; hot loops try ``_SQRT_CACHE.get(n)`` first."""
+    pair = _SQRT_CACHE.get(n)
+    if pair is None:
+        if n < 1:
+            raise ValueError(f"sqrt_nat requires n >= 1, got {n}")
+        q, r = squarefree_split(n)
+        pair = r, q
+        if n <= _SQRT_CACHE_BOUND:
+            _SQRT_CACHE[n] = pair
+    return pair
 
 
 def sqrt_nat(n: int) -> RadicalScalar:
     """Exact sqrt(n) for a natural n >= 1, reduced to q*sqrt(r) with r squarefree."""
-    cached = _SQRT_CACHE.get(n)
-    if cached is not None:
-        return cached
-    if n < 1:
-        raise ValueError(f"sqrt_nat requires n >= 1, got {n}")
-    q, r = squarefree_split(n)
-    value = _raw(1, {r: q})
-    if n <= _SQRT_CACHE_BOUND:
-        _SQRT_CACHE[n] = value
-    return value
+    r, q = _root(n)
+    return _raw(1, {r: q})
 
 
 def sqrt_product(low: int, high: int) -> RadicalScalar:
@@ -333,7 +339,7 @@ def sqrt_product(low: int, high: int) -> RadicalScalar:
     """
     q, r = 1, 1
     for i in range(low, high + 1):
-        (ri, qi), = sqrt_nat(i)._num.items()
+        ri, qi = _SQRT_CACHE.get(i) or _root(i)
         g = math.gcd(r, ri)
         q *= qi * g
         r = (r // g) * (ri // g)

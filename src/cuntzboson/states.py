@@ -8,8 +8,9 @@ scalars are real).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .common import add_term
 from .scalar import RadicalScalar, ZERO, _coerce, _grouped

@@ -13,7 +13,10 @@ deviations from it:
     its letter there, keys in increasing order.
 
 Both parts are unique, so equality compares fields, and reading or changing
-one letter costs the same at mode 10**6 as at mode 1.  The printed
+one letter costs the same at mode 10**6 as at mode 1.  The hash is
+``hash(_rot)`` XOR ``hash((pos, letter))`` over the items of ``_diff``, so
+``set_letter`` keeps it in O(1): it XORs out the old item at the changed
+position and XORs in the new one, without rehashing the map.  The printed
 ``prefix|cycle`` form is derived on demand: ``prefix`` is letters
 ``1..max(_diff)`` and ``cycle`` is ``R`` rotated left by ``max(_diff) mod |R|``.
 That is the maximally absorbed form (primitive cycle, prefix not ending in
@@ -122,7 +125,7 @@ class EPWord:
         if len(c) > 1:
             c = primitive_root(c)
         if not p:
-            self._rot, self._diff, self._hash = c, {}, hash((c, ()))
+            self._rot, self._diff, self._hash = c, {}, hash(c)
             return
         # the tail c^inf starts at position len(p) + 1; align it at position 1
         shift = len(p) % len(c)
@@ -130,7 +133,7 @@ class EPWord:
         diff = _deviations(p, rot)
         self._rot = rot
         self._diff = diff
-        self._hash = hash((rot, tuple(diff.items())))
+        self._hash = _label_hash(rot, diff)
 
     @classmethod
     def parse(cls, text: str) -> "EPWord":
@@ -182,14 +185,17 @@ class EPWord:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"letters must be integers >= 1, got {v!r}")
         rot, diff = self._rot, self._diff
+        old = diff.get(n)
+        h = self._hash if old is None else self._hash ^ hash((n, old))  # the old item XORed out
         if v == rot[(n - 1) % len(rot)]:
-            if n not in diff:
+            if old is None:
                 return self
             out = diff.copy()
             del out[n]
-        elif diff.get(n) == v:
+            return _raw(rot, out, h)
+        if old == v:
             return self
-        elif n in diff or not diff or n > next(reversed(diff)):
+        if old is not None or not diff or n > next(reversed(diff)):
             out = diff.copy()
             out[n] = v  # an existing key keeps its place; a new last key goes last
         else:  # a new key before the last one: insert it in position order
@@ -198,7 +204,7 @@ class EPWord:
                 if pos > n and n not in out:
                     out[n] = v
                 out[pos] = x
-        return _raw(rot, out)
+        return _raw(rot, out, h ^ hash((n, v)))
 
     def drop_first(self, count: int = 1) -> "EPWord":
         """The word with its first ``count`` letters removed."""
@@ -258,12 +264,20 @@ class EPWord:
         return f"EPWord({self})"
 
 
-def _raw(rot: Word, diff: dict[int, int]) -> EPWord:
-    """A word from a primitive ``rot`` and a position-ordered deviation map, as stored."""
+def _label_hash(rot: Word, diff: dict[int, int]) -> int:
+    """The hash of the word ``(rot, diff)`` from the whole map; ``set_letter`` updates it instead."""
+    h = hash(rot)
+    for item in diff.items():  # on CPython 3.11 this beats functools.reduce for a label's few items
+        h ^= hash(item)
+    return h
+
+
+def _raw(rot: Word, diff: dict[int, int], h: int | None = None) -> EPWord:
+    """A word from a primitive ``rot``, a position-ordered deviation map and its hash if known."""
     out = object.__new__(EPWord)
     out._rot = rot
     out._diff = diff
-    out._hash = hash((rot, tuple(diff.items())))
+    out._hash = _label_hash(rot, diff) if h is None else h
     return out
 
 

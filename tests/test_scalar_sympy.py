@@ -7,8 +7,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.scalar import (ONE, RadicalScalar, _SQRT_CACHE_BOUND, _TRIAL_LIMIT, _scale_root,
-                               sqrt_nat, sqrt_product, squarefree_split)
+from cuntzboson.boson import apply_create
+from cuntzboson.cli import main
+from cuntzboson.scalar import (ONE, RadicalScalar, _SQRT_CACHE, _SQRT_CACHE_BOUND, _TRIAL_LIMIT, _root,
+                               _scale_root, sqrt_nat, sqrt_product, squarefree_split)
+from cuntzboson.states import Ket
+from cuntzboson.words import EPWord
 
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 term_maps = st.dictionaries(st.integers(min_value=1, max_value=60), coefficients, max_size=4)
@@ -149,6 +153,29 @@ def test_sqrt_product_matches_sympy(low, high):
 def test_sqrt_product_refuses_a_factor_below_one():
     with pytest.raises(ValueError):
         sqrt_product(0, 3)
+
+
+def test_cached_root_pair_matches_sympy():
+    above = [_SQRT_CACHE_BOUND + 1, _SQRT_CACHE_BOUND + 8, 2**40, 12 * 10**9, 99999999999]
+    for n in list(range(1, 201)) + above:
+        r, q = _root(n)
+        assert sympy.ntheory.factor_.core(r) == r and q * sympy.sqrt(r) == sympy.sqrt(n), n
+        assert sqrt_nat(n)._num == {r: q} and sqrt_nat(n)._den == 1, n
+        assert (_SQRT_CACHE.get(n) == (r, q)) == (n <= _SQRT_CACHE_BOUND), n
+
+
+@pytest.mark.parametrize("low, high", [(1, 30), (5, 17), (_SQRT_CACHE_BOUND - 3, _SQRT_CACHE_BOUND + 3)])
+def test_sqrt_product_is_the_product_of_its_factors(low, high):
+    assert sqrt_product(low, high) == math.prod((sqrt_nat(i) for i in range(low, high + 1)), start=ONE)
+
+
+def test_ladder_step_far_above_the_cache_bound(capsys):
+    label = EPWord((99999999999,), (1,))
+    image = apply_create(1, Ket.basis(label))
+    assert image == 3 * sqrt_nat(11111111111) * Ket.basis(label.set_letter(1, 10**11))
+    assert main(["act", "--state", "99999999999|1", "--expr", "a1*"]) == 0
+    assert capsys.readouterr().out == "3*sqrt(11111111111) * |100000000000|1>\n"
+    assert 99999999999 not in _SQRT_CACHE and len(_SQRT_CACHE) <= _SQRT_CACHE_BOUND
 
 
 # every sqrt_nat(k) and sqrt_product(low, high) root of a small range, as (label, scalar)

@@ -3,6 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from cuntzboson import words
+from cuntzboson.boson import apply_annihilate, apply_create
+from cuntzboson.embed import odometer_index, odometer_isomorphism
+from cuntzboson.states import Ket
 from cuntzboson.words import EPWord, expand, format_word, is_primitive, parse_word, rotations
 
 letters = st.integers(min_value=1, max_value=4)
@@ -267,3 +271,72 @@ def test_deep_label_costs_what_changed():
     assert w.drop_first(10**6 - 1).prefix == (3,)
     assert len(w.prefix) == 10**6 and w.cycle == (1, 2)
     assert w.prepend((2,)).tail_equivalent(EPWord((), (2, 1)))
+
+
+# --- the hash: hash(_rot) XOR hash((pos, letter)) over _diff, updated in O(1) ---
+
+def constructions(prefix, cycle, order, detours, cut):
+    """The word prefix.cycle^inf, built along every path that makes a label."""
+    target = EPWord(prefix, cycle)
+    yield "EPWord", target
+    yield "parse", EPWord.parse(str(target))
+    # set_letter edits: the detour letters, then every head position set to its
+    # target letter in a drawn order (tail letters included, so an edit may
+    # insert, overwrite or drop a deviation), then the detours undone
+    head = expand(prefix, cycle, len(prefix) + len(cycle))
+    w = EPWord((1,) * len(prefix), cycle)
+    for n, v in detours:
+        w = w.set_letter(n, v)
+    for n in order(range(1, len(head) + 1)):
+        w = w.set_letter(n, head[n - 1])
+    for n, _ in detours:
+        w = w.set_letter(n, target.letter_at(n))
+    yield "set_letter", w
+    k = min(cut, len(prefix))
+    yield "prepend", EPWord(prefix[k:], cycle).prepend(prefix[:k])
+    yield "drop_first", EPWord(prefix[:k] + prefix, cycle).drop_first(k)
+    if target.tail_equivalent(EPWord((), (1,))):
+        yield "odometer_isomorphism", odometer_isomorphism(odometer_index(target))
+    for n in (1, 2, len(prefix) + 1):
+        up = apply_create(n, Ket.basis(target))
+        yield f"a{n}* then a{n}", apply_annihilate(n, up).labels()[0]
+        if target.letter_at(n) > 1:
+            down = apply_annihilate(n, Ket.basis(target))
+            yield f"a{n} then a{n}*", apply_create(n, down).labels()[0]
+
+
+@given(prefixes, cycles, st.permutations(range(9)),
+       st.lists(st.tuples(st.integers(min_value=1, max_value=12), letters), max_size=4),
+       st.integers(min_value=0, max_value=5))
+def test_equal_words_have_equal_hashes_on_every_path(prefix, cycle, perm, detours, cut):
+    def order(positions):
+        return sorted(positions, key=lambda n: perm.index(n % 9))
+
+    target = EPWord(prefix, cycle)
+    for path, w in constructions(prefix, cycle, order, detours, cut):
+        assert w == target, path
+        assert hash(w) == hash(target), path
+        assert w._hash == words._label_hash(w._rot, w._diff), path
+
+
+def test_set_letter_and_the_ladder_never_rehash_the_map(monkeypatch):
+    w = EPWord((3, 1, 2), (1, 2))
+    deep = EPWord((), (1,)).set_letter(10**6, 2)
+    v = Ket({w: 1, deep: 2, EPWord((2,), (2,)): 3})
+    # an overwrite, a letter back to the tail, a new last key, an insert before
+    # the last key, a deep drop
+    edits = [(w, 1, 4), (w, 2, 2), (w, 7, 5), (deep, 5, 3), (deep, 10**6, 1)]
+    ladder_args = [(n, v, k) for n in (1, 2, 5, 10**6) for k in (1, 2)]
+    expected = ([u.set_letter(n, x) for u, n, x in edits],
+                [(apply_create(*args), apply_annihilate(*args)) for args in ladder_args])
+
+    def refuse(rot, diff):
+        raise AssertionError("the whole deviation map was rehashed")
+
+    monkeypatch.setattr(words, "_label_hash", refuse)
+    got = ([u.set_letter(n, x) for u, n, x in edits],
+           [(apply_create(*args), apply_annihilate(*args)) for args in ladder_args])
+    monkeypatch.undo()
+    assert got == expected
+    for u in got[0] + [label for pair in got[1] for ket in pair for label in ket._amps]:
+        assert u._hash == words._label_hash(u._rot, u._diff)
