@@ -6,9 +6,8 @@ from .states import Ket
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
 from .boson import (BosonMonomial, apply_annihilate, apply_create, fock_extension_action,
                     fock_word)
-from .branching import (ComponentReport, basis_lambda_j, basis_onetwov, basis_typej,
-                        classify_vacuum, cyclicity_witness, enumerate_components,
-                        inequivalence_witness)
+from .branching import (ComponentReport, basis_lambda_j, basis_monomials, classify_vacuum,
+                        cyclicity_witness, enumerate_components, inequivalence_witness)
 from .embed import (EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_action,
                     odometer_isomorphism, translate_word)
 

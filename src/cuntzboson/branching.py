@@ -8,7 +8,9 @@ Fock representation, (j) the class with number-of-quanta eigenvalue pattern
 j-1 at every mode, (1,2) and (2,1) the two alternating classes, and any other
 primitive pattern is reported as general periodic.  Classification is never
 inferred from the pattern alone: every defining identity is evaluated exactly
-on the vacuum ket and recorded.
+on the vacuum ket and recorded.  Each occupation basis family is a vacuum
+plus a range of letters per mode (``_mode_letters``), from which
+``basis_monomials`` builds the family and ``basis_size`` counts it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import lcm, perm
-from typing import Iterable, Optional
+from math import lcm, perm, prod
+from typing import Optional
 
 from .boson import BosonMonomial, apply_annihilate, apply_create
 from .common import MAX_CHECKS, CheckResult, DomainError
@@ -173,41 +175,56 @@ def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> set
     return out
 
 
-def basis_typej(j: int, mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial, RadicalScalar]]:
-    """Orthonormal-basis monomials over the cycle-(j) vacuum, with normalizers.
+def _mode_letters(family: str, j: int, exps: int) -> tuple[EPWord, list[range]]:
+    """The vacuum label of an occupation family and the letters its modes may take.
 
-    Creators raise any mode by up to exp_cutoff; annihilators lower by at most
-    j-1 (never below occupation zero) and use disjoint modes.  The normalizer
-    is 1/sqrt of the product of the rising factorials j(j+1)...(j+k-1) per
-    creator and falling factorials (j-1)...(j-l) per annihilator.  For j = 1
-    there are no annihilators and this reduces to 1/sqrt(k_1! ... k_p!).
+    Mode n may carry any letter of ``ranges[(n - 1) % len(ranges)]``.  ``typej``
+    is ``j^inf`` with letters j - min(j-1, exps) .. j + exps: raised by up to
+    exps, lowered by at most j-1 (never below occupation zero).  ``onetwov``
+    is ``(1,2)^inf`` with letters 1 .. 1+exps on odd modes and 1 .. 2+exps on
+    even modes (squares of even annihilators kill the vacuum); it ignores j.
     """
+    if family == "onetwov":
+        return EPWord((), (1, 2)), [range(1, 2 + exps), range(1, 3 + exps)]
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    per_mode = [("skip", 0, ONE)]
-    per_mode += [("create", k, sqrt_product(j, j + k - 1)) for k in range(1, exp_cutoff + 1)]
-    per_mode += [("lower", l, sqrt_product(j - l, j - 1))
-                 for l in range(1, min(j - 1, exp_cutoff) + 1)]
-    return _basis(itertools.product(per_mode, repeat=mode_cutoff))
+    return EPWord((), (j,)), [range(j - min(j - 1, exps), j + exps + 1)]
 
 
-def basis_onetwov(mode_cutoff: int, exp_cutoff: int) -> list[tuple[BosonMonomial, RadicalScalar]]:
-    """Orthonormal-basis monomials over the alternating (1,2)-pattern vacuum.
+def basis_monomials(family: str, j: int, modes: int, exps: int
+                    ) -> tuple[EPWord, list[tuple[BosonMonomial, RadicalScalar]]]:
+    """The vacuum of the ``typej`` or ``onetwov`` family and its orthonormal-basis
+    monomials with their normalizers.
 
-    Odd modes carry creators only; even modes carry either a creator or a
-    single annihilator (squares of even annihilators kill the vacuum).  The
-    normalizer is 1/sqrt(prod k_i! over odd creators * prod (l_i+1)! over even
-    creators); even annihilators contribute factor 1.
+    An element moves each mode n from its vacuum letter c to a letter t of
+    ``_mode_letters``: by ``(a_n*)^(t-c)`` when t > c, by ``a_n^(c-t)`` when
+    t < c.  Its normalizer is the inverse of the product over moved modes of
+    sqrt(min(c,t) * ... * (max(c,t)-1)), the norm of that ladder power on
+    the vacuum letter, so no radicand larger than one factor is ever
+    factored; for ``typej`` with j = 1 it is 1/sqrt(k_1! ... k_p!).  The
+    elements are sorted by total displacement, then by monomial.
     """
-    per_mode: list[list[tuple[str, int, RadicalScalar]]] = []
-    for mode in range(1, mode_cutoff + 1):
-        choices = [("skip", 0, ONE)]
-        choices += [("create", k, sqrt_product(1, k if mode % 2 else k + 1))
-                    for k in range(1, exp_cutoff + 1)]
-        if mode % 2 == 0:
-            choices.append(("lower", 1, ONE))
-        per_mode.append(choices)
-    return _basis(itertools.product(*per_mode))
+    vacuum, ranges = _mode_letters(family, j, exps)
+    per_mode = []
+    for n in range(1, modes + 1):
+        c = vacuum.letter_at(n)
+        per_mode.append([(n, t - c, sqrt_product(min(c, t), max(c, t) - 1))
+                         for t in ranges[(n - 1) % len(ranges)]])
+    out = []
+    for combo in itertools.product(*per_mode):
+        creators: dict[int, int] = {}
+        annihilators: dict[int, int] = {}
+        norm = ONE
+        for n, step, root in combo:
+            if step:
+                if step > 0:
+                    creators[n] = step
+                else:
+                    annihilators[n] = -step
+                norm = norm * root
+        out.append((BosonMonomial(ONE, creators, annihilators), norm.inverse()))
+    out.sort(key=lambda pair: (pair[0].total_displacement(), pair[0].key()))
+    return vacuum, out
 
 
 def basis_size(family: str, j: int, modes: int, exps: int) -> int:
@@ -216,18 +233,19 @@ def basis_size(family: str, j: int, modes: int, exps: int) -> int:
     ``lambda`` is ``basis_lambda_j(j, modes)``: the vacuum and the words of
     length 1..modes over 1..modes that do not end in j, which is modes**modes
     when j <= modes and 1 + modes + ... + modes**modes when j > modes.
-    ``typej`` and ``onetwov`` multiply the per-mode choice counts of
-    ``basis_typej(j, modes, exps)`` and ``basis_onetwov(modes, exps)``.  Any
-    size above ``MAX_CHECKS``, whose orthonormality checks alone exceed that
-    bound, is returned as ``MAX_CHECKS + 1``, so that huge arguments cost no
-    big-integer arithmetic.
+    ``typej`` and ``onetwov`` multiply the lengths of the letter ranges that
+    ``basis_monomials`` reads, one per mode.  Any size above ``MAX_CHECKS``,
+    whose orthonormality checks alone exceed that bound, is returned as
+    ``MAX_CHECKS + 1``, so that huge arguments cost no big-integer arithmetic.
     """
-    if family == "onetwov":
-        size = _power_at_most(1 + exps, (modes + 1) // 2) * _power_at_most(2 + exps, modes // 2)
+    if family != "lambda":
+        _, ranges = _mode_letters(family, j, exps)
+        period = len(ranges)
+        # len(range) overflows above sys.maxsize; mode n reads ranges[(n - 1) % period]
+        size = prod(_power_at_most(r.stop - r.start, (modes - i + period - 1) // period)
+                    for i, r in enumerate(ranges))
     elif j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    elif family == "typej":
-        size = _power_at_most(1 + exps + min(j - 1, exps), modes)
     elif j <= modes:
         size = _power_at_most(modes, modes)
     else:  # no word ends in j
@@ -241,28 +259,6 @@ def _power_at_most(base: int, exp: int) -> int:
     if base > 1 and exp > MAX_CHECKS.bit_length():  # base**exp >= 2**exp > MAX_CHECKS
         return MAX_CHECKS + 1
     return min(base ** exp, MAX_CHECKS + 1)
-
-
-def _basis(combos: Iterable[tuple[tuple[str, int, RadicalScalar], ...]]
-           ) -> list[tuple[BosonMonomial, RadicalScalar]]:
-    """Monomials from per-mode (kind, exponent, sqrt of norm factor) choices, normalized.
-
-    The normalizer is the inverse of the product of the square roots, so no
-    radicand larger than one factor is ever factored.
-    """
-    out = []
-    for combo in combos:
-        creators: dict[int, int] = {}
-        annihilators: dict[int, int] = {}
-        norm = ONE
-        for mode, (kind, e, root) in enumerate(combo, start=1):
-            if kind != "skip":
-                (creators if kind == "create" else annihilators)[mode] = e
-                norm = norm * root
-        monomial = BosonMonomial(ONE, creators, annihilators)
-        out.append((monomial, norm.inverse() if norm != ONE else ONE))
-    out.sort(key=lambda pair: (pair[0].total_displacement(), pair[0].key()))
-    return out
 
 
 def vacuum_orthogonality(j: int, mode_bound: int, power_bound: int) -> list[CheckResult]:

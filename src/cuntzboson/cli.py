@@ -15,12 +15,12 @@ import os
 import sys
 
 from .boson import fock_word
-from .branching import basis_lambda_j, basis_onetwov, basis_size, basis_typej, enumerate_components
+from .branching import basis_lambda_j, basis_monomials, basis_size, enumerate_components
 from .common import AlphabetError, DomainError, ExprError, check_family_sizes, check_index
 from .cuntz import RepSpec
 from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
-from .scalar import ONE, _grouped
+from .scalar import _grouped
 from .states import Ket
 from .verify import SUITES, orthonormality_checks, run_suite
 from .words import EPWord, format_word, parse_word
@@ -185,17 +185,10 @@ def cmd_bases(args: argparse.Namespace) -> tuple[int, str]:
         kets = [Ket.basis(w) for w in labels]
         rows = [f"|{w}>" for w in labels]
     else:
-        if args.family == "typej":
-            family = basis_typej(args.j, args.modes, args.exps)
-            vacuum = Ket.basis(EPWord((), (args.j,)))
-        else:
-            family = basis_onetwov(args.modes, args.exps)
-            vacuum = Ket.basis(EPWord((), (1, 2)))
-        kets, rows = [], []
-        for monomial, normalizer in family:
-            kets.append(normalizer * monomial.apply(vacuum))
-            norm_text = str(normalizer) if normalizer != ONE else "1"
-            rows.append(f"{monomial}  normalizer {norm_text}")
+        vacuum, family = basis_monomials(args.family, args.j, args.modes, args.exps)
+        vacuum_ket = Ket.basis(vacuum)
+        kets = [normalizer * monomial.apply(vacuum_ket) for monomial, normalizer in family]
+        rows = [f"{monomial}  normalizer {normalizer}" for monomial, normalizer in family]
     orthonormal = all(check.passed for check in orthonormality_checks(args.family, kets))
     code = 0 if orthonormal else 1
     if args.json:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .common import add_term
-from .scalar import RadicalScalar, ZERO, _coerce, _grouped
+from .scalar import ONE, RadicalScalar, ZERO, _coerce, _grouped
 from .words import EPWord
 
 ScalarLike = Union[RadicalScalar, int, Fraction]
@@ -37,7 +37,7 @@ class Ket:
 
     @classmethod
     def basis(cls, word: EPWord) -> "Ket":
-        return cls({word: 1})
+        return _canonical({word: ONE})
 
     def items(self) -> list[tuple[EPWord, RadicalScalar]]:
         """(label, amplitude) pairs in label order, for printing; operators iterate ``_amps``."""

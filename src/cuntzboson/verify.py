@@ -237,25 +237,19 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
             f"lambda_{j} bound {cutoff}: span matches label enumeration",
             set(labels) == expected,
             f"{len(labels)} labels"))
-    for j in (1, 2):
-        vacuum = Ket.basis(EPWord((), (j,)))
-        family = branching.basis_typej(j, cutoff, exps)
-        kets = [normalizer * monomial.apply(vacuum) for monomial, normalizer in family]
-        result.extend(orthonormality_checks(f"typej j={j} modes {cutoff} exps {exps}", kets))
+    for family, j in families[2:]:
+        if family == "typej":
+            name, expected = f"typej j={j}", _typej_expected_labels(j, cutoff, exps)
+        else:
+            name, expected = family, _onetwov_expected_labels(cutoff, exps)
+        vacuum, monomials = branching.basis_monomials(family, j, cutoff, exps)
+        vacuum_ket = Ket.basis(vacuum)
+        kets = [normalizer * monomial.apply(vacuum_ket) for monomial, normalizer in monomials]
+        result.extend(orthonormality_checks(f"{name} modes {cutoff} exps {exps}", kets))
         got_labels = {ket.labels()[0] for ket in kets}
         result.add(CheckResult(
-            f"typej j={j}: span matches occupation-bounded labels",
-            got_labels == _typej_expected_labels(j, cutoff, exps),
+            f"{name}: span matches occupation-bounded labels", got_labels == expected,
             f"{len(got_labels)} labels"))
-    vacuum = Ket.basis(EPWord((), (1, 2)))
-    family = branching.basis_onetwov(cutoff, exps)
-    kets = [normalizer * monomial.apply(vacuum) for monomial, normalizer in family]
-    result.extend(orthonormality_checks(f"onetwov modes {cutoff} exps {exps}", kets))
-    got_labels = {ket.labels()[0] for ket in kets}
-    result.add(CheckResult(
-        "onetwov: span matches occupation-bounded labels",
-        got_labels == _onetwov_expected_labels(cutoff, exps),
-        f"{len(got_labels)} labels"))
     for j in (2, 3):
         result.extend(branching.vacuum_orthogonality(j, 4, 4))
     return result

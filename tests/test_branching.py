@@ -4,15 +4,15 @@ import random
 import pytest
 
 from cuntzboson.boson import BosonMonomial
-from cuntzboson.branching import (basis_lambda_j, basis_onetwov, basis_size,
-                                  basis_typej, classify_vacuum,
-                                  cyclicity_witness, enumerate_components,
+from cuntzboson.branching import (basis_lambda_j, basis_monomials, basis_size,
+                                  classify_vacuum, cyclicity_witness, enumerate_components,
                                   enumerate_labels, inequivalence_witness,
                                   vacuum_orthogonality)
 from cuntzboson.common import MAX_CHECKS, DomainError
 from cuntzboson.cuntz import RepSpec
 from cuntzboson.scalar import ONE, sqrt_nat
 from cuntzboson.states import Ket
+from cuntzboson.verify import _onetwov_expected_labels, _typej_expected_labels
 from cuntzboson.words import EPWord
 
 
@@ -114,10 +114,10 @@ def test_basis_lambda_matches_enumeration():
 
 
 def test_typej_normalizers():
-    family = dict((m.key(), norm) for m, norm in basis_typej(1, 2, 2))
+    family = dict((m.key(), norm) for m, norm in basis_monomials("typej", 1, 2, 2)[1])
     assert family[(((1, 2),), ())] == sqrt_nat(2).inverse()
     assert all(not key[1] for key in family)  # j = 1 never lowers
-    family = dict((m.key(), norm) for m, norm in basis_typej(2, 2, 2))
+    family = dict((m.key(), norm) for m, norm in basis_monomials("typej", 2, 2, 2)[1])
     assert family[((), ((1, 1),))] == ONE
     assert family[(((1, 1),), ())] == sqrt_nat(2).inverse()
     # oracle for the last: |a_1* vac|^2 = 2 over the cycle-(2) vacuum
@@ -130,7 +130,7 @@ def test_typej_normalizers():
 def test_typej_orthonormal_small():
     for j in (1, 2, 3):
         vac = Ket.basis(EPWord((), (j,)))
-        kets = [norm * m.apply(vac) for m, norm in basis_typej(j, 3, 2)]
+        kets = [norm * m.apply(vac) for m, norm in basis_monomials("typej", j, 3, 2)[1]]
         for i, u in enumerate(kets):
             assert u.inner(u) == ONE
             for v in kets[i + 1:]:
@@ -138,16 +138,34 @@ def test_typej_orthonormal_small():
 
 
 def test_onetwov_normalizers_and_orthonormality():
-    family = dict((m.key(), norm) for m, norm in basis_onetwov(2, 2))
+    family = dict((m.key(), norm) for m, norm in basis_monomials("onetwov", 1, 2, 2)[1])
     assert family[(((1, 2),), ())] == sqrt_nat(2).inverse()
     assert family[(((2, 1),), ())] == sqrt_nat(2).inverse()
     assert family[((), ((2, 1),))] == ONE
     vac = Ket.basis(EPWord((), (1, 2)))
-    kets = [norm * m.apply(vac) for m, norm in basis_onetwov(3, 2)]
+    kets = [norm * m.apply(vac) for m, norm in basis_monomials("onetwov", 1, 3, 2)[1]]
     for i, u in enumerate(kets):
         assert u.inner(u) == ONE
         for v in kets[i + 1:]:
             assert not u.inner(v)
+
+
+def test_basis_monomials_carry_the_vacuum_onto_each_oracle_label_with_amplitude_one():
+    for modes in range(1, 4):
+        for exps in range(1, 4):
+            cases = [("typej", j, EPWord((), (j,)), _typej_expected_labels(j, modes, exps))
+                     for j in range(1, 6)]
+            cases.append(("onetwov", 1, EPWord((), (1, 2)), _onetwov_expected_labels(modes, exps)))
+            for family, j, vacuum_label, expected in cases:
+                vacuum, monomials = basis_monomials(family, j, modes, exps)
+                assert vacuum == vacuum_label
+                labels = set()
+                for monomial, normalizer in monomials:
+                    ket = normalizer * monomial.apply(Ket.basis(vacuum))
+                    label = ket.labels()[0]
+                    assert ket == Ket.basis(label), (family, j, modes, exps, str(monomial))
+                    labels.add(label)
+                assert len(monomials) == len(expected) and labels == expected
 
 
 def test_vacuum_orthogonality_relations():
@@ -192,9 +210,9 @@ def test_inequivalence_witnesses():
 def test_normalizers_of_high_powers_factor_no_large_radicand():
     # 1/sqrt(300!) is built from sqrt(2), ..., sqrt(300); 300! itself has 2,041 bits
     from cuntzboson.scalar import sqrt_product
-    family = dict((m.key(), norm) for m, norm in basis_typej(1, 1, 300))
+    family = dict((m.key(), norm) for m, norm in basis_monomials("typej", 1, 1, 300)[1])
     assert family[(((1, 300),), ())] == sqrt_product(1, 300).inverse()
-    family = dict((m.key(), norm) for m, norm in basis_onetwov(2, 200))
+    family = dict((m.key(), norm) for m, norm in basis_monomials("onetwov", 1, 2, 200)[1])
     assert family[(((2, 200),), ())] == sqrt_product(1, 201).inverse()
 
 
@@ -203,9 +221,9 @@ def test_basis_size_is_the_length_of_the_family():
         for j in range(1, 6):  # j > modes included: then no label prefix ends in j
             assert basis_size("lambda", j, modes, 1) == len(basis_lambda_j(j, modes)), (j, modes)
         for exps in range(1, 4):
-            for j in range(1, 5):
-                assert basis_size("typej", j, modes, exps) == len(basis_typej(j, modes, exps))
-            assert basis_size("onetwov", 1, modes, exps) == len(basis_onetwov(modes, exps))
+            for family, j in [("typej", j) for j in range(1, 5)] + [("onetwov", 1)]:
+                family_size = len(basis_monomials(family, j, modes, exps)[1])
+                assert basis_size(family, j, modes, exps) == family_size, (family, j, modes, exps)
 
 
 def test_basis_size_stops_above_max_checks():

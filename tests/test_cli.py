@@ -172,12 +172,16 @@ def test_bases_command(capsys):
 
 
 def _planted(monkeypatch, name, plant):
-    """Route ``verify bases`` and ``bases`` through the family ``name`` changed by ``plant``."""
+    """Route ``verify bases`` and ``bases`` through the family ``name`` changed by ``plant``;
+    ``basis_monomials`` is changed in its typej family only."""
     original = getattr(branching, name)
 
     def family(*args):
-        out = list(original(*args))
-        plant(out)
+        out = original(*args)
+        if name == "basis_lambda_j":
+            plant(out)
+        elif args[0] == "typej":
+            plant(out[1])
         return out
 
     monkeypatch.setattr(branching, name, family)
@@ -208,7 +212,7 @@ def _repeat_monomial(family):  # v_4 becomes a multiple of v_5
      "  first failures: [FAIL] typej j=2: span matches occupation-bounded labels: 624 labels\n"),
 ])
 def test_planted_basis_failure_is_reported(capsys, monkeypatch, plant, expected):
-    _planted(monkeypatch, "basis_typej", plant)
+    _planted(monkeypatch, "basis_monomials", plant)
     assert run(capsys, "verify", "bases")[:2] == (1, expected)
     argv = ("bases", "--family", "typej", "--j", "2", "--modes", "2", "--exps", "2")
     code, out, _ = run(capsys, *argv)

@@ -9,10 +9,13 @@ parenthesized coefficient and a ``branch --json``) before the coefficient
 parentheses and the component pattern each came to have one source, and the
 last four (a ``branch`` on cycle letter 5 and a ``typej`` basis with powers
 up to 4, each as text and as JSON) before ladder powers came to be applied
-in one step, and the last one (``verify ccr --modes 3 --samples 4 --json``)
+in one step, the next one (``verify ccr --modes 3 --samples 4 --json``)
 before ccr came to compare the two operator orderings of each relation
-instead of building their difference.  Any change to the text or JSON forms
-shows up here.
+instead of building their difference, and the last four (a ``typej`` basis
+whose lowering is capped by ``--exps`` and an ``onetwov`` basis on an even
+number of modes, each as text and as JSON) before the occupation families
+came to be built by one builder from one table of letter ranges.  Any change
+to the text or JSON forms shows up here.
 """
 
 import json

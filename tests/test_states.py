@@ -25,6 +25,15 @@ def test_inner_examples():
     assert mixed.inner(Ket.basis(W)) == sqrt_nat(2)
 
 
+def test_basis_skips_the_general_constructor(monkeypatch):
+    def refuse(self, amplitudes=()):
+        raise AssertionError("Ket.basis went through Ket.__init__")
+
+    monkeypatch.setattr(Ket, "__init__", refuse)
+    v = Ket.basis(W)
+    assert v._amps == {W: ONE} and str(v) == "1 * |2|1>"
+
+
 def test_norm_squared_examples():
     assert not Ket().inner(Ket())
     assert Ket.basis(W).inner(Ket.basis(W)) == ONE
