@@ -30,8 +30,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 from typing import Optional, Union
 
-from .common import CheckResult
-from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
+from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_polynomial
 from .scalar import (ONE, RadicalScalar, ZERO, _SQRT_CACHE, _grouped, _root, _scale_root, sqrt_nat,
                      sqrt_product)
 from .states import Ket, _canonical
@@ -213,22 +212,3 @@ def literal_annihilate(spec: RepSpec, n: int, v: Ket, mode_bound: Optional[int] 
 def literal_create(spec: RepSpec, n: int, v: Ket, mode_bound: Optional[int] = None) -> Ket:
     bound = mode_bound if mode_bound is not None else _probe_bound(v) + 1
     return apply_polynomial(spec, _literal_polynomial(n, bound, create=True), v)
-
-
-def check_intertwining(
-    spec: RepSpec, samples: Iterable[Ket], modes: int = 3, gens: int = 3
-) -> list[CheckResult]:
-    """Verify s_m a_n = a_{n+1} s_m and s_m a_n* = a_{n+1}* s_m on sample kets."""
-    results = []
-    for idx, v in enumerate(samples):
-        for m in range(1, gens + 1):
-            for n in range(1, modes + 1):
-                lhs = apply_generator(spec, m, apply_annihilate(n, v))
-                rhs = apply_annihilate(n + 1, apply_generator(spec, m, v))
-                results.append(CheckResult(
-                    f"{spec} sample {idx}: s{m} a{n} = a{n + 1} s{m}", lhs == rhs))
-                lhs = apply_generator(spec, m, apply_create(n, v))
-                rhs = apply_create(n + 1, apply_generator(spec, m, v))
-                results.append(CheckResult(
-                    f"{spec} sample {idx}: s{m} a{n}* = a{n + 1}* s{m}", lhs == rhs))
-    return results

@@ -261,21 +261,6 @@ def _power_at_most(base: int, exp: int) -> int:
     return min(base ** exp, MAX_CHECKS + 1)
 
 
-def vacuum_orthogonality(j: int, mode_bound: int, power_bound: int) -> list[CheckResult]:
-    """Exact checks that pure ladder powers move the cycle-(j) vacuum off itself."""
-    vacuum = Ket.basis(EPWord((), (j,)))
-    checks = []
-    for n in range(1, mode_bound + 1):
-        for k in range(1, power_bound + 1):
-            inner = vacuum.inner(apply_annihilate(n, vacuum, k))
-            checks.append(CheckResult(
-                f"<vac | a{n}^{k} vac> = 0 in F_{j}", not inner, f"inner {inner}"))
-            inner = vacuum.inner(apply_create(n, vacuum, k))
-            checks.append(CheckResult(
-                f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}", not inner, f"inner {inner}"))
-    return checks
-
-
 @dataclass
 class InequivalenceReport:
     first: str
@@ -350,4 +335,3 @@ def _random_monomial(rng: random.Random, mode_cutoff: int, exp_cutoff: int) -> B
         elif role == "lower":
             annihilators[mode] = rng.randint(1, exp_cutoff)
     return BosonMonomial(ONE, creators, annihilators)
-

@@ -22,7 +22,7 @@ from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_ind
 from .expr import eval_on_ket, parse_expression
 from .scalar import _grouped
 from .states import Ket
-from .verify import SUITES, orthonormality_checks, run_suite
+from .verify import SUITES, SuiteResult, orthonormality_checks, run_suite
 from .words import EPWord, format_word, parse_word
 
 
@@ -189,7 +189,9 @@ def cmd_bases(args: argparse.Namespace) -> tuple[int, str]:
         vacuum_ket = Ket.basis(vacuum)
         kets = [normalizer * monomial.apply(vacuum_ket) for monomial, normalizer in family]
         rows = [f"{monomial}  normalizer {normalizer}" for monomial, normalizer in family]
-    orthonormal = all(check.passed for check in orthonormality_checks(args.family, kets))
+    checks = SuiteResult(args.family)
+    orthonormality_checks(checks, args.family, kets)
+    orthonormal = checks.ok
     code = 0 if orthonormal else 1
     if args.json:
         return code, json.dumps({

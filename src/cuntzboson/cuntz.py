@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .common import AlphabetError, CheckResult, DomainError, add_term
+from .common import AlphabetError, DomainError, add_term
 from .scalar import ONE, RadicalScalar, _grouped
 from .states import Ket, _canonical, _sum
 from .words import EPWord, Word, _check_word, format_word, is_primitive, rotations
@@ -192,37 +192,3 @@ def apply_monomial(spec: RepSpec, m: CuntzMonomial, v: Ket) -> Ket:
 def apply_polynomial(spec: RepSpec, p: CuntzPolynomial, v: Ket) -> Ket:
     return _sum(apply_monomial(spec, CuntzMonomial(coeff, left, right), v)
                 for (left, right), coeff in p._terms.items())
-
-
-def check_isometry_relations(spec: RepSpec, k: int, sample: Iterable[Ket]) -> list[CheckResult]:
-    """Verify s_i*s_j = delta_ij I and the range projections on sample kets.
-
-    The partial sum sum_{i<=k} s_i s_i* must equal, exactly, the projection
-    onto the labels whose first letter is at most k (the identity once k
-    reaches a finite alphabet bound).
-    """
-    results = []
-    if spec.alphabet is not None:
-        k = min(k, spec.alphabet)
-    for idx, v in enumerate(sample):
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                got = apply_generator(spec, i, apply_generator(spec, j, v), star=True)
-                expected = v if i == j else Ket()
-                results.append(CheckResult(
-                    f"{spec} sample {idx}: s{i}* s{j} = {'I' if i == j else '0'}",
-                    got == expected,
-                ))
-        projected = _sum(apply_generator(spec, i, apply_generator(spec, i, v, star=True))
-                         for i in range(1, k + 1))
-        restricted = _canonical({w: c for w, c in v._amps.items() if w.letter_at(1) <= k})
-        results.append(CheckResult(
-            f"{spec} sample {idx}: sum(s_i s_i*, i<={k}) = projection on first letter <= {k}",
-            projected == restricted,
-        ))
-        if spec.alphabet is not None and k == spec.alphabet:
-            results.append(CheckResult(
-                f"{spec} sample {idx}: sum(s_i s_i*, i<={k}) = I",
-                projected == v,
-            ))
-    return results

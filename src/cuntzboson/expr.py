@@ -60,7 +60,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             check_index(index, "mode" if match.group("gen") == "a" else "generator index")
             tokens.append(("factor", Factor(match.group("gen"), index, bool(match.group("star"))), match.start()))
         elif match.group("sqrt"):
-            tokens.append(("literal", sqrt_nat(int(match.group("radicand"))), match.start()))
+            radicand = int(match.group("radicand"))
+            if radicand < 1:
+                raise ExprError("sqrt needs a radicand >= 1", match.start("sqrt"))
+            tokens.append(("literal", sqrt_nat(radicand), match.start()))
         elif match.group("number"):
             try:
                 value = Fraction(match.group("number"))

@@ -1,12 +1,13 @@
 """Named verification suites: seeded, exact, and desk-scale.
 
 Each suite evaluates a family of operator identities with exact scalar
-arithmetic and reports per-check pass/fail; suites are deterministic in
-(parameters, seed).  ``ccr`` decides each commutation relation by comparing
+arithmetic and counts per-check pass/fail; suites are deterministic in
+(parameters, seed).  Every suite check, the isometry relations, the shift
+intertwining and the vacuum orthogonality included, is recorded here and
+only here, by one call of ``SuiteResult.add``, which formats a check's name
+only when it fails.  ``ccr`` decides each commutation relation by comparing
 its two operator orderings (plus ``v`` for [a_n, a_n*] = 1) as canonical
-kets, without building the commutator.  ``ccr`` and the orthonormality
-checks add one shared record for every pass and format a check's name only
-when it fails, so the failure lines read as if every check were named.
+kets, without building the commutator.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import boson, branching, embed
-from .common import CheckResult, check_family_sizes
+from .common import check_family_sizes
 from .cuntz import (CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator,
-                    apply_monomial, apply_polynomial, check_isometry_relations)
+                    apply_monomial, apply_polynomial)
 from .scalar import ONE, RadicalScalar
-from .states import Ket
+from .states import Ket, _canonical, _sum
 from .words import EPWord
 
 
@@ -67,16 +68,15 @@ class SuiteResult:
 
     MAX_FAILURES = 20
 
-    def add(self, check: CheckResult) -> None:
+    def add(self, passed: bool, describe: Optional[Callable[[], str]] = None) -> None:
+        """Count one check.  A failing check is kept as ``"[FAIL] " + describe()``
+        while fewer than ``MAX_FAILURES`` are kept; ``describe`` is called for
+        nothing else, so a passing check may omit it."""
         self.total += 1
-        if check.passed:
+        if passed:
             self.passed += 1
         elif len(self.failures) < self.MAX_FAILURES:
-            self.failures.append(check.line())
-
-    def extend(self, checks: Iterable[CheckResult]) -> None:
-        for check in checks:
-            self.add(check)
+            self.failures.append("[FAIL] " + describe())
 
     @property
     def ok(self) -> bool:
@@ -85,11 +85,6 @@ class SuiteResult:
     def summary(self) -> str:
         return f"suite {self.name}: {self.passed}/{self.total} checks passed"
 
-
-# The record of every passing check of a suite whose passes print nothing:
-# ccr and the orthonormality checks add it as is and format a name only for a
-# failing check.
-_PASSED = CheckResult("passed", True)
 
 # The three relations ccr checks for each pair of modes (n, m).
 _CCR_RELATIONS = ("[a{n}, a{m}*] = {delta}", "[a{n}, a{m}] = 0", "[a{n}*, a{m}*] = 0")
@@ -103,8 +98,6 @@ def run_ccr(modes: int = 6, samples: int = 50, seed: int = 7, **_) -> SuiteResul
     [a_n, a_m*] = delta_nm as a_n a_m* v == a_m* a_n v + delta_nm v.  Kets
     are canonical (unique labels, nonzero amplitudes), so X == Y + E holds
     exactly when X - Y - E is the zero ket, and no commutator ket is built.
-    A passing check adds the shared record; the check's name is formatted
-    only when it fails.
     """
     result = SuiteResult("ccr")
     rng = random.Random(seed)
@@ -122,52 +115,83 @@ def run_ccr(modes: int = 6, samples: int = 50, seed: int = 7, **_) -> SuiteResul
                         create(n, create(m, v)) == create(m, create(n, v)),
                     )
                     for passed, relation in zip(outcomes, _CCR_RELATIONS):
-                        result.add(_PASSED if passed else CheckResult(
-                            f"{spec} sample {idx}: "
-                            + relation.format(n=n, m=m, delta=int(n == m)), False))
+                        result.add(passed, lambda: f"{spec} sample {idx}: "
+                                   + relation.format(n=n, m=m, delta=int(n == m)))
     return result
 
 
-def run_relations(modes: int = 6, samples: int = 50, seed: int = 7, cutoff: int = 4, **_) -> SuiteResult:
+def run_relations(samples: int = 50, seed: int = 7, cutoff: int = 4, **_) -> SuiteResult:
     """Isometry relations, shift intertwining, adjointness, and associativity."""
     result = SuiteResult("relations")
     rng = random.Random(seed)
     sample_count = max(2, samples // 10)
     for spec in (RepSpec((1,)), RepSpec((1, 2)), RepSpec((1,), alphabet=2), RepSpec((1,), alphabet=3)):
         kets = [random_ket(rng, spec) for _ in range(sample_count)]
-        result.extend(check_isometry_relations(spec, cutoff, kets))
+        _isometry_relations(result, spec, cutoff, kets)
         if spec.alphabet is None:
-            result.extend(boson.check_intertwining(spec, kets, modes=3, gens=3))
+            _intertwining(result, spec, kets)
         top = cutoff if spec.alphabet is None else min(cutoff, spec.alphabet)
         for idx in range(sample_count):
             u, v = random_ket(rng, spec), random_ket(rng, spec)
             for i in range(1, top + 1):
                 lhs = apply_generator(spec, i, u).inner(v)
                 rhs = u.inner(apply_generator(spec, i, v, star=True))
-                result.add(CheckResult(
-                    f"{spec} pair {idx}: <s{i} u, v> = <u, s{i}* v>", lhs == rhs,
-                    f"{lhs} vs {rhs}"))
+                result.add(lhs == rhs, lambda: f"{spec} pair {idx}: <s{i} u, v> = <u, s{i}* v>: "
+                           f"{lhs} vs {rhs}")
             if spec.alphabet is None:
                 for n in range(1, 4):
                     lhs = boson.apply_annihilate(n, u).inner(v)
                     rhs = u.inner(boson.apply_create(n, v))
-                    result.add(CheckResult(
-                        f"{spec} pair {idx}: <a{n} u, v> = <u, a{n}* v>", lhs == rhs,
-                        f"{lhs} vs {rhs}"))
+                    result.add(lhs == rhs, lambda: f"{spec} pair {idx}: <a{n} u, v> = <u, a{n}* v>: "
+                               f"{lhs} vs {rhs}")
     spec = RepSpec((1,))
     for idx in range(sample_count):
         a, b, c = (_random_cuntz_monomial(rng) for _ in range(3))
         left = CuntzPolynomial([a]).multiply(CuntzPolynomial([b])).multiply(CuntzPolynomial([c]))
         right = CuntzPolynomial([a]).multiply(CuntzPolynomial([b]).multiply(CuntzPolynomial([c])))
-        result.add(CheckResult(
-            f"associativity sample {idx}: ({a})({b})({c})", left == right,
-            f"{left} vs {right}"))
+        result.add(left == right, lambda: f"associativity sample {idx}: ({a})({b})({c}): "
+                   f"{left} vs {right}")
         v = random_ket(rng, spec)
         via_left = apply_polynomial(spec, left, v)
         via_seq = apply_monomial(spec, a, apply_monomial(spec, b, apply_monomial(spec, c, v)))
-        result.add(CheckResult(
-            f"associativity action sample {idx}", via_left == via_seq))
+        result.add(via_left == via_seq, lambda: f"associativity action sample {idx}")
     return result
+
+
+def _isometry_relations(result: SuiteResult, spec: RepSpec, k: int, kets: Sequence[Ket]) -> None:
+    """s_i* s_j = delta_ij I and the range projections on sample kets.
+
+    The partial sum sum_{i<=k} s_i s_i* must equal, exactly, the projection
+    onto the labels whose first letter is at most k (the identity once k
+    reaches a finite alphabet bound).
+    """
+    if spec.alphabet is not None:
+        k = min(k, spec.alphabet)
+    for idx, v in enumerate(kets):
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                got = apply_generator(spec, i, apply_generator(spec, j, v), star=True)
+                result.add(got == (v if i == j else Ket()),
+                           lambda: f"{spec} sample {idx}: s{i}* s{j} = {'I' if i == j else '0'}")
+        projected = _sum(apply_generator(spec, i, apply_generator(spec, i, v, star=True))
+                         for i in range(1, k + 1))
+        restricted = _canonical({w: c for w, c in v._amps.items() if w.letter_at(1) <= k})
+        result.add(projected == restricted, lambda: f"{spec} sample {idx}: "
+                   f"sum(s_i s_i*, i<={k}) = projection on first letter <= {k}")
+        if spec.alphabet is not None and k == spec.alphabet:
+            result.add(projected == v, lambda: f"{spec} sample {idx}: sum(s_i s_i*, i<={k}) = I")
+
+
+def _intertwining(result: SuiteResult, spec: RepSpec, kets: Sequence[Ket]) -> None:
+    """s_m a_n = a_{n+1} s_m and s_m a_n* = a_{n+1}* s_m for m, n = 1..3 on sample kets."""
+    for idx, v in enumerate(kets):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for ladder, star in ((boson.apply_annihilate, ""), (boson.apply_create, "*")):
+                    lhs = apply_generator(spec, m, ladder(n, v))
+                    rhs = ladder(n + 1, apply_generator(spec, m, v))
+                    result.add(lhs == rhs, lambda: f"{spec} sample {idx}: "
+                               f"s{m} a{n}{star} = a{n + 1}{star} s{m}")
 
 
 def _random_cuntz_monomial(rng: random.Random) -> CuntzMonomial:
@@ -176,34 +200,30 @@ def _random_cuntz_monomial(rng: random.Random) -> CuntzMonomial:
     return CuntzMonomial(random_scalar(rng), left, right)
 
 
-def orthonormality_checks(name: str, kets: Sequence[Ket]) -> Iterator[CheckResult]:
+def orthonormality_checks(result: SuiteResult, name: str, kets: Sequence[Ket]) -> None:
     """One check per norm and per pair: |v_i|^2 = 1, then <v_i, v_j> = 0 for j > i.
 
     The labels are orthonormal, so two kets with no label in common have inner
-    product exactly 0; only pairs that share a label take ``Ket.inner``.  Every
-    passing check still costs one yield of the one shared record; the name and
-    the exact scalar are formatted only for a failing check.
+    product exactly 0; only pairs that share a label take ``Ket.inner``, and
+    every other pair is one passing ``result.add``.
     """
     sharing: dict[EPWord, list[int]] = {}
     for j, ket in enumerate(kets):
         for word in ket._amps:
             sharing.setdefault(word, []).append(j)
+    add = result.add
     for i, u in enumerate(kets):
         norm = u.inner(u)
-        if norm == ONE:
-            yield _PASSED
-        else:
-            yield CheckResult(f"{name}: |v_{i}|^2 = 1", False, f"norm^2 {norm}")
+        add(norm == ONE, lambda: f"{name}: |v_{i}|^2 = 1: norm^2 {norm}")
         after = i + 1
         for j in sorted({j for word in u._amps for j in sharing[word] if j > i}):
-            yield from itertools.repeat(_PASSED, j - after)
+            for _ in range(j - after):
+                add(True)
             inner = u.inner(kets[j])
-            if inner:
-                yield CheckResult(f"{name}: <v_{i}, v_{j}> = 0", False, f"inner {inner}")
-            else:
-                yield _PASSED
+            add(not inner, lambda: f"{name}: <v_{i}, v_{j}> = 0: inner {inner}")
             after = j + 1
-        yield from itertools.repeat(_PASSED, len(kets) - after)
+        for _ in range(len(kets) - after):
+            add(True)
 
 
 def _typej_expected_labels(j: int, modes: int, exps: int) -> set[EPWord]:
@@ -230,13 +250,10 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
     for j in (1, 2):
         labels = branching.basis_lambda_j(j, cutoff)
         kets = [Ket.basis(w) for w in labels]
-        result.extend(orthonormality_checks(f"lambda_{j} bound {cutoff}", kets))
-        spec = RepSpec((j,))
-        expected = branching.enumerate_labels(spec, cutoff, cutoff)
-        result.add(CheckResult(
-            f"lambda_{j} bound {cutoff}: span matches label enumeration",
-            set(labels) == expected,
-            f"{len(labels)} labels"))
+        orthonormality_checks(result, f"lambda_{j} bound {cutoff}", kets)
+        expected = branching.enumerate_labels(RepSpec((j,)), cutoff, cutoff)
+        result.add(set(labels) == expected, lambda: f"lambda_{j} bound {cutoff}: "
+                   f"span matches label enumeration: {len(labels)} labels")
     for family, j in families[2:]:
         if family == "typej":
             name, expected = f"typej j={j}", _typej_expected_labels(j, cutoff, exps)
@@ -245,14 +262,24 @@ def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
         vacuum, monomials = branching.basis_monomials(family, j, cutoff, exps)
         vacuum_ket = Ket.basis(vacuum)
         kets = [normalizer * monomial.apply(vacuum_ket) for monomial, normalizer in monomials]
-        result.extend(orthonormality_checks(f"{name} modes {cutoff} exps {exps}", kets))
+        orthonormality_checks(result, f"{name} modes {cutoff} exps {exps}", kets)
         got_labels = {ket.labels()[0] for ket in kets}
-        result.add(CheckResult(
-            f"{name}: span matches occupation-bounded labels", got_labels == expected,
-            f"{len(got_labels)} labels"))
+        result.add(got_labels == expected, lambda: f"{name}: "
+                   f"span matches occupation-bounded labels: {len(got_labels)} labels")
     for j in (2, 3):
-        result.extend(branching.vacuum_orthogonality(j, 4, 4))
+        _vacuum_orthogonality(result, j, 4, 4)
     return result
+
+
+def _vacuum_orthogonality(result: SuiteResult, j: int, modes: int, powers: int) -> None:
+    """Pure ladder powers move the cycle-(j) vacuum off itself, exactly."""
+    vacuum = Ket.basis(EPWord((), (j,)))
+    for n in range(1, modes + 1):
+        for k in range(1, powers + 1):
+            inner = vacuum.inner(boson.apply_annihilate(n, vacuum, k))
+            result.add(not inner, lambda: f"<vac | a{n}^{k} vac> = 0 in F_{j}: inner {inner}")
+            inner = vacuum.inner(boson.apply_create(n, vacuum, k))
+            result.add(not inner, lambda: f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}: inner {inner}")
 
 
 def run_embedding(N: int = 2, samples: int = 50, seed: int = 7, cutoff: int = 4, **_) -> SuiteResult:
@@ -267,18 +294,15 @@ def run_embedding(N: int = 2, samples: int = 50, seed: int = 7, cutoff: int = 4,
         coeff, word = boson.fock_word(occ)
         via_digits = embed.fock_word_in_ON(spec, occ)
         via_translation = embed.translate_word(spec, word)
-        result.add(CheckResult(
-            f"N={N} occupations {occ}: digit word = translated word",
-            via_digits == via_translation,
-            f"{via_digits} vs {via_translation}"))
+        result.add(via_digits == via_translation, lambda: f"N={N} occupations {occ}: "
+                   f"digit word = translated word: {via_digits} vs {via_translation}")
         state = omega
         for mode, count in sorted(occ.items()):
             for _ in range(count):
                 state = embed.embedded_create(spec, mode, state)
         expected = coeff * Ket.basis(EPWord(via_digits, (1,)))
-        result.add(CheckResult(
-            f"N={N} occupations {occ}: embedded creators reproduce the Fock state",
-            state == expected))
+        result.add(state == expected, lambda: f"N={N} occupations {occ}: "
+                   "embedded creators reproduce the Fock state")
     for i in range(1, cutoff + 1):
         for j in range(1, cutoff + 1):
             word_i = embed.embed_generator(spec, i)
@@ -288,24 +312,20 @@ def run_embedding(N: int = 2, samples: int = 50, seed: int = 7, cutoff: int = 4,
                 got = apply_monomial(rep, CuntzMonomial(ONE, (), word_i),
                                      apply_monomial(rep, CuntzMonomial(ONE, word_j, ()), v))
                 expected = v if i == j else Ket()
-                result.add(CheckResult(
-                    f"N={N}: embedded s{i}* s{j} = {'I' if i == j else '0'} on sample {idx}",
-                    got == expected))
+                result.add(got == expected, lambda: f"N={N}: "
+                           f"embedded s{i}* s{j} = {'I' if i == j else '0'} on sample {idx}")
     images = [embed.embed_generator(spec, m) for m in range(1, 3 * cutoff + 1)]
     for a in range(len(images)):
         for b in range(len(images)):
             if a == b:
                 continue
             wa, wb = images[a], images[b]
-            result.add(CheckResult(
-                f"N={N}: generator images {a + 1},{b + 1} prefix-incomparable",
-                wa != wb[: len(wa)],
-                f"{wa} vs {wb}"))
+            result.add(wa != wb[: len(wa)], lambda: f"N={N}: "
+                       f"generator images {a + 1},{b + 1} prefix-incomparable: {wa} vs {wb}")
     for idx in range(samples // 5):
         label = random_label(rng, RepSpec((1,)), letter_bound=3 * (N - 1), prefix_bound=4)
-        result.add(CheckResult(
-            f"N={N}: encode/decode roundtrip sample {idx}",
-            embed.decode_label(spec, embed.encode_label(spec, label)) == label))
+        result.add(embed.decode_label(spec, embed.encode_label(spec, label)) == label,
+                   lambda: f"N={N}: encode/decode roundtrip sample {idx}")
     return result
 
 
@@ -315,33 +335,28 @@ def run_odometer(modes: int = 6, cutoff: int = 9, index_bound: int = 512, **_) -
     spec = RepSpec((1,))
     for index in range(1, index_bound + 1):
         word = embed.odometer_isomorphism(index)
-        result.add(CheckResult(
-            f"roundtrip e{index}", embed.odometer_index(word) == index, f"word {word}"))
+        result.add(embed.odometer_index(word) == index, lambda: f"roundtrip e{index}: word {word}")
         for n in range(1, modes + 1):
             forward = embed.odometer_action(n, False, index)
             via_words = apply_generator(spec, n, Ket.basis(word))
-            result.add(CheckResult(
-                f"s{n} e{index} intertwines",
-                via_words == Ket.basis(embed.odometer_isomorphism(forward))))
+            result.add(via_words == Ket.basis(embed.odometer_isomorphism(forward)),
+                       lambda: f"s{n} e{index} intertwines")
             backward = embed.odometer_action(n, True, index)
             via_words = apply_generator(spec, n, Ket.basis(word), star=True)
             expected = Ket() if backward is None else Ket.basis(embed.odometer_isomorphism(backward))
-            result.add(CheckResult(f"s{n}* e{index} intertwines", via_words == expected))
+            result.add(via_words == expected, lambda: f"s{n}* e{index} intertwines")
     for n in range(1, cutoff + 1):
         image = embed.odometer_boson(n, True, {1: ONE})
-        result.add(CheckResult(
-            f"a{n}* e1 = e{2 ** (n - 1) + 1}",
-            image == {2 ** (n - 1) + 1: ONE},
-            f"image {sorted(image)}"))
+        result.add(image == {2 ** (n - 1) + 1: ONE},
+                   lambda: f"a{n}* e1 = e{2 ** (n - 1) + 1}: image {sorted(image)}")
     for n in range(1, min(modes, 5) + 1):
         word = embed.embed_generator(embed.EmbeddingSpec(2), n)
         for index in range(1, 65):
             via_ladder: int | None = index
             for letter in reversed(word):
                 via_ladder = embed.ladder_action(2, letter, False, via_ladder)
-            result.add(CheckResult(
-                f"binary ladder model matches odometer for s{n} e{index}",
-                via_ladder == embed.odometer_action(n, False, index)))
+            result.add(via_ladder == embed.odometer_action(n, False, index),
+                       lambda: f"binary ladder model matches odometer for s{n} e{index}")
     return result
 
 
@@ -362,8 +377,8 @@ def run_fock_ext(modes: int = 5, cutoff: int = 3, exps: int = 4, **_) -> SuiteRe
                 coeff, image = boson.fock_extension_action(m, star, creators)
                 lhs = apply_generator(spec, m, state_ket, star=star)
                 rhs = coeff * boson.BosonMonomial(ONE, image, ()).apply(omega)
-                label = f"s{m}{'*' if star else ''} on creators {creators}"
-                result.add(CheckResult(label, lhs == rhs))
+                result.add(lhs == rhs,
+                           lambda: f"s{m}{'*' if star else ''} on creators {creators}")
     return result
 
 

@@ -85,3 +85,33 @@ def _method_aliases() -> set[str]:
 
 def test_class_bodies_alias_only_dunders():
     assert _method_aliases() == set()
+
+
+def _check_result_builders() -> set[str]:
+    """The package modules that call ``CheckResult(...)``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "CheckResult" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add(path.stem)
+    return found
+
+
+def _verify_names() -> set[str]:
+    """Every name that ``verify`` binds by assignment or definition, at any depth."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_suite_checks_have_one_recorder():
+    """Every suite check goes through ``SuiteResult.add``; only the rows that
+    ``branch`` prints are ``CheckResult`` records."""
+    assert _check_result_builders() == {"branching"}
+    assert not {"_PASSED", "extend"} & _verify_names()

@@ -6,13 +6,13 @@ import pytest
 from cuntzboson.boson import BosonMonomial
 from cuntzboson.branching import (basis_lambda_j, basis_monomials, basis_size,
                                   classify_vacuum, cyclicity_witness, enumerate_components,
-                                  enumerate_labels, inequivalence_witness,
-                                  vacuum_orthogonality)
+                                  enumerate_labels, inequivalence_witness)
 from cuntzboson.common import MAX_CHECKS, DomainError
 from cuntzboson.cuntz import RepSpec
 from cuntzboson.scalar import ONE, sqrt_nat
 from cuntzboson.states import Ket
-from cuntzboson.verify import _onetwov_expected_labels, _typej_expected_labels
+from cuntzboson.verify import (SuiteResult, _onetwov_expected_labels, _typej_expected_labels,
+                               _vacuum_orthogonality)
 from cuntzboson.words import EPWord
 
 
@@ -169,9 +169,11 @@ def test_basis_monomials_carry_the_vacuum_onto_each_oracle_label_with_amplitude_
 
 
 def test_vacuum_orthogonality_relations():
+    result = SuiteResult("vacuum orthogonality")
     for j in (2, 3):
-        checks = vacuum_orthogonality(j, 3, 3)
-        assert checks and all(c.passed for c in checks)
+        _vacuum_orthogonality(result, j, 3, 3)
+    # a_n^k and (a_n*)^k for n, k = 1..3, on each of the two vacua
+    assert (result.total, result.passed, result.failures) == (36, 36, [])
 
 
 def test_partition_into_components():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson import boson, branching, cli
+from cuntzboson import boson, branching, cli, cuntz, embed, verify
 from cuntzboson.cli import main
 from cuntzboson.common import MAX_CHECKS, MAX_MODE, DomainError, check_family_sizes
 
@@ -270,6 +270,82 @@ def test_planted_ccr_failure_is_reported(capsys, monkeypatch, plant, relations):
         "suite": "ccr", "total": 72, "passed": 60, "failures": failures}
 
 
+def _s1_star_doubled_in_p3(true):
+    return lambda spec, i, v, star=False: (
+        2 * true(spec, i, v, star) if star and i == 1 and spec.alphabet == 3 else true(spec, i, v, star))
+
+
+def _s3_as_s3_s1_in_p12(true):  # still an isometry, but it no longer intertwines the shift
+    return lambda spec, i, v, star=False: (
+        true(spec, 3, true(spec, 1, v)) if i == 3 and not star and spec.cycle == (1, 2)
+        else true(spec, i, v, star))
+
+
+def _digit_word_too_long(true):
+    return lambda spec, occ: true(spec, occ) + (2,) if occ == {2: 2, 6: 1} else true(spec, occ)
+
+
+def _index_off_at_3_2(true):
+    return lambda label: true(label) + (label.letter_at(1) == 3 and label.letter_at(2) == 2)
+
+
+def _a2_star_image_shifted(true):
+    return lambda n, create, v: (
+        {k + 1: c for k, c in true(n, create, v).items()} if n == 2 else true(n, create, v))
+
+
+def _s2_coefficient_doubled_on_one_cubed_creator(true):
+    def action(m, star, creators):
+        coeff, image = true(m, star, creators)
+        wrong = m == 2 and not star and len(creators) == 1 and creators[0][1] == 3
+        return (2 * coeff if wrong else coeff), image
+    return action
+
+
+RELATIONS = ("verify", "relations", "--samples", "20", "--cutoff", "2")
+EMBEDDING = ("verify", "embedding", "--samples", "10")
+FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3")
+
+
+# Expected records captured while each suite still built one CheckResult per check.
+@pytest.mark.parametrize("name, plant, argv, total, passed, failures", [
+    ("apply_generator", _s1_star_doubled_in_p3, RELATIONS, 146, 140, [
+        "[FAIL] P_3(1) sample 0: s1* s1 = I",
+        "[FAIL] P_3(1) sample 0: sum(s_i s_i*, i<=2) = projection on first letter <= 2",
+        "[FAIL] P_3(1) sample 1: s1* s1 = I",
+        "[FAIL] P_3(1) sample 1: sum(s_i s_i*, i<=2) = projection on first letter <= 2",
+        "[FAIL] P_3(1) pair 0: <s1 u, v> = <u, s1* v>: 4/9 - 4/3*sqrt(2) - 2/3*sqrt(5) + 2*sqrt(10)"
+        " vs 8/9 - 8/3*sqrt(2) - 4/3*sqrt(5) + 4*sqrt(10)",
+        "[FAIL] P_3(1) pair 1: <s1 u, v> = <u, s1* v>: -2 + 3*sqrt(2) vs -4 + 6*sqrt(2)"]),
+    ("apply_generator", _s3_as_s3_s1_in_p12, RELATIONS, 146, 135,
+     ["[FAIL] P_inf(1,2) sample 0: s3 a1* = a2* s3"]
+     + [f"[FAIL] P_inf(1,2) sample 0: s3 a{n}{star} = a{n + 1}{star} s3"
+        for n in (2, 3) for star in ("", "*")]
+     + [f"[FAIL] P_inf(1,2) sample 1: s3 a{n}{star} = a{n + 1}{star} s3"
+        for n in (1, 2, 3) for star in ("", "*")]),
+    ("fock_word_in_ON", _digit_word_too_long, EMBEDDING, 202, 200, [
+        "[FAIL] N=2 occupations {2: 2, 6: 1}: digit word = translated word:"
+        " (1, 2, 2, 1, 1, 1, 1, 2, 1, 2) vs (1, 2, 2, 1, 1, 1, 1, 2, 1)",
+        "[FAIL] N=2 occupations {2: 2, 6: 1}: embedded creators reproduce the Fock state"]),
+    ("odometer_index", _index_off_at_3_2,
+     ("verify", "odometer", "--modes", "2", "--index-bound", "40", "--cutoff", "3"), 331, 330,
+     ["[FAIL] roundtrip e12: word 3,2|1"]),
+    ("odometer_boson", _a2_star_image_shifted, ("verify", "odometer"), 6980, 6979,
+     ["[FAIL] a2* e1 = e3: image [4]"]),
+    ("fock_extension_action", _s2_coefficient_doubled_on_one_cubed_creator, FOCK_EXT, 222, 219,
+     [f"[FAIL] s2 on creators (({mode}, 3),)" for mode in (1, 2, 3)]),
+])
+def test_planted_failure_records(capsys, monkeypatch, name, plant, argv, total, passed, failures):
+    """A fault planted in every package module that binds ``name`` names its failing checks."""
+    true = getattr(cuntz, name, None) or getattr(embed, name, None) or getattr(boson, name)
+    for module in (cuntz, boson, embed, verify):
+        if getattr(module, name, None) is true:
+            monkeypatch.setattr(module, name, plant(true))
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1 and json.loads(out) == {
+        "suite": argv[1], "total": total, "passed": passed, "failures": failures}
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         # argparse raises through parse_args when invoked with no subcommand
@@ -459,6 +535,13 @@ def test_max_mode_itself_is_served(capsys):
 def test_zero_denominator_is_a_parse_error(capsys):
     code, out, err = run(capsys, "act", "--expr", "a1* + 1/0")
     assert code == 2 and out == "" and "zero denominator" in err
+
+
+@pytest.mark.parametrize("expr, position", [("sqrt(0)", 0), ("a1* + sqrt( 00 )", 6)])
+def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
+    code, out, err = run(capsys, "act", "--expr", expr)
+    assert code == 2 and out == ""
+    assert err == f"parse error: sqrt needs a radicand >= 1 (at position {position})\n"
 
 
 # --- fuzzing the command line ------------------------------------------------

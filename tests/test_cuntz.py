@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzboson.common import AlphabetError
+from cuntzboson import verify
 from cuntzboson.cuntz import (CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator,
-                              apply_monomial, apply_polynomial, check_isometry_relations)
+                              apply_monomial, apply_polynomial)
 from cuntzboson.scalar import ONE, ZERO, sqrt_nat
 from cuntzboson.states import Ket
-from cuntzboson.verify import random_ket
+from cuntzboson.verify import SuiteResult, _isometry_relations, random_ket
 from cuntzboson.words import EPWord
 
 P1 = RepSpec((1,))
@@ -88,33 +89,35 @@ def test_gp_vector_fixed_by_cycle_word():
         assert fixed == spec.gp_vector()
 
 
+def isometry_record(spec, k, kets):
+    result = SuiteResult("isometry")
+    _isometry_relations(result, spec, k, kets)
+    return result.total, result.passed, result.failures
+
+
 def test_isometry_relations_report():
     rng = random.Random(3)
-    checks = check_isometry_relations(P1, 3, [P1.gp_vector()])
-    assert all(c.passed for c in checks)
-    checks = check_isometry_relations(P12, 4, [random_ket(rng, P12) for _ in range(3)])
-    assert all(c.passed for c in checks)
+    # k^2 products s_i* s_j and one projection per ket
+    assert isometry_record(P1, 3, [P1.gp_vector()]) == (10, 10, [])
+    assert isometry_record(P12, 4, [random_ket(rng, P12) for _ in range(3)]) == (51, 51, [])
     finite = RepSpec((1,), alphabet=2)
-    checks = check_isometry_relations(finite, 2, [random_ket(rng, finite) for _ in range(3)])
-    assert all(c.passed for c in checks)
-    assert any("= I" in c.name for c in checks)
+    # k reaches the alphabet bound, so each ket also takes sum(s_i s_i*) = I
+    assert isometry_record(finite, 2, [random_ket(rng, finite) for _ in range(3)]) == (18, 18, [])
 
 
 def test_wrong_range_projection_fails(monkeypatch):
     """Dropping s_3 s_3* still contracts, but it is not the first-letter projection."""
-    import cuntzboson.cuntz as cuntz
-
-    true_apply = cuntz.apply_generator
+    true_apply = verify.apply_generator
 
     def lossy_apply(spec, i, v, star=False):
         return Ket() if i == 3 and not star else true_apply(spec, i, v, star)
 
     v = Ket({EPWord((3, 1), (1,)): 1, EPWord((2,), (1,)): sqrt_nat(2)})
-    assert all(c.passed for c in check_isometry_relations(P1, 3, [v]))
-    monkeypatch.setattr(cuntz, "apply_generator", lossy_apply)
-    checks = check_isometry_relations(P1, 3, [v])
-    projection = [c for c in checks if "projection on first letter <= 3" in c.name]
-    assert len(projection) == 1 and not projection[0].passed
+    assert isometry_record(P1, 3, [v]) == (10, 10, [])
+    monkeypatch.setattr(verify, "apply_generator", lossy_apply)
+    assert isometry_record(P1, 3, [v]) == (10, 8, [
+        "[FAIL] P_inf(1) sample 0: s3* s3 = I",
+        "[FAIL] P_inf(1) sample 0: sum(s_i s_i*, i<=3) = projection on first letter <= 3"])
 
 
 def test_alphabet_violations():

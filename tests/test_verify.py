@@ -1,4 +1,4 @@
-"""``orthonormality_checks`` against the all-pairs rule it replaces."""
+"""``orthonormality_checks`` against the all-pairs rule it replaces, and the recorder it feeds."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from cuntzboson.common import CheckResult
 from cuntzboson.scalar import ONE, sqrt_nat
 from cuntzboson.states import Ket
-from cuntzboson.verify import orthonormality_checks
+from cuntzboson.verify import SuiteResult, orthonormality_checks
 from cuntzboson.words import EPWord
 
 
@@ -26,8 +26,17 @@ def all_pairs(name, kets):
     return out
 
 
-def records(checks):
-    return [(check.passed, check.line()) for check in checks]
+def expected_record(checks, cap):
+    """(total, passed, failures) of ``checks`` for a result that keeps ``cap`` failures."""
+    failures = [check.line() for check in checks if not check.passed]
+    return len(checks), len(checks) - len(failures), failures[:cap]
+
+
+def recorded(name, kets, cap):
+    result = SuiteResult(name)
+    result.MAX_FAILURES = cap
+    orthonormality_checks(result, name, kets)
+    return result.total, result.passed, result.failures
 
 
 # A small pool of labels, so that drawn kets often share some.
@@ -54,9 +63,31 @@ def basis(k):
 # the one failing pair <v_0, v_5> comes after four disjoint pairs
 @example([basis(0), basis(1), basis(2), basis(3), basis(4), 2 * basis(0)])
 def test_orthonormality_checks_match_all_pairs(family):
-    got = records(orthonormality_checks("family", family))
-    assert got == records(all_pairs("family", family))
-    assert len(got) == len(family) * (len(family) + 1) // 2
+    oracle = all_pairs("family", family)
+    for cap in (SuiteResult.MAX_FAILURES, 2, len(oracle)):
+        assert recorded("family", family, cap) == expected_record(oracle, cap)
+    assert len(oracle) == len(family) * (len(family) + 1) // 2
+
+
+def test_add_describes_only_the_failures_it_keeps():
+    described = []
+
+    def describe(k):
+        return lambda: described.append(k) or f"check {k}"
+
+    result = SuiteResult("demo")
+    for k in range(30):
+        result.add(k % 3 != 0, describe(k))
+    result.add(True)
+    assert (result.total, result.passed) == (31, 21)
+    assert result.failures == [f"[FAIL] check {k}" for k in range(0, 30, 3)]
+    assert described == list(range(0, 30, 3))
+    result.MAX_FAILURES = 12
+    for k in range(30, 36):
+        result.add(False, describe(k))
+    assert (result.total, result.passed) == (37, 21)
+    assert described == list(range(0, 30, 3)) + [30, 31]
+    assert not result.ok and result.summary() == "suite demo: 21/37 checks passed"
 
 
 # --- ccr compares two orderings instead of building their difference -------
