@@ -34,7 +34,7 @@ from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_polynomial
 from .scalar import (ONE, RadicalScalar, ZERO, _SQRT_CACHE, _grouped, _root, _scale_root, sqrt_nat,
                      sqrt_product)
 from .states import Ket, _canonical
-from .words import EPWord, Word
+from .words import EPWord, Word, _move_letter
 
 Exponents = tuple[tuple[int, int], ...]  # sorted (mode, exponent) pairs, exponents >= 1
 
@@ -62,7 +62,9 @@ def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
     shift = step if step < 0 else 0  # letter + shift is the smallest factor under the root
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
-        c = word.letter_at(n)
+        rot, old = word._rot, word._diff.get(n)
+        tail = rot[(n - 1) % len(rot)]
+        c = tail if old is None else old
         low = c + shift
         if low < 1:
             continue
@@ -70,7 +72,7 @@ def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
             r, q = _SQRT_CACHE.get(low) or _root(low)
         else:
             (r, q), = sqrt_product(low, low + power - 1)._num.items()
-        out[word.set_letter(n, c + step)] = _scale_root(coeff, q, r)
+        out[_move_letter(word, n, c + step, old, tail)] = _scale_root(coeff, q, r)
     return _canonical(out)
 
 

@@ -65,18 +65,19 @@ class CheckResult:
         return f"[{status}] {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-def add_term(terms: dict, key, coeff) -> None:
-    """Add a nonzero ``coeff`` to ``terms[key]``, deleting the key when the sum is zero.
+def add_term(terms: dict, key, coeff, sign: int = 1) -> None:
+    """Add a nonzero ``coeff`` times ``sign`` (1 or -1) to ``terms[key]``, deleting the key at zero.
 
     The one accumulation step of every exact sparse sum in the package: scalar
     numerators, ket amplitudes and polynomial coefficients.  Callers whose
-    coefficient can be zero filter it first.
+    coefficient can be zero filter it first.  A sign of -1 subtracts, so a
+    difference needs no negated copy of its right side.
     """
     prev = terms.get(key)
     if prev is None:
-        terms[key] = coeff
+        terms[key] = coeff if sign > 0 else -coeff
         return
-    total = prev + coeff
+    total = prev + coeff if sign > 0 else prev - coeff
     if total:
         terms[key] = total
     else:

@@ -20,7 +20,7 @@ from .scalar import ONE, RadicalScalar, sqrt_nat
 from .states import Ket, _sum
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<gen>[sa])(?P<index>\d+)(?P<star>\*?)"
+    r"\s*(?P<token>(?P<gen>[sa])(?P<index>\d+)(?P<star>\*?)"
     r"|(?P<sqrt>sqrt\(\s*(?P<radicand>\d+)\s*\))"
     r"|(?P<number>\d+(?:/\d+)?)"
     r"|(?P<sign>[+-]))"
@@ -53,25 +53,26 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
                 raise ExprError(f"unexpected character {text[bad]!r}", bad)
             break
+        start = match.start("token")  # past the leading whitespace
         if match.group("gen"):
             index = int(match.group("index"))
             if index < 1:
-                raise ExprError("generator indices are 1-based", match.start())
+                raise ExprError("generator indices are 1-based", start)
             check_index(index, "mode" if match.group("gen") == "a" else "generator index")
-            tokens.append(("factor", Factor(match.group("gen"), index, bool(match.group("star"))), match.start()))
+            tokens.append(("factor", Factor(match.group("gen"), index, bool(match.group("star"))), start))
         elif match.group("sqrt"):
             radicand = int(match.group("radicand"))
             if radicand < 1:
-                raise ExprError("sqrt needs a radicand >= 1", match.start("sqrt"))
-            tokens.append(("literal", sqrt_nat(radicand), match.start()))
+                raise ExprError("sqrt needs a radicand >= 1", start)
+            tokens.append(("literal", sqrt_nat(radicand), start))
         elif match.group("number"):
             try:
                 value = Fraction(match.group("number"))
             except ZeroDivisionError:
-                raise ExprError("zero denominator", match.start()) from None
-            tokens.append(("literal", RadicalScalar.rational(value), match.start()))
+                raise ExprError("zero denominator", start) from None
+            tokens.append(("literal", RadicalScalar.rational(value), start))
         else:
-            tokens.append(("sign", match.group("sign"), match.start()))
+            tokens.append(("sign", match.group("sign"), start))
         pos = match.end()
     return tokens
 

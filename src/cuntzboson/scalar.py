@@ -157,36 +157,22 @@ class RadicalScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            num = self._num.copy()
-            for r, n in other._num.items():
-                add_term(num, r, n)
-            return _reduced(d1, num)
-        g = math.gcd(d1, d2)
-        a, b = d2 // g, d1 // g
-        num = {r: n * a for r, n in self._num.items()}
-        for r, n in other._num.items():
-            add_term(num, r, n * b)
-        return _reduced(d1 * a, num)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "RadicalScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not RadicalScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "RadicalScalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, -1)
 
     def __mul__(self, other) -> "RadicalScalar":
         if other.__class__ is not RadicalScalar:
@@ -264,6 +250,31 @@ def _raw(den: int, num: dict[int, int]) -> RadicalScalar:
     out._den = den
     out._num = num
     return out
+
+
+def _combine(x: RadicalScalar, y: RadicalScalar, sign: int) -> RadicalScalar:
+    """``x + sign*y`` for ``sign`` 1 or -1, over the common denominator and reduced.
+
+    ``x - x`` is zero after one compare of the fields: the form is unique.
+    """
+    if not y._num:
+        return x
+    if not x._num:
+        return y if sign > 0 else -y
+    d1, d2 = x._den, y._den
+    if d1 == d2:
+        if sign < 0 and x._num == y._num:
+            return ZERO
+        num = x._num.copy()
+        for r, n in y._num.items():
+            add_term(num, r, n, sign)
+        return _reduced(d1, num)
+    g = math.gcd(d1, d2)
+    a, b = d2 // g, sign * (d1 // g)
+    num = {r: n * a for r, n in x._num.items()}
+    for r, n in y._num.items():
+        add_term(num, r, n * b)
+    return _reduced(d1 * a, num)
 
 
 def _reduced(den: int, num: dict[int, int]) -> RadicalScalar:

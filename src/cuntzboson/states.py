@@ -25,6 +25,9 @@ class Ket:
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes: Mapping[EPWord, ScalarLike] | Iterable[tuple[EPWord, ScalarLike]] = ()):
+        if not amplitudes:  # Ket(), the zero ket, skips the general path
+            self._amps = {}
+            return
         amps: dict[EPWord, RadicalScalar] = {}
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
         for word, value in items:
@@ -66,7 +69,10 @@ class Ket:
     def __sub__(self, other: "Ket") -> "Ket":
         if not isinstance(other, Ket):
             return NotImplemented
-        return self + (-other)
+        amps = dict(self._amps)
+        for word, coeff in other._amps.items():
+            add_term(amps, word, coeff, -1)
+        return _canonical(amps)
 
     def __neg__(self) -> "Ket":
         return _canonical({w: -c for w, c in self._amps.items()})

@@ -15,8 +15,8 @@ deviations from it:
 Both parts are unique, so equality compares fields, and reading or changing
 one letter costs the same at mode 10**6 as at mode 1.  The hash is
 ``hash(_rot)`` XOR ``hash((pos, letter))`` over the items of ``_diff``, so
-``set_letter`` keeps it in O(1): it XORs out the old item at the changed
-position and XORs in the new one, without rehashing the map.  The printed
+the ladder's letter move ``_move_letter`` keeps it in O(1): it XORs out the
+old item at the changed position and XORs in the new one.  The printed
 ``prefix|cycle`` form is derived on demand: ``prefix`` is letters
 ``1..max(_diff)`` and ``cycle`` is ``R`` rotated left by ``max(_diff) mod |R|``.
 That is the maximally absorbed form (primitive cycle, prefix not ending in
@@ -178,34 +178,6 @@ class EPWord:
         rot = self._rot
         return rot[(n - 1) % len(rot)]
 
-    def set_letter(self, n: int, v: int) -> "EPWord":
-        """The canonical word equal to this one except letter ``v`` at position ``n``."""
-        if n < 1:
-            raise ValueError(f"positions are 1-based, got {n}")
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"letters must be integers >= 1, got {v!r}")
-        rot, diff = self._rot, self._diff
-        old = diff.get(n)
-        h = self._hash if old is None else self._hash ^ hash((n, old))  # the old item XORed out
-        if v == rot[(n - 1) % len(rot)]:
-            if old is None:
-                return self
-            out = diff.copy()
-            del out[n]
-            return _raw(rot, out, h)
-        if old == v:
-            return self
-        if old is not None or not diff or n > next(reversed(diff)):
-            out = diff.copy()
-            out[n] = v  # an existing key keeps its place; a new last key goes last
-        else:  # a new key before the last one: insert it in position order
-            out = {}
-            for pos, x in diff.items():
-                if pos > n and n not in out:
-                    out[n] = v
-                out[pos] = x
-        return _raw(rot, out, h ^ hash((n, v)))
-
     def drop_first(self, count: int = 1) -> "EPWord":
         """The word with its first ``count`` letters removed."""
         if count < 0:
@@ -265,11 +237,37 @@ class EPWord:
 
 
 def _label_hash(rot: Word, diff: dict[int, int]) -> int:
-    """The hash of the word ``(rot, diff)`` from the whole map; ``set_letter`` updates it instead."""
+    """The hash of the word ``(rot, diff)`` from the whole map; ``_move_letter`` updates it instead."""
     h = hash(rot)
     for item in diff.items():  # on CPython 3.11 this beats functools.reduce for a label's few items
         h ^= hash(item)
     return h
+
+
+def _move_letter(word: EPWord, n: int, v: int, old: int | None, tail: int) -> EPWord:
+    """``word`` with letter ``v`` at position ``n``, which must differ from the letter there.
+
+    ``old`` is the deviation of ``word`` at ``n`` (None for none) and ``tail``
+    the letter of ``_rot``'s repetition at ``n``, both read by the caller, so
+    the letter is not read or checked again.  The hash is updated in O(1): the
+    old item XORed out, the new one XORed in; the keys stay in position order.
+    """
+    diff = word._diff
+    h = word._hash if old is None else word._hash ^ hash((n, old))
+    if v == tail:  # back to the tail letter: the deviation at n goes
+        out = diff.copy()
+        del out[n]
+        return _raw(word._rot, out, h)
+    if old is not None or not diff or n > next(reversed(diff)):
+        out = diff.copy()
+        out[n] = v  # an existing key keeps its place; a new last key goes last
+    else:  # a new key before the last one: insert it in position order
+        out = {}
+        for pos, x in diff.items():
+            if pos > n and n not in out:
+                out[n] = v
+            out[pos] = x
+    return _raw(word._rot, out, h ^ hash((n, v)))
 
 
 def _raw(rot: Word, diff: dict[int, int], h: int | None = None) -> EPWord:

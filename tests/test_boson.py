@@ -12,7 +12,7 @@ from cuntzboson.cuntz import RepSpec, apply_generator
 from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
 from cuntzboson.states import Ket
 from cuntzboson.verify import SuiteResult, _intertwining, random_ket, random_occupations
-from cuntzboson.words import EPWord
+from cuntzboson.words import EPWord, expand
 
 P1 = RepSpec((1,))
 P12 = RepSpec((1, 2))
@@ -177,7 +177,8 @@ def test_ccr_exact_sweep_small():
 def test_ccr_exact_at_mode_one_million():
     n = 10**6
     rng = random.Random(47)
-    v = random_ket(rng, P12, max_labels=4) + Ket.basis(EPWord((), (1, 2)).set_letter(n, 5))
+    deep = EPWord(expand((), (1, 2), n - 1) + (5,), (1, 2))  # letter 5 at mode n (n is even)
+    v = random_ket(rng, P12, max_labels=4) + Ket.basis(deep)
     for m in (n, n - 1, n + 1, 1):
         comm = apply_annihilate(n, apply_create(m, v)) - apply_create(m, apply_annihilate(n, v))
         expected = v if m == n else Ket()

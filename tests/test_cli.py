@@ -537,6 +537,16 @@ def test_zero_denominator_is_a_parse_error(capsys):
     assert code == 2 and out == "" and "zero denominator" in err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("a1* + 1/0", "zero denominator (at position 6)"),
+    ("a1*   +   a0", "generator indices are 1-based (at position 10)"),
+    ("  s0", "generator indices are 1-based (at position 2)"),
+    ("s1 +", "empty term (at position 3)")])
+def test_parse_error_names_the_position_of_the_token(capsys, expr, message):
+    code, out, err = run(capsys, "act", "--expr", expr)
+    assert code == 2 and out == "" and err == f"parse error: {message}\n"
+
+
 @pytest.mark.parametrize("expr, position", [("sqrt(0)", 0), ("a1* + sqrt( 00 )", 6)])
 def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
     code, out, err = run(capsys, "act", "--expr", expr)

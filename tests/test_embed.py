@@ -192,7 +192,7 @@ def test_ladder_action_model():
 def test_odometer_index_of_deep_labels():
     # a_n* e_1 = e_{2^{n-1}+1} at every mode; the label has n letters
     for n in (40, 10**6):
-        label = EPWord((), (1,)).set_letter(n, 2)
+        label = EPWord((1,) * (n - 1) + (2,), (1,))
         assert odometer_index(label) == 2 ** (n - 1) + 1
     # runs of letter 1 between deviations, against the letter-by-letter oracle
     label = EPWord((3, 1, 1, 2, 1, 1, 1, 4, 1), (1,))
@@ -204,7 +204,7 @@ def test_odometer_index_of_deep_labels():
 
 
 def test_codec_at_a_deep_mode():
-    label = EPWord((), (1,)).set_letter(10**5, 3)
+    label = EPWord((1,) * (10**5 - 1) + (3,), (1,))
     encoded = encode_label(N2, label)
     assert encoded == EPWord((1,) * (10**5 - 1) + (2, 2, 1), (1,))  # s_3 -> t_2 t_2 t_1
     assert decode_label(N2, encoded) == label

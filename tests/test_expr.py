@@ -4,7 +4,7 @@ import pytest
 
 from cuntzboson.common import ExprError
 from cuntzboson.cuntz import RepSpec
-from cuntzboson.expr import Factor, eval_on_ket, parse_expression
+from cuntzboson.expr import Factor, _tokenize, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, sqrt_nat
 from cuntzboson.states import Ket
 from cuntzboson.words import EPWord
@@ -51,6 +51,10 @@ def test_parse_errors_carry_position():
         parse_expression("s1 +")
     with pytest.raises(ExprError):
         parse_expression("s0")
+
+
+def test_tokens_record_their_own_start():
+    assert [position for _, _, position in _tokenize("  s1 +  2 a2*\t- sqrt(3)")] == [2, 5, 8, 10, 14, 16]
 
 
 def test_eval_matches_direct_application():

@@ -23,6 +23,7 @@ from cuntzboson.embed import (EmbeddingSpec, decode_label, embedded_annihilate, 
 from cuntzboson.scalar import ONE, RadicalScalar
 from cuntzboson.states import Ket
 from cuntzboson.verify import random_ket
+from cuntzboson.words import EPWord
 
 SPECS = [RepSpec((1,)), RepSpec((2,)), RepSpec((1, 2))]
 
@@ -46,7 +47,15 @@ def _ladder_image(label, n, power, create):
     if low < 1:
         return None
     weight = RadicalScalar({math.prod(range(low, low + power)): 1})
-    return label.set_letter(n, c + power if create else low), weight
+    return _spliced(label, n, c + power if create else low), weight
+
+
+def _spliced(label, n, letter):
+    """``label`` with ``letter`` at position ``n``, built from its dense letters."""
+    k = max(n, len(label.prefix))
+    letters = list(label.expand(k + len(label.cycle)))
+    letters[n - 1] = letter
+    return EPWord(letters[:k], letters[k:])
 
 
 def _oracle(v, image):

@@ -168,6 +168,25 @@ def test_hash_agrees_with_eq_against_rationals(a, q):
         assert hash(a) == hash(q)
 
 
+@given(scalars, scalars, rationals, st.sampled_from([0, 1, -1, 2]))
+def test_subtraction_adds_the_negation(x, z, q, k):
+    y = k * x + z  # shares x's radicands, over a mixed denominator
+    assert x - y == x + (-y)
+    assert y - x == y + (-x)
+    assert q - x == q + (-x) and x - q == x + (-q)
+    assert not (x - x) and x - x == ZERO
+    assert (x - y) + y == x
+
+
+def test_subtraction_examples():
+    x = RadicalScalar({1: Fraction(1, 2), 2: 3, 6: Fraction(-2, 3)})
+    assert 3 - x == RadicalScalar({1: Fraction(5, 2), 2: -3, 6: Fraction(2, 3)})
+    assert x - Fraction(1, 2) == RadicalScalar({2: 3, 6: Fraction(-2, 3)})
+    assert Fraction(1, 2) - x == -(x - Fraction(1, 2))
+    assert x - sqrt_nat(8) == RadicalScalar({1: Fraction(1, 2), 2: 1, 6: Fraction(-2, 3)})
+    assert not (x - x) and not (sqrt_nat(2) - RadicalScalar({8: Fraction(1, 2)}))
+
+
 def test_rational_scalar_finds_int_and_fraction_keys():
     assert {3: "x"}.get(RadicalScalar.rational(3)) == "x"
     assert {Fraction(1, 2): "y"}.get(RadicalScalar.rational(Fraction(1, 2))) == "y"

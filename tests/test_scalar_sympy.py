@@ -62,6 +62,18 @@ def test_ring_operations_match_sympy(a, b):
 
 
 @settings(max_examples=100, deadline=None)
+@given(scalars, scalars, st.sampled_from([0, 1, -1, 2]), coefficients)
+def test_subtraction_matches_sympy(a, b, k, q):
+    y = k * a + b  # equal, opposite or unequal coefficients on a's radicands
+    sa, sy = to_sympy(a), to_sympy(y)
+    sq = sympy.Rational(q.numerator, q.denominator)
+    for got, expected in ((a - y, sa - sy), (y - a, sy - sa), (a - a, 0), (q - a, sq - sa),
+                          (a - q, sa - sq), (3 - a, 3 - sa)):
+        assert_canonical(got)
+        assert same(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
 @given(scalars, scalars)
 def test_equality_matches_sympy(a, b):
     assert (a == b) == (sympy.expand(to_sympy(a) - to_sympy(b)) == 0)
@@ -172,7 +184,7 @@ def test_sqrt_product_is_the_product_of_its_factors(low, high):
 def test_ladder_step_far_above_the_cache_bound(capsys):
     label = EPWord((99999999999,), (1,))
     image = apply_create(1, Ket.basis(label))
-    assert image == 3 * sqrt_nat(11111111111) * Ket.basis(label.set_letter(1, 10**11))
+    assert image == 3 * sqrt_nat(11111111111) * Ket.basis(EPWord((10**11,), (1,)))
     assert main(["act", "--state", "99999999999|1", "--expr", "a1*"]) == 0
     assert capsys.readouterr().out == "3*sqrt(11111111111) * |100000000000|1>\n"
     assert 99999999999 not in _SQRT_CACHE and len(_SQRT_CACHE) <= _SQRT_CACHE_BOUND

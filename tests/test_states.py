@@ -78,6 +78,18 @@ def test_bilinearity_over_sums(u, v, w):
     assert (u + v).inner(w) == u.inner(w) + v.inner(w)
 
 
+@given(kets, kets, kets, st.sampled_from([1, -1, 2]))
+def test_subtraction_adds_the_negation(u, w, x, k):
+    # a and b share u's labels with equal (k = 1), opposite (k = -1) or unequal amplitudes
+    a, b = u + w, k * u + x
+    diff = a - b
+    assert diff == a + (-b)
+    assert all(diff._amps.values())  # no zero amplitude is stored
+    assert diff + b == a
+    assert not (a - a) and a - a == Ket()
+    assert a - Ket() == a and Ket() - b == -b
+
+
 def test_text_format():
     v = Ket({EPWord((1, 2), (1,)): ONE})
     assert str(v) == "1 * |1,2|1>"

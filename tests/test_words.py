@@ -14,6 +14,14 @@ prefixes = st.lists(letters, max_size=5).map(tuple)
 cycles = st.lists(letters, min_size=1, max_size=4).map(tuple)
 
 
+def set_letter(w, n, v):
+    """``w`` with letter ``v`` at position ``n``, built by the ladder's letter move."""
+    old, tail = w._diff.get(n), w._rot[(n - 1) % len(w._rot)]
+    if v == (tail if old is None else old):
+        return w
+    return words._move_letter(w, n, v, old, tail)
+
+
 def test_canonicalize_examples():
     assert EPWord((1,), (1,)) == EPWord((), (1,))
     assert EPWord((1, 2), (1, 2)) == EPWord((), (1, 2))
@@ -43,14 +51,14 @@ def test_letter_at_examples():
 
 
 def test_set_letter_examples():
-    assert EPWord((), (1,)).set_letter(2, 2) == EPWord((1, 2), (1,))
-    got = EPWord((), (1, 2)).set_letter(2, 1)
+    assert set_letter(EPWord((), (1,)), 2, 2) == EPWord((1, 2), (1,))
+    got = set_letter(EPWord((), (1, 2)), 2, 1)
     assert got == EPWord((1, 1), (1, 2))
     # oracle: compare the first 12 letters against a direct splice
     spliced = list(expand((), (1, 2), 12))
     spliced[1] = 1
     assert got.expand(12) == tuple(spliced)
-    assert EPWord((2,), (1,)).set_letter(1, 1) == EPWord((), (1,))
+    assert set_letter(EPWord((2,), (1,)), 1, 1) == EPWord((), (1,))
 
 
 def test_tail_equivalence_examples():
@@ -98,13 +106,13 @@ def test_canonical_equality_matches_expansion(p1, c1, p2, c2):
 @given(prefixes, cycles, st.integers(min_value=1, max_value=12))
 def test_set_letter_roundtrip(prefix, cycle, n):
     w = EPWord(prefix, cycle)
-    assert w.set_letter(n, w.letter_at(n)) == w
+    assert set_letter(w, n, w.letter_at(n)) == w
 
 
 @given(prefixes, cycles, st.integers(min_value=1, max_value=10), letters)
 def test_set_letter_reads_back(prefix, cycle, n, v):
     w = EPWord(prefix, cycle)
-    mutated = w.set_letter(n, v)
+    mutated = set_letter(w, n, v)
     assert mutated.letter_at(n) == v
     for probe in range(1, 15):
         if probe != n:
@@ -160,7 +168,7 @@ def window(prefix, cycle, splice, start, count):
 
 def build(prefix, cycle, splice):
     w = EPWord(prefix, cycle)
-    return w if splice is None else w.set_letter(*splice)
+    return w if splice is None else set_letter(w, *splice)
 
 
 def around(n):
@@ -201,7 +209,7 @@ def test_letter_at_matches_dense_model(prefix, cycle, splice, n):
 @given(prefixes, cycles, splices, deep_positions, letters)
 def test_set_letter_matches_dense_model(prefix, cycle, splice, n, v):
     w = build(prefix, cycle, splice)
-    got = w.set_letter(n, v)
+    got = set_letter(w, n, v)
     for probe in {n} | ({splice[0]} if splice else set()) | {1}:
         start, count = around(probe)
         expected = list(window(prefix, cycle, splice, start, count))
@@ -217,7 +225,7 @@ def test_set_letter_in_any_order_reaches_the_canonical_word(prefix, cycle, edits
     w = EPWord(prefix, cycle)
     head = list(expand(prefix, cycle, max(len(prefix), 12)))
     for n, v in edits:
-        w = w.set_letter(n, v)
+        w = set_letter(w, n, v)
         head[n - 1] = v
     tail = window(prefix, cycle, None, len(head) + 1, len(cycle))
     expected = EPWord(head, tail)
@@ -265,12 +273,30 @@ def test_prefix_and_cycle_follow_the_absorption_rule(prefix, cycle, splice):
 
 
 def test_deep_label_costs_what_changed():
-    w = EPWord((), (1, 2)).set_letter(10**6, 3)
+    w = set_letter(EPWord((), (1, 2)), 10**6, 3)
     assert w.letter_at(10**6) == 3 and w.letter_at(10**6 - 1) == 1
-    assert w.set_letter(10**6, 2) == EPWord((), (1, 2))
+    assert set_letter(w, 10**6, 2) == EPWord((), (1, 2))
     assert w.drop_first(10**6 - 1).prefix == (3,)
     assert len(w.prefix) == 10**6 and w.cycle == (1, 2)
     assert w.prepend((2,)).tail_equivalent(EPWord((), (2, 1)))
+
+
+@pytest.mark.parametrize("path, prefix, cycle, n, v", [
+    ("drop a key", (3, 1, 2), (1, 2), 1, 2),
+    ("replace a key", (3, 1, 2), (1, 2), 1, 4),
+    ("append a last key", (3, 1, 2), (1, 2), 7, 5),
+    ("insert before the last key", (1, 3), (1,), 1, 2),
+    ("append at mode 10**6", (2,), (1, 2), 10**6, 3),
+])
+def test_letter_move_edit_paths(path, prefix, cycle, n, v):
+    w = EPWord(prefix, cycle)
+    got = set_letter(w, n, v)
+    head = list(expand(prefix, cycle, max(n, len(prefix))))
+    head[n - 1] = v
+    expected = EPWord(head, window(prefix, cycle, None, len(head) + 1, len(cycle)))
+    assert got == expected and got._diff == expected._diff, path
+    assert list(got._diff) == sorted(got._diff), path
+    assert got._hash == words._label_hash(got._rot, got._diff) == hash(expected), path
 
 
 # --- the hash: hash(_rot) XOR hash((pos, letter)) over _diff, updated in O(1) ---
@@ -286,11 +312,11 @@ def constructions(prefix, cycle, order, detours, cut):
     head = expand(prefix, cycle, len(prefix) + len(cycle))
     w = EPWord((1,) * len(prefix), cycle)
     for n, v in detours:
-        w = w.set_letter(n, v)
+        w = set_letter(w, n, v)
     for n in order(range(1, len(head) + 1)):
-        w = w.set_letter(n, head[n - 1])
+        w = set_letter(w, n, head[n - 1])
     for n, _ in detours:
-        w = w.set_letter(n, target.letter_at(n))
+        w = set_letter(w, n, target.letter_at(n))
     yield "set_letter", w
     k = min(cut, len(prefix))
     yield "prepend", EPWord(prefix[k:], cycle).prepend(prefix[:k])
@@ -321,20 +347,20 @@ def test_equal_words_have_equal_hashes_on_every_path(prefix, cycle, perm, detour
 
 def test_set_letter_and_the_ladder_never_rehash_the_map(monkeypatch):
     w = EPWord((3, 1, 2), (1, 2))
-    deep = EPWord((), (1,)).set_letter(10**6, 2)
+    deep = set_letter(EPWord((), (1,)), 10**6, 2)
     v = Ket({w: 1, deep: 2, EPWord((2,), (2,)): 3})
     # an overwrite, a letter back to the tail, a new last key, an insert before
     # the last key, a deep drop
     edits = [(w, 1, 4), (w, 2, 2), (w, 7, 5), (deep, 5, 3), (deep, 10**6, 1)]
     ladder_args = [(n, v, k) for n in (1, 2, 5, 10**6) for k in (1, 2)]
-    expected = ([u.set_letter(n, x) for u, n, x in edits],
+    expected = ([set_letter(u, n, x) for u, n, x in edits],
                 [(apply_create(*args), apply_annihilate(*args)) for args in ladder_args])
 
     def refuse(rot, diff):
         raise AssertionError("the whole deviation map was rehashed")
 
     monkeypatch.setattr(words, "_label_hash", refuse)
-    got = ([u.set_letter(n, x) for u, n, x in edits],
+    got = ([set_letter(u, n, x) for u, n, x in edits],
            [(apply_create(*args), apply_annihilate(*args)) for args in ladder_args])
     monkeypatch.undo()
     assert got == expected
