@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping
-from typing import Optional, Union
+from typing import Union
 
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_polynomial
 from .scalar import (ONE, RadicalScalar, ZERO, _SQRT_CACHE, _grouped, _root, _scale_root, sqrt_nat,
@@ -200,17 +200,15 @@ def _literal_polynomial(n: int, mode_bound: int, create: bool) -> CuntzPolynomia
     return CuntzPolynomial(monomials)
 
 
-def literal_annihilate(spec: RepSpec, n: int, v: Ket, mode_bound: Optional[int] = None) -> Ket:
+def literal_annihilate(spec: RepSpec, n: int, v: Ket) -> Ket:
     """a_n via the truncated defining series, for cross-validation only.
 
-    The series over shift words K and mode index m is cut at ``mode_bound``,
-    which defaults to one more than the largest letter in the ket; that bound
-    provably captures every term acting nontrivially on the given labels.
+    The series over shift words K and mode index m is cut at one more than
+    the largest letter in the ket; that bound provably captures every term
+    acting nontrivially on the given labels.
     """
-    bound = mode_bound if mode_bound is not None else _probe_bound(v) + 1
-    return apply_polynomial(spec, _literal_polynomial(n, bound, create=False), v)
+    return apply_polynomial(spec, _literal_polynomial(n, _probe_bound(v) + 1, create=False), v)
 
 
-def literal_create(spec: RepSpec, n: int, v: Ket, mode_bound: Optional[int] = None) -> Ket:
-    bound = mode_bound if mode_bound is not None else _probe_bound(v) + 1
-    return apply_polynomial(spec, _literal_polynomial(n, bound, create=True), v)
+def literal_create(spec: RepSpec, n: int, v: Ket) -> Ket:
+    return apply_polynomial(spec, _literal_polynomial(n, _probe_bound(v) + 1, create=True), v)

@@ -16,7 +16,7 @@ import sys
 
 from .boson import fock_word
 from .branching import basis_lambda_j, basis_monomials, basis_size, enumerate_components
-from .common import AlphabetError, DomainError, ExprError, check_family_sizes, check_index
+from .common import MAX_MODE, AlphabetError, DomainError, ExprError, check_family_sizes, check_index
 from .cuntz import RepSpec
 from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
@@ -162,6 +162,10 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
         source = parse_word(args.word)
         for m in source:
             check_index(m, "generator index")
+        length = sum((m - 1) // (spec.N - 1) + 1 for m in source)  # len(embed_generator(spec, m))
+        if length > MAX_MODE:
+            raise DomainError(f"the O_{spec.N} word would have {length} letters, more than the largest "
+                              f"supported word length MAX_MODE = {MAX_MODE}")
         word = translate_word(spec, source)
         payload = {"source": args.word, "word": list(word)}
         text = f"s_({args.word}) -> {format_word(word)}"

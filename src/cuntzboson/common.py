@@ -28,7 +28,8 @@ class ExprError(ValueError):
 # mode, but a label that deviates at position n prints n letters, an O_N
 # word for s_n has about n letters and an odometer index about n bits, so
 # larger indices are refused with DomainError (exit code 3) instead of
-# running without bound.
+# running without bound.  The O_N word that ``embed --word`` builds from
+# several indices is held to at most MAX_MODE letters in all.
 MAX_MODE = 10**6
 
 

@@ -94,6 +94,19 @@ def test_criterion_3_branching_of_the_pair_cycle():
            f"{len(memberships)} labels each in exactly one component")
 
 
+def _random_monomial(rng: random.Random, mode_cutoff: int, exp_cutoff: int) -> BosonMonomial:
+    """A normal-ordered monomial: each mode up to the cutoff skipped, raised or lowered."""
+    creators: dict[int, int] = {}
+    annihilators: dict[int, int] = {}
+    for mode in range(1, mode_cutoff + 1):
+        role = rng.choice(("skip", "create", "lower"))
+        if role == "create":
+            creators[mode] = rng.randint(1, exp_cutoff)
+        elif role == "lower":
+            annihilators[mode] = rng.randint(1, exp_cutoff)
+    return BosonMonomial(ONE, creators, annihilators)
+
+
 def test_criterion_4_pairwise_inequivalence():
     components = {
         "F_1": enumerate_components(RepSpec((1,)))[0],
@@ -102,18 +115,23 @@ def test_criterion_4_pairwise_inequivalence():
         "F_12": enumerate_components(RepSpec((1, 2)))[0],
         "F_21": enumerate_components(RepSpec((1, 2)))[1],
     }
-    ok = True
-    sampled = 0
-    for name1, name2 in itertools.combinations(components, 2):
-        witness = inequivalence_witness(
-            components[name1], components[name2],
-            sample_size=100, seed=SEED, mode_cutoff=4, exp_cutoff=3)
-        ok = ok and witness.distinct and witness.ok
-        sampled += witness.orthogonality_samples
-    ok = ok and sampled >= 100  # the F_12/F_21 pair shares its ambient space
+    witnesses = {pair: inequivalence_witness(components[pair[0]], components[pair[1]])
+                 for pair in itertools.combinations(components, 2)}
+    ok = all(w.distinct and w.ok for w in witnesses.values())
+    # F_12 and F_21 share their ambient space: the witness decides their
+    # orthogonality exactly, from tail classes; seeded monomials are the oracle
+    exact = witnesses["F_12", "F_21"].checks[-1]
+    ok = ok and exact.name == "<x vac1 | vac2> = 0 for every ladder monomial x"
+    rng = random.Random(SEED)
+    vac12 = Ket.basis(components["F_12"].vacuum_label)
+    vac21 = Ket.basis(components["F_21"].vacuum_label)
+    sampled = 100
+    zeros = sum(not _random_monomial(rng, 4, 3).apply(vac12).inner(vac21) for _ in range(sampled))
+    ok = ok and zeros == sampled and exact.passed == (zeros == sampled)
     report(4, ok,
            "all 10 pairs of {F_1,F_2,F_3,F_12,F_21} have distinct eigenvalue lists; "
-           f"{sampled} sampled monomials give <x vac, vac'> = 0 exactly")
+           "F_12/F_21 lie in distinct tail classes, so <x vac, vac'> = 0 exactly for every "
+           f"ladder monomial x, and {zeros}/{sampled} sampled monomials agree")
 
 
 def test_criterion_5_fock_dictionary():

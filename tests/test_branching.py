@@ -189,24 +189,44 @@ def test_partition_into_components():
         assert len(hits) == 1
 
 
+_ORTHOGONALITY = "<x vac1 | vac2> = 0 for every ladder monomial x"
+
+
 def test_inequivalence_witnesses():
     f12, f21 = enumerate_components(RepSpec((1, 2)))
-    report = inequivalence_witness(f12, f21, sample_size=30, seed=5)
+    report = inequivalence_witness(f12, f21)
     assert report.distinct and report.first_difference_mode == 1
     assert report.eigenvalues_first[:4] == (1, 2, 1, 2)
     assert report.eigenvalues_second[:4] == (2, 1, 2, 1)
-    assert report.orthogonality_samples == 30
+    assert [c.name for c in report.checks][1:] == [_ORTHOGONALITY]  # one ambient representation
     assert report.ok
 
     f1 = enumerate_components(RepSpec((1,)))[0]
     f2 = enumerate_components(RepSpec((2,)))[0]
     report = inequivalence_witness(f1, f2)
     assert report.distinct and report.first_difference_mode == 1
-    assert report.orthogonality_samples == 0  # different ambient representations
+    assert _ORTHOGONALITY not in [c.name for c in report.checks]  # different ambient representations
     assert report.ok
 
     with pytest.raises(DomainError):
         inequivalence_witness(f1, f1)
+
+
+def test_orthogonality_is_decided_for_every_pair_of_rotations():
+    for cycle in ((1, 2), (1, 1, 2), (1, 2, 3), (2, 1, 1, 3)):
+        for c1, c2 in itertools.permutations(enumerate_components(RepSpec(cycle)), 2):
+            report = inequivalence_witness(c1, c2)
+            assert report.ok
+            assert [c.name for c in report.checks][1:] == [_ORTHOGONALITY]
+
+
+def test_inequivalence_witness_fails_when_the_vacua_share_a_tail_class(monkeypatch):
+    f12, f21 = enumerate_components(RepSpec((1, 2)))
+    monkeypatch.setattr(EPWord, "tail_equivalent", lambda self, other: True)
+    report = inequivalence_witness(f12, f21)
+    assert report.distinct and not report.ok
+    assert [c.line() for c in report.checks if not c.passed] == [
+        f"[FAIL] {_ORTHOGONALITY}: |{f12.vacuum_label}> and |{f21.vacuum_label}> lie in one tail class"]
 
 
 def test_normalizers_of_high_powers_factor_no_large_radicand():

@@ -481,6 +481,15 @@ def test_check_count_above_max_checks_is_domain_error_within_deadline(argv):
     assert done.stderr.startswith("domain error: ") and f"MAX_CHECKS = {MAX_CHECKS}" in done.stderr
 
 
+def test_embedded_word_longer_than_max_mode_is_domain_error_within_deadline():
+    # 2,000,000 letters of O_2 from two indices that are each served alone
+    done, elapsed = _run_cli_subprocess("embed", "--N", "2", "--word", f"{MAX_MODE},{MAX_MODE}")
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("domain error: the O_2 word would have 2000000 letters")
+    assert f"MAX_MODE = {MAX_MODE}" in done.stderr
+
+
 def test_check_count_bound_is_inclusive():
     assert 4471 * 4472 // 2 <= MAX_CHECKS < 4472 * 4473 // 2
     check_family_sizes([4471], "one family")
@@ -530,6 +539,11 @@ def test_max_mode_itself_is_served(capsys):
     for argv in (["--gen", str(MAX_MODE + 1)], ["--word", f"1,{MAX_MODE + 1}"]):
         code, _, err = run(capsys, "embed", "--N", "2", *argv)
         assert code == 3 and "generator index" in err
+    # the O_N word of embed --word may have MAX_MODE letters in all, and no more
+    code, out, _ = run(capsys, "embed", "--N", "2", "--word", f"{MAX_MODE}")
+    assert code == 0 and out == f"s_({MAX_MODE}) -> " + "2," * (MAX_MODE - 1) + "1\n"
+    code, _, err = run(capsys, "embed", "--N", "3", "--word", f"{MAX_MODE},{MAX_MODE},1")
+    assert code == 3 and "the O_3 word would have 1000001 letters" in err
 
 
 def test_zero_denominator_is_a_parse_error(capsys):
@@ -560,9 +574,10 @@ def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
 # and malformed words included.  Counts that size a computation (verify
 # samples, branch cycles) stay small: large ones run long by design, which is
 # not a hang.  ``bases`` takes hostile modes and exponents too: a family above
-# MAX_CHECKS is refused before it is built.
+# MAX_CHECKS is refused before it is built.  MAX_MODE, the largest index that
+# is served, reaches the longest outputs: a label or O_N word of a million letters.
 
-_HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE + 1, 10**9, 10**30])
+_HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE, MAX_MODE + 1, 10**9, 10**30])
 _index = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=-2, max_value=12),
                    _HOSTILE)
 _small = st.sampled_from([1, 2, 3, 1, 2, 3, 0, -1])
