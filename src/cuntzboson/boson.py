@@ -31,8 +31,7 @@ from collections.abc import Iterable, Mapping
 from typing import Union
 
 from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_polynomial
-from .scalar import (ONE, RadicalScalar, ZERO, _SQRT_CACHE, _grouped, _root, _scale_root, sqrt_nat,
-                     sqrt_product)
+from .scalar import ONE, RadicalScalar, ZERO, _SQRT_CACHE, _root, _scale_root, sqrt_nat, sqrt_product
 from .states import Ket, _canonical
 from .words import EPWord, Word, _move_letter
 
@@ -85,17 +84,15 @@ def apply_create(n: int, v: Ket, power: int = 1) -> Ket:
 
 
 class BosonMonomial:
-    """coeff * prod (a_n*)^{k_n} * prod a_m^{l_m}, creators left of annihilators."""
+    """prod (a_n*)^{k_n} * prod a_m^{l_m}, creators left of annihilators."""
 
-    __slots__ = ("coeff", "creators", "annihilators")
+    __slots__ = ("creators", "annihilators")
 
     def __init__(
         self,
-        coeff: RadicalScalar = ONE,
         creators: Union[Mapping[int, int], Iterable[tuple[int, int]]] = (),
         annihilators: Union[Mapping[int, int], Iterable[tuple[int, int]]] = (),
     ):
-        self.coeff = coeff
         self.creators = _as_exponents(creators)
         self.annihilators = _as_exponents(annihilators)
 
@@ -110,20 +107,17 @@ class BosonMonomial:
             v = apply_annihilate(mode, v, exp)
         for mode, exp in self.creators:
             v = apply_create(mode, v, exp)
-        return self.coeff * v
+        return v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BosonMonomial):
             return NotImplemented
-        return self.key() == other.key() and self.coeff == other.coeff
+        return self.key() == other.key()
 
     def __str__(self) -> str:
         factors = [f"a{n}*" + (f"^{e}" if e > 1 else "") for n, e in self.creators]
         factors += [f"a{m}" + (f"^{e}" if e > 1 else "") for m, e in self.annihilators]
-        body = " ".join(factors) if factors else "1"
-        if self.coeff == ONE:
-            return body
-        return f"{_grouped(self.coeff)} {body}" if factors else _grouped(self.coeff)
+        return " ".join(factors) if factors else "1"
 
     __repr__ = __str__
 

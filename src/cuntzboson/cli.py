@@ -107,8 +107,9 @@ def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_branch(args: argparse.Namespace) -> tuple[int, str]:
     spec = _parse_rep(args.rep, args.N)
     components = enumerate_components(spec, modes=args.modes)
+    code = 0 if all(chk.passed for c in components for chk in c.verified_conditions) else 1
     if args.json:
-        return 0, json.dumps({
+        return code, json.dumps({
             "representation": str(spec),
             "components": [
                 {
@@ -126,7 +127,7 @@ def cmd_branch(args: argparse.Namespace) -> tuple[int, str]:
     lines = [f"{spec} restricted to the ladder algebra: {len(components)} component(s)"]
     for c in components:
         lines += c.lines()
-    return 0, "\n".join(lines)
+    return code, "\n".join(lines)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .boson import apply_annihilate, apply_create
+from .boson import _as_exponents, apply_annihilate, apply_create
 from .common import AlphabetError, DomainError
 from .cuntz import RepSpec
 from .scalar import RadicalScalar
@@ -65,15 +65,11 @@ def fock_word_in_ON(spec: EmbeddingSpec, occupations: Mapping[int, int]) -> Word
 
     Built directly from the digit decomposition k = (N-1)(c-1) + (b-1) of each
     occupation count; agrees letter for letter with translating the word from
-    ``fock_word`` generator by generator.
+    ``fock_word`` generator by generator, and refuses the same occupation lists.
     """
     word: list[int] = []
     previous = 0
-    for mode, count in sorted(occupations.items()):
-        if count < 1:
-            continue
-        if mode <= previous:
-            raise ValueError("occupation modes must be distinct")
+    for mode, count in _as_exponents(occupations):
         c1, b1 = divmod(count, spec.N - 1)  # count = (N-1)(c-1) + (b-1)
         word += (1,) * (mode - previous - 1) + (spec.N,) * c1 + (b1 + 1,)
         previous = mode

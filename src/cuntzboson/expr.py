@@ -33,9 +33,6 @@ class Factor:
     index: int
     star: bool
 
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}{'*' if self.star else ''}"
-
 
 @dataclass(frozen=True)
 class Term:

@@ -90,7 +90,7 @@ class SuiteResult:
 _CCR_RELATIONS = ("[a{n}, a{m}*] = {delta}", "[a{n}, a{m}] = 0", "[a{n}*, a{m}*] = 0")
 
 
-def run_ccr(modes: int = 6, samples: int = 50, seed: int = 7, **_) -> SuiteResult:
+def run_ccr(*, modes: int, samples: int, seed: int, **_) -> SuiteResult:
     """Exact commutation relations on seeded random kets of three representations.
 
     Each relation compares its two operator orderings, exactly: [a_n, a_m] = 0
@@ -120,7 +120,7 @@ def run_ccr(modes: int = 6, samples: int = 50, seed: int = 7, **_) -> SuiteResul
     return result
 
 
-def run_relations(samples: int = 50, seed: int = 7, cutoff: int = 4, **_) -> SuiteResult:
+def run_relations(*, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
     """Isometry relations, shift intertwining, adjointness, and associativity."""
     result = SuiteResult("relations")
     rng = random.Random(seed)
@@ -241,7 +241,7 @@ def _onetwov_expected_labels(modes: int, exps: int) -> set[EPWord]:
     return {EPWord(combo, tail) for combo in itertools.product(*ranges)}
 
 
-def run_bases(cutoff: int = 4, exps: int = 3, **_) -> SuiteResult:
+def run_bases(*, cutoff: int, exps: int, **_) -> SuiteResult:
     """Orthonormality, span matching, and vacuum orthogonality of the basis families."""
     families = [("lambda", 1), ("lambda", 2), ("typej", 1), ("typej", 2), ("onetwov", 1)]
     check_family_sizes([branching.basis_size(family, j, cutoff, exps) for family, j in families],
@@ -282,7 +282,7 @@ def _vacuum_orthogonality(result: SuiteResult, j: int, modes: int, powers: int) 
             result.add(not inner, lambda: f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}: inner {inner}")
 
 
-def run_embedding(N: int = 2, samples: int = 50, seed: int = 7, cutoff: int = 4, **_) -> SuiteResult:
+def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
     """Digit formula vs generator translation, and the embedded Fock dictionary."""
     result = SuiteResult("embedding")
     rng = random.Random(seed)
@@ -329,7 +329,7 @@ def run_embedding(N: int = 2, samples: int = 50, seed: int = 7, cutoff: int = 4,
     return result
 
 
-def run_odometer(modes: int = 6, cutoff: int = 9, index_bound: int = 512, **_) -> SuiteResult:
+def run_odometer(*, modes: int, cutoff: int, index_bound: int, **_) -> SuiteResult:
     """The index model intertwines with the word model under the label bijection."""
     result = SuiteResult("odometer")
     spec = RepSpec((1,))
@@ -360,7 +360,7 @@ def run_odometer(modes: int = 6, cutoff: int = 9, index_bound: int = 512, **_) -
     return result
 
 
-def run_fock_ext(modes: int = 5, cutoff: int = 3, exps: int = 4, **_) -> SuiteResult:
+def run_fock_ext(*, modes: int, cutoff: int, exps: int, **_) -> SuiteResult:
     """Both sides of the four isometry-extension formulas, evaluated independently."""
     result = SuiteResult("fock-ext")
     spec = RepSpec((1,))
@@ -371,12 +371,12 @@ def run_fock_ext(modes: int = 5, cutoff: int = 3, exps: int = 4, **_) -> SuiteRe
             for exp_combo in itertools.product(range(1, exps + 1), repeat=p):
                 states.append(tuple(zip(mode_set, exp_combo)))
     for creators in states:
-        state_ket = boson.BosonMonomial(ONE, creators, ()).apply(omega)
+        state_ket = boson.BosonMonomial(creators, ()).apply(omega)
         for m in range(1, modes + 1):
             for star in (False, True):
                 coeff, image = boson.fock_extension_action(m, star, creators)
                 lhs = apply_generator(spec, m, state_ket, star=star)
-                rhs = coeff * boson.BosonMonomial(ONE, image, ()).apply(omega)
+                rhs = coeff * boson.BosonMonomial(image, ()).apply(omega)
                 result.add(lhs == rhs,
                            lambda: f"s{m}{'*' if star else ''} on creators {creators}")
     return result
@@ -393,6 +393,13 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suite(name: str, **kwargs) -> SuiteResult:
+    """Run suite ``name`` with the options in ``kwargs``.
+
+    Each suite takes the options it reads as keyword-only parameters without
+    defaults and ignores the rest, so a missing option raises ``TypeError``
+    naming it.  The defaults live in one place, the ``verify`` subcommand of
+    the command line.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](**kwargs)

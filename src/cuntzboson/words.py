@@ -149,13 +149,7 @@ class EPWord:
         if not diff:
             return (), rot
         last = next(reversed(diff))
-        if len(diff) == last:
-            prefix = tuple(diff.values())
-        else:
-            letters = [rot[0]] * last if len(rot) == 1 else _periodic(rot, last)
-            for pos, letter in diff.items():
-                letters[pos - 1] = letter
-            prefix = tuple(letters)
+        prefix = tuple(diff.values()) if len(diff) == last else self.expand(last)
         shift = last % len(rot)
         return prefix, (rot[shift:] + rot[:shift] if shift else rot)
 
@@ -178,7 +172,7 @@ class EPWord:
         rot = self._rot
         return rot[(n - 1) % len(rot)]
 
-    def drop_first(self, count: int = 1) -> "EPWord":
+    def drop_first(self, count: int) -> "EPWord":
         """The word with its first ``count`` letters removed."""
         if count < 0:
             raise ValueError("count must be >= 0")

@@ -56,14 +56,14 @@ def test_cyclicity_witness_examples():
     fock = enumerate_components(RepSpec((1,)))[0]
     target = EPWord((2, 3), (1,))
     witness = cyclicity_witness(fock, target)
-    assert witness == BosonMonomial(ONE, {1: 1, 2: 2}, {})
+    assert witness == BosonMonomial({1: 1, 2: 2}, {})
     image = witness.apply(Ket.basis(fock.vacuum_label))
     assert image == sqrt_nat(2) * Ket.basis(target)
 
     comp12 = enumerate_components(RepSpec((1, 2)))[0]
     target = EPWord((1, 1), (1, 2))
     witness = cyclicity_witness(comp12, target)
-    assert witness == BosonMonomial(ONE, {}, {2: 1})
+    assert witness == BosonMonomial({}, {2: 1})
     assert witness.apply(Ket.basis(comp12.vacuum_label)) == Ket.basis(target)
 
     assert cyclicity_witness(fock, fock.vacuum_label) == BosonMonomial()

@@ -1,7 +1,10 @@
 import contextlib
+import inspect
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -344,6 +347,53 @@ def test_planted_failure_records(capsys, monkeypatch, name, plant, argv, total, 
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 1 and json.loads(out) == {
         "suite": argv[1], "total": total, "passed": passed, "failures": failures}
+
+
+def test_planted_branch_failure_is_reported(capsys, monkeypatch):
+    """A failed defining identity is a [FAIL] row and exit code 1, not a traceback."""
+    true = branching.apply_create
+    monkeypatch.setattr(branching, "apply_create",
+                        lambda n, v, power=1: 2 * true(n, v, power) if n == 2 else true(n, v, power))
+    code, out, err = run(capsys, "branch", "--rep", "|1")
+    assert (code, err) == (1, "")
+    assert "  [FAIL] a2 a2* vac = 1 vac: result 2 * ||1>\n" in out
+    assert out.count("[FAIL]") == 1 and out.count("[ok]") == 11
+    code, out, err = run(capsys, "branch", "--rep", "|1", "--json")
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["components"][0]["verified"]
+    assert [row["name"] for row in rows if not row["passed"]] == ["a2 a2* vac = 1 vac"]
+
+
+def _readme_verify_table():
+    """(suite, options it reads, checks at the defaults) for each row of the README's verify table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    head = "| suite | options it reads | checks at the defaults |"
+    rows = text[text.index(head):].splitlines()[2:]
+    out = []
+    for row in itertools.takewhile(lambda line: line.startswith("|"), rows):
+        suite, options, checks = (cell.strip() for cell in row.strip("|").split("|"))
+        names = {option.lstrip("-").replace("-", "_") for option in re.findall(r"`(--[\w-]+)`", options)}
+        out.append((suite.strip("`"), names, int(checks.replace(",", ""))))
+    return out
+
+
+def test_readme_verify_table_matches_the_suites(capsys):
+    """Each row names exactly the options its suite reads, none with a default of its
+    own, and the number of checks that ``verify <suite>`` makes at the CLI defaults."""
+    table = _readme_verify_table()
+    assert sorted(suite for suite, _, _ in table) == sorted(verify.SUITES)
+    for suite, options, checks in table:
+        params = inspect.signature(verify.SUITES[suite]).parameters.values()
+        keyword_only = [p for p in params if p.kind is p.KEYWORD_ONLY]
+        assert {p.name for p in keyword_only} == options, suite
+        assert all(p.default is p.empty for p in keyword_only), suite
+        code, out, _ = run(capsys, "verify", suite, "--json")
+        assert code == 0 and json.loads(out)["total"] == checks, suite
+
+
+def test_run_suite_names_the_missing_options():
+    with pytest.raises(TypeError, match="'modes', 'cutoff', and 'exps'"):
+        verify.run_suite("fock-ext")
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,14 @@ def test_fock_word_in_ON_matches_translation():
             occ = random_occupations(rng, max_modes=4, max_count=5, mode_bound=5)
             coeff, word = fock_word(occ)
             assert fock_word_in_ON(spec, occ) == translate_word(spec, word)
+
+
+@pytest.mark.parametrize("occupations", [{1: -1}, {0: 1}, {-2: 3}, {2: 1, 0: 0}])
+def test_fock_word_in_ON_refuses_what_fock_word_refuses(occupations):
+    with pytest.raises(ValueError) as expected:
+        fock_word(occupations)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        fock_word_in_ON(N2, occupations)
 
 
 def test_label_codec_roundtrip():
