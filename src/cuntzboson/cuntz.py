@@ -25,7 +25,7 @@ class RepSpec:
     ``alphabet=None`` means the countably infinite alphabet.
     """
 
-    __slots__ = ("alphabet", "cycle")
+    __slots__ = ("alphabet", "cycle", "_vacua")
 
     def __init__(self, cycle: Iterable[int], alphabet: Optional[int] = None):
         cycle = _check_word(cycle, "cycle")
@@ -41,6 +41,7 @@ class RepSpec:
                     raise AlphabetError(f"cycle letter {letter} exceeds alphabet bound {alphabet}")
         self.cycle = cycle
         self.alphabet = alphabet
+        self._vacua: Optional[tuple[EPWord, ...]] = None
 
     def check_letter(self, i: int) -> None:
         if i < 1:
@@ -55,8 +56,11 @@ class RepSpec:
     def gp_vector(self) -> Ket:
         return Ket.basis(EPWord((), self.cycle))
 
-    def rotation_vacua(self) -> list[EPWord]:
-        return [EPWord((), c) for c in rotations(self.cycle)]
+    def rotation_vacua(self) -> tuple[EPWord, ...]:
+        """The vacuum ``r^inf`` of each rotation ``r`` of the cycle, built on first use."""
+        if self._vacua is None:
+            self._vacua = tuple(EPWord((), c) for c in rotations(self.cycle))
+        return self._vacua
 
     def __str__(self) -> str:
         bound = "inf" if self.alphabet is None else str(self.alphabet)

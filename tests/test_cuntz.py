@@ -11,7 +11,7 @@ from cuntzboson.cuntz import (CuntzMonomial, CuntzPolynomial, RepSpec, apply_gen
 from cuntzboson.scalar import ONE, ZERO, sqrt_nat
 from cuntzboson.states import Ket
 from cuntzboson.verify import SuiteResult, _isometry_relations, random_ket
-from cuntzboson.words import EPWord
+from cuntzboson.words import EPWord, rotations
 
 P1 = RepSpec((1,))
 P12 = RepSpec((1, 2))
@@ -87,6 +87,14 @@ def test_gp_vector_fixed_by_cycle_word():
         fixed = apply_polynomial(
             spec, CuntzPolynomial([mono(spec.cycle, ())]), spec.gp_vector())
         assert fixed == spec.gp_vector()
+
+
+def test_rotation_vacua_built_once():
+    for cycle in ((1,), (1, 2), (1, 2, 3), (2, 1, 1)):
+        spec = RepSpec(cycle)
+        vacua = spec.rotation_vacua()
+        assert list(vacua) == [EPWord((), r) for r in rotations(cycle)]
+        assert spec.rotation_vacua() is vacua
 
 
 def isometry_record(spec, k, kets):

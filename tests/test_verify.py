@@ -1,14 +1,18 @@
-"""``orthonormality_checks`` against the all-pairs rule it replaces, and the recorder it feeds."""
+"""``orthonormality_checks`` against the all-pairs rule it replaces, the recorder it feeds,
+and the seeded sample generators against general-constructor oracles."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from cuntzboson.common import CheckResult
-from cuntzboson.scalar import ONE, sqrt_nat
+from cuntzboson.cuntz import RepSpec
+from cuntzboson.scalar import ONE, RadicalScalar, sqrt_nat
 from cuntzboson.states import Ket
-from cuntzboson.verify import SuiteResult, orthonormality_checks
-from cuntzboson.words import EPWord
+from cuntzboson.verify import SuiteResult, orthonormality_checks, random_ket, random_label
+from cuntzboson.words import EPWord, rotations
 
 
 PASS = CheckResult("passed", True)
@@ -112,3 +116,57 @@ def test_ordering_comparison_matches_difference(x, y, e, offset):
     if offset is not None:  # X = Y + E + offset, equal to Y + E only when offset is 0
         x = concatenated(y, e, offset)
     assert (x == y + e) == (not (x - y - e))
+
+
+# --- seeded samples: drawn in canonical form, drawing for drawing ------------
+
+def oracle_scalar(rng):
+    """The same draws as ``random_scalar``, through the general constructor."""
+    terms = {1: Fraction(rng.randint(-3, 3), rng.randint(1, 3))}
+    if rng.random() < 0.5:
+        terms[rng.choice((2, 3, 5))] = Fraction(rng.randint(-2, 2))
+    scalar = RadicalScalar(terms)
+    return scalar if scalar else ONE
+
+
+def oracle_label(rng, spec, letter_bound=6, prefix_bound=4):
+    top = letter_bound if spec.alphabet is None else min(letter_bound, spec.alphabet)
+    prefix = tuple(rng.randint(1, top) for _ in range(rng.randint(0, prefix_bound)))
+    vacuum = rng.choice([EPWord((), r) for r in rotations(spec.cycle)])
+    return EPWord(prefix, vacuum.cycle)
+
+
+def oracle_ket(rng, spec, max_labels=8, letter_bound=6, prefix_bound=4):
+    entries = [(oracle_label(rng, spec, letter_bound, prefix_bound), oracle_scalar(rng))
+               for _ in range(rng.randint(1, max_labels))]
+    ket = Ket(entries)
+    return ket if ket else spec.gp_vector()
+
+
+SAMPLE_SPECS = [RepSpec((1,)), RepSpec((2,)), RepSpec((1, 2)), RepSpec((1, 2, 3)),
+                RepSpec((1,), alphabet=2), RepSpec((1,), alphabet=3)]
+
+
+# (max_labels, letter_bound, prefix_bound): the suites' defaults, the one-label
+# kets of the ladder-deep benchmark, and the bounds the tests draw with.
+@pytest.mark.parametrize("bounds", [(8, 6, 4), (1, 6, 4), (10, 6, 4), (3, 4, 3), (8, 5, 3)])
+@pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=str)
+def test_random_ket_matches_general_constructors(spec, bounds):
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            ket = random_ket(fast, spec, *bounds)
+            assert ket._amps == oracle_ket(slow, spec, *bounds)._amps
+            assert fast.getstate() == slow.getstate()
+
+
+# (letter_bound, prefix_bound): 3*(N-1) letters for N = 2, 3, 4 is the embedding
+# suite's encode/decode roundtrip; (7, 4) and (5, 3) are what tests/test_embed.py draws.
+@pytest.mark.parametrize("bounds", [(3, 4), (6, 4), (9, 4), (7, 4), (5, 3)])
+@pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=str)
+def test_random_label_matches_general_constructor(spec, bounds):
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert random_label(fast, spec, *bounds) == oracle_label(slow, spec, *bounds)
+            assert fast.getstate() == slow.getstate()
