@@ -3,7 +3,7 @@
 from .scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
 from .words import EPWord, Word, rotations
 from .states import Ket
-from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator, apply_polynomial
+from .cuntz import CuntzMonomial, RepSpec, apply_generator
 from .boson import (BosonMonomial, apply_annihilate, apply_create, fock_extension_action,
                     fock_word)
 from .branching import (ComponentReport, basis_lambda_j, basis_monomials, classify_vacuum,

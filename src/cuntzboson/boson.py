@@ -19,9 +19,9 @@ weighted injection on labels: distinct labels have distinct images (only the
 letter at position n moves, by the same step), and each weight is a single
 nonzero radical, so the image of a ket needs no accumulation and drops no
 term; a root of 1 passes the amplitude through unchanged.
-``literal_annihilate``/``literal_create`` evaluate the truncated series
-through Cuntz monomials instead and exist to cross-validate the closed form
-against its defining expansion.
+``literal_annihilate``/``literal_create`` instead apply the truncated series
+one Cuntz monomial at a time and sum the images; they exist to cross-validate
+the closed form against its defining expansion.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import itertools
 from collections.abc import Iterable, Mapping
 from typing import Union
 
-from .cuntz import CuntzMonomial, CuntzPolynomial, RepSpec, apply_polynomial
+from .cuntz import CuntzMonomial, RepSpec, apply_monomial
 from .scalar import ONE, RadicalScalar, ZERO, _SQRT_CACHE, _root, _scale_root, sqrt_nat, sqrt_product
-from .states import Ket, _canonical
+from .states import Ket, _canonical, _sum
 from .words import EPWord, Word, _move_letter
 
 Exponents = tuple[tuple[int, int], ...]  # sorted (mode, exponent) pairs, exponents >= 1
@@ -185,24 +185,28 @@ def _probe_bound(v: Ket) -> int:
     return top
 
 
-def _literal_polynomial(n: int, mode_bound: int, create: bool) -> CuntzPolynomial:
-    monomials = []
-    for K in itertools.product(range(1, mode_bound + 1), repeat=n - 1):
-        for m in range(1, mode_bound + 1):
-            lowering = CuntzMonomial(sqrt_nat(m), K + (m,), K + (m + 1,))
-            monomials.append(lowering.adjoint() if create else lowering)
-    return CuntzPolynomial(monomials)
+def _literal_series(spec: RepSpec, n: int, v: Ket, create: bool) -> Ket:
+    """The truncated series of a_n (or a_n*) applied to ``v`` term by term.
+
+    Each term sqrt(m) s_{K.m} s_{K.(m+1)}* (or its adjoint), over shift words
+    K of length n-1 and mode indices m, is cut at one more than the largest
+    letter in the ket; that bound provably captures every term acting
+    nontrivially on the given labels.
+    """
+    bound = _probe_bound(v) + 1
+    images = []
+    for K in itertools.product(range(1, bound + 1), repeat=n - 1):
+        for m in range(1, bound + 1):
+            low, high = K + (m,), K + (m + 1,)
+            left, right = (high, low) if create else (low, high)
+            images.append(apply_monomial(spec, CuntzMonomial(sqrt_nat(m), left, right), v))
+    return _sum(images)
 
 
 def literal_annihilate(spec: RepSpec, n: int, v: Ket) -> Ket:
-    """a_n via the truncated defining series, for cross-validation only.
-
-    The series over shift words K and mode index m is cut at one more than
-    the largest letter in the ket; that bound provably captures every term
-    acting nontrivially on the given labels.
-    """
-    return apply_polynomial(spec, _literal_polynomial(n, _probe_bound(v) + 1, create=False), v)
+    """a_n via the truncated defining series, for cross-validation only."""
+    return _literal_series(spec, n, v, create=False)
 
 
 def literal_create(spec: RepSpec, n: int, v: Ket) -> Ket:
-    return apply_polynomial(spec, _literal_polynomial(n, _probe_bound(v) + 1, create=True), v)
+    return _literal_series(spec, n, v, create=True)

@@ -162,9 +162,7 @@ def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> set
         out.add(rotation)
         for length in range(1, prefix_bound + 1):
             for prefix in itertools.product(range(1, top + 1), repeat=length):
-                word = EPWord(prefix, rotation.cycle)
-                if len(word.prefix) <= prefix_bound:
-                    out.add(word)
+                out.add(EPWord(prefix, rotation.cycle))
     return out
 
 
@@ -226,8 +224,8 @@ def basis_size(family: str, j: int, modes: int, exps: int) -> int:
     ``lambda`` is ``basis_lambda_j(j, modes)``: the vacuum and the words of
     length 1..modes over 1..modes that do not end in j, which is modes**modes
     when j <= modes and 1 + modes + ... + modes**modes when j > modes.
-    ``typej`` and ``onetwov`` multiply the lengths of the letter ranges that
-    ``basis_monomials`` reads, one per mode.  Any size above ``MAX_CHECKS``,
+    ``typej`` and ``onetwov`` have the product of the lengths of the letter
+    ranges that ``basis_monomials`` reads, one per mode.  Any size above ``MAX_CHECKS``,
     whose orthonormality checks alone exceed that bound, is returned as
     ``MAX_CHECKS + 1``, so that huge arguments cost no big-integer arithmetic.
     """

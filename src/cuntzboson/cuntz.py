@@ -4,18 +4,17 @@ The ambient algebra O_N (2 <= N <= infinity) is generated by isometries
 s_1, ..., s_N with s_i* s_j = delta_ij I and orthogonal ranges.  A cyclic
 permutative representation is specified by a primitive cycle word: its GP
 vector is the purely periodic label cycle^inf, s_i prepends the letter i to
-a label, and s_i* strips a leading i (or kills the label).  Algebra elements
-are finite sums of monomials coeff * s_J s_K*, multiplied via prefix overlap
-of the inner words.
+a label, and s_i* strips a leading i (or kills the label).  A monomial
+coeff * s_J s_K* acts on a ket label by label: strip K, prepend J, scale.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .common import AlphabetError, DomainError, add_term
+from .common import AlphabetError, DomainError
 from .scalar import ONE, RadicalScalar, _grouped
-from .states import Ket, _canonical, _sum
+from .states import Ket, _canonical
 from .words import EPWord, Word, _check_word, format_word, is_primitive, rotations
 
 
@@ -79,16 +78,13 @@ class CuntzMonomial:
         self.left = _check_word(left, "left word")
         self.right = _check_word(right, "right word")
 
-    def key(self) -> tuple[Word, Word]:
-        return (self.left, self.right)
-
     def adjoint(self) -> "CuntzMonomial":
         return CuntzMonomial(self.coeff, self.right, self.left)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CuntzMonomial):
             return NotImplemented
-        return self.key() == other.key() and self.coeff == other.coeff
+        return (self.left, self.right, self.coeff) == (other.left, other.right, other.coeff)
 
     def __str__(self) -> str:
         factors = [f"s{j}" for j in self.left]
@@ -99,63 +95,6 @@ class CuntzMonomial:
         return f"{_grouped(self.coeff)} {body}" if factors else _grouped(self.coeff)
 
     __repr__ = __str__
-
-
-class CuntzPolynomial:
-    """Finite sum of monomials with pairwise distinct (left, right) keys."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, monomials: Iterable[CuntzMonomial] = ()):
-        terms: dict[tuple[Word, Word], RadicalScalar] = {}
-        for m in monomials:
-            if m.coeff:
-                add_term(terms, m.key(), m.coeff)
-        self._terms = terms
-
-    def monomials(self) -> list[CuntzMonomial]:
-        return [
-            CuntzMonomial(coeff, left, right)
-            for (left, right), coeff in sorted(self._terms.items())
-        ]
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CuntzPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def multiply(self, other: "CuntzPolynomial") -> "CuntzPolynomial":
-        """The product, collapsed term by term by prefix overlap of the inner words."""
-        terms: dict[tuple[Word, Word], RadicalScalar] = {}
-        for (J, K), c1 in self._terms.items():
-            for (L, M), c2 in other._terms.items():
-                key = _product_key(J, K, L, M)
-                if key is not None:
-                    add_term(terms, key, c1 * c2)
-        out = object.__new__(CuntzPolynomial)
-        out._terms = terms
-        return out
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(str(m) for m in self.monomials())
-
-    __repr__ = __str__
-
-
-def _product_key(J: Word, K: Word, L: Word, M: Word) -> Optional[tuple[Word, Word]]:
-    """The (left, right) words of (s_J s_K*)(s_L s_M*), or None when it is zero.
-
-    K a prefix of L gives s_{J.(L\\K)} s_M*; L a proper prefix of K gives
-    s_J s_{M.(K\\L)}*; anything else is zero.
-    """
-    if len(K) <= len(L):
-        return (J + L[len(K):], M) if L[: len(K)] == K else None
-    return (J, M + K[len(L):]) if K[: len(L)] == L else None
 
 
 def _strip_word(word: Word, label: EPWord) -> Optional[EPWord]:
@@ -191,8 +130,3 @@ def apply_monomial(spec: RepSpec, m: CuntzMonomial, v: Ket) -> Ket:
         if stripped is not None:
             out[stripped.prepend(m.left)] = m.coeff * coeff
     return _canonical(out)
-
-
-def apply_polynomial(spec: RepSpec, p: CuntzPolynomial, v: Ket) -> Ket:
-    return _sum(apply_monomial(spec, CuntzMonomial(coeff, left, right), v)
-                for (left, right), coeff in p._terms.items())

@@ -19,8 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from . import boson, branching, embed
 from .common import add_term, check_family_sizes
-from .cuntz import (CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator,
-                    apply_monomial, apply_polynomial)
+from .cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
 from .scalar import ONE, RadicalScalar, _reduced
 from .states import Ket, _canonical, _sum
 from .words import EPWord
@@ -75,8 +74,8 @@ def random_ket(rng: random.Random, spec: RepSpec, max_labels: int = 8,
     return _canonical(amps) if amps else spec.gp_vector()
 
 
-def random_occupations(rng: random.Random, max_modes: int = 5, max_count: int = 5,
-                       mode_bound: int = 8) -> dict[int, int]:
+def random_occupations(rng: random.Random, *, max_modes: int, max_count: int,
+                       mode_bound: int) -> dict[int, int]:
     modes = rng.sample(range(1, mode_bound + 1), rng.randint(0, max_modes))
     return {mode: rng.randint(1, max_count) for mode in sorted(modes)}
 
@@ -143,7 +142,7 @@ def run_ccr(*, modes: int, samples: int, seed: int, **_) -> SuiteResult:
 
 
 def run_relations(*, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
-    """Isometry relations, shift intertwining, adjointness, and associativity."""
+    """Isometry relations, shift intertwining, adjointness, and the action of Cuntz monomials."""
     result = SuiteResult("relations")
     rng = random.Random(seed)
     sample_count = max(2, samples // 10)
@@ -168,15 +167,22 @@ def run_relations(*, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
                                f"{lhs} vs {rhs}")
     spec = RepSpec((1,))
     for idx in range(sample_count):
-        a, b, c = (_random_cuntz_monomial(rng) for _ in range(3))
-        left = CuntzPolynomial([a]).multiply(CuntzPolynomial([b])).multiply(CuntzPolynomial([c]))
-        right = CuntzPolynomial([a]).multiply(CuntzPolynomial([b]).multiply(CuntzPolynomial([c])))
-        result.add(left == right, lambda: f"associativity sample {idx}: ({a})({b})({c}): "
-                   f"{left} vs {right}")
-        v = random_ket(rng, spec)
-        via_left = apply_polynomial(spec, left, v)
-        via_seq = apply_monomial(spec, a, apply_monomial(spec, b, apply_monomial(spec, c, v)))
-        result.add(via_left == via_seq, lambda: f"associativity action sample {idx}")
+        m = _random_cuntz_monomial(rng)
+        u, v = random_ket(rng, spec), random_ket(rng, spec)
+        mu = apply_monomial(spec, m, u)
+        v = v + mu  # so that <m u, v> is usually nonzero
+        lhs = mu.inner(v)
+        rhs = u.inner(apply_monomial(spec, m.adjoint(), v))
+        result.add(lhs == rhs, lambda: f"{spec} monomial {idx}: <m u, v> = <u, m* v> "
+                   f"for m = {m}: {lhs} vs {rhs}")
+        by_letters = v
+        for k in m.right:
+            by_letters = apply_generator(spec, k, by_letters, star=True)
+        for j in reversed(m.left):
+            by_letters = apply_generator(spec, j, by_letters)
+        result.add(apply_monomial(spec, m, v) == m.coeff * by_letters,
+                   lambda: f"{spec} monomial {idx}: m v = its letters applied in turn "
+                   f"for m = {m}")
     return result
 
 

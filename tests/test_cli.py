@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import inspect
 import io
 import itertools
@@ -305,6 +306,10 @@ def _s2_coefficient_doubled_on_one_cubed_creator(true):
     return action
 
 
+def _left_word_reversed(true):  # s_J applied as the letters of J in reverse order
+    return lambda spec, m, v: true(spec, cuntz.CuntzMonomial(m.coeff, m.left[::-1], m.right), v)
+
+
 RELATIONS = ("verify", "relations", "--samples", "20", "--cutoff", "2")
 EMBEDDING = ("verify", "embedding", "--samples", "10")
 FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3")
@@ -326,6 +331,9 @@ FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3"
         for n in (2, 3) for star in ("", "*")]
      + [f"[FAIL] P_inf(1,2) sample 1: s3 a{n}{star} = a{n + 1}{star} s3"
         for n in (1, 2, 3) for star in ("", "*")]),
+    ("apply_monomial", _left_word_reversed, RELATIONS, 146, 144, [
+        "[FAIL] P_inf(1) monomial 1: <m u, v> = <u, m* v> for m = s1 s3: 26 - 12*sqrt(2) vs 0",
+        "[FAIL] P_inf(1) monomial 1: m v = its letters applied in turn for m = s1 s3"]),
     ("fock_word_in_ON", _digit_word_too_long, EMBEDDING, 202, 200, [
         "[FAIL] N=2 occupations {2: 2, 6: 1}: digit word = translated word:"
         " (1, 2, 2, 1, 1, 1, 1, 2, 1, 2) vs (1, 2, 2, 1, 1, 1, 1, 2, 1)",
@@ -389,6 +397,30 @@ def test_readme_verify_table_matches_the_suites(capsys):
         assert all(p.default is p.empty for p in keyword_only), suite
         code, out, _ = run(capsys, "verify", suite, "--json")
         assert code == 0 and json.loads(out)["total"] == checks, suite
+
+
+def _benchmark_corpus():
+    """``perfbench/corpus.py``, the benchmark's answer key, loaded as it stands."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CORPUS = _benchmark_corpus()
+
+
+# The benchmark's own suite calls, plus relations around its sample-count rule
+# (the corpus itself calls --samples 20).
+SUITE_CALLS = CORPUS.SUITES + [("relations", ["--samples", str(samples)]) for samples in (1, 50, 99)]
+
+
+@pytest.mark.parametrize("suite, extra", SUITE_CALLS,
+                         ids=[" ".join([suite, *extra]) for suite, extra in SUITE_CALLS])
+def test_suite_totals_match_the_benchmark_answer_key(capsys, suite, extra):
+    code, out, _ = run(capsys, "verify", suite, *extra, "--json")
+    assert code == 0 and json.loads(out)["total"] == CORPUS._suite_total(suite, extra)
 
 
 def test_run_suite_names_the_missing_options():

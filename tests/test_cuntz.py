@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzboson.common import AlphabetError
 from cuntzboson import verify
-from cuntzboson.cuntz import (CuntzMonomial, CuntzPolynomial, RepSpec, apply_generator,
-                              apply_monomial, apply_polynomial)
+from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
 from cuntzboson.scalar import ONE, ZERO, sqrt_nat
-from cuntzboson.states import Ket
+from cuntzboson.states import Ket, _sum
 from cuntzboson.verify import SuiteResult, _isometry_relations, random_ket
 from cuntzboson.words import EPWord, rotations
 
@@ -21,37 +20,6 @@ def mono(left=(), right=(), coeff=ONE):
     return CuntzMonomial(coeff, left, right)
 
 
-def product(a, b):
-    return CuntzPolynomial([a]).multiply(CuntzPolynomial([b]))
-
-
-def test_monomial_multiply_full_overlap():
-    got = product(mono((1,), (2,)), mono((2,), (1,)))
-    assert got == CuntzPolynomial([mono((1,), (1,))])
-
-
-def test_monomial_multiply_mismatch_is_zero():
-    assert not product(mono((1,), (2,)), mono((3,), (1,)))
-
-
-def test_monomial_multiply_partial_overlap():
-    # s_1* s_(1,2) = s_2, checked against the action on random basis kets
-    got = product(mono((), (1,)), mono((1, 2), ()))
-    assert got == CuntzPolynomial([mono((2,), ())])
-    rng = random.Random(11)
-    for _ in range(10):
-        v = random_ket(rng, P1, max_labels=1)
-        direct = apply_monomial(P1, mono((1, 2), ()), v)
-        direct = apply_monomial(P1, mono((), (1,)), direct)
-        assert apply_polynomial(P1, got, v) == direct
-
-
-def test_monomial_multiply_right_remainder():
-    # (s_1 s_(1,2)*)(s_1 s_3*) = s_1 (s_3 s_2)* since (1,2) = (1).(2)
-    got = product(mono((1,), (1, 2)), mono((1,), (3,)))
-    assert got == CuntzPolynomial([mono((1,), (3, 2))])
-
-
 def test_apply_generator_examples():
     omega1 = P1.gp_vector()
     assert apply_generator(P1, 1, omega1) == omega1
@@ -60,20 +28,20 @@ def test_apply_generator_examples():
     assert not apply_generator(P1, 2, omega1, star=True)
 
 
-def test_apply_polynomial_examples():
+def test_apply_monomial_examples():
     label = EPWord((2, 3), (1,))
     v = Ket.basis(label)
-    ranged = apply_polynomial(P1, CuntzPolynomial([mono((2, 3), (2, 3))]), v)
+    ranged = apply_monomial(P1, mono((2, 3), (2, 3)), v)
     assert ranged == v
     three = Ket.basis(EPWord((3,), (1,)))
-    proj = CuntzPolynomial([mono((1,), (1,)), mono((2,), (2,))])
+    proj = _sum(apply_monomial(P1, mono((i,), (i,)), three) for i in (1, 2))
     # oracle: generator-by-generator application of each monomial
     by_hand = Ket()
     for i in (1, 2):
         by_hand = by_hand + apply_generator(P1, i, apply_generator(P1, i, three, star=True))
-    assert apply_polynomial(P1, proj, three) == by_hand
+    assert proj == by_hand
     assert not by_hand
-    assert apply_polynomial(P1, CuntzPolynomial([CuntzMonomial(ONE)]), v) == v
+    assert apply_monomial(P1, CuntzMonomial(ONE), v) == v
 
 
 def test_gp_vector_examples():
@@ -84,8 +52,7 @@ def test_gp_vector_examples():
 
 def test_gp_vector_fixed_by_cycle_word():
     for spec in (P1, P12, RepSpec((1, 1, 2)), RepSpec((2,), alphabet=3)):
-        fixed = apply_polynomial(
-            spec, CuntzPolynomial([mono(spec.cycle, ())]), spec.gp_vector())
+        fixed = apply_monomial(spec, mono(spec.cycle, ()), spec.gp_vector())
         assert fixed == spec.gp_vector()
 
 
@@ -161,42 +128,11 @@ def test_generator_adjointness(i, data):
     assert lhs == rhs
 
 
-words_small = st.lists(st.integers(1, 3), max_size=2).map(tuple)
-
-
-@given(words_small, words_small, words_small, words_small, words_small, words_small)
-@settings(max_examples=60, deadline=None)
-def test_monomial_multiply_associative(l1, r1, l2, r2, l3, r3):
-    a, b, c = mono(l1, r1), mono(l2, r2), mono(l3, r3)
-    pa, pb, pc = (CuntzPolynomial([m]) for m in (a, b, c))
-    assert pa.multiply(pb).multiply(pc) == pa.multiply(pb.multiply(pc))
-
-
 def test_zero_coefficient_monomial_leaves_no_zero_amplitude():
     v = random_ket(random.Random(5), P1)
     image = apply_monomial(P1, CuntzMonomial(ZERO, (1,), ()), v)
     assert len(image) == 0
     assert image == Ket()
-
-
-def test_polynomial_drops_zero_coefficient_monomials():
-    s1 = CuntzMonomial(ONE, (1,), ())
-    assert not CuntzPolynomial([CuntzMonomial(ZERO, (1,), ())])
-    assert CuntzPolynomial([s1, CuntzMonomial(ZERO, (2,), (1,))]) == CuntzPolynomial([s1])
-
-
-terms_small = st.lists(st.tuples(words_small, words_small, st.integers(-3, 3)), max_size=5)
-
-
-@given(terms_small, terms_small)
-@settings(max_examples=60, deadline=None)
-def test_polynomial_product_is_the_sum_of_monomial_products(ta, tb):
-    pa = CuntzPolynomial([mono(l, r, ONE * c) for l, r, c in ta])
-    pb = CuntzPolynomial([mono(l, r, ONE * c) for l, r, c in tb])
-    pairwise = [m for a in pa.monomials() for b in pb.monomials()
-                for m in product(a, b).monomials()]
-    assert pa.multiply(pb) == CuntzPolynomial(pairwise)
-    assert all(pa.multiply(pb)._terms.values())  # no zero coefficient is stored
 
 
 def test_monomial_text_parenthesizes_multi_term_coefficients():
