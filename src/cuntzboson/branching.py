@@ -53,7 +53,7 @@ def classification_of_pattern(pattern: Word) -> str:
     return f"periodic({format_word(pattern)})"
 
 
-def classify_vacuum(vacuum: EPWord, modes: int = 6) -> tuple[str, list[CheckResult]]:
+def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResult]]:
     """Classify a purely periodic vacuum and verify its defining identities.
 
     Identities are checked for modes 1..M with M at least twice the period;
@@ -106,11 +106,11 @@ def _ket_inline(v: Ket) -> str:
     return str(v).replace("\n", "  +  ")
 
 
-def enumerate_components(spec: RepSpec, modes: int = 6) -> list[ComponentReport]:
+def enumerate_components(spec: RepSpec, *, modes: int) -> list[ComponentReport]:
     """One component per rotation of the cycle, classified and verified."""
     out = []
     for vacuum in spec.rotation_vacua():
-        name, checks = classify_vacuum(vacuum, modes)
+        name, checks = classify_vacuum(vacuum, modes=modes)
         out.append(ComponentReport(vacuum, name, checks))
     return out
 

@@ -53,7 +53,7 @@ class RepSpec:
             self.check_letter(letter)
 
     def gp_vector(self) -> Ket:
-        return Ket.basis(EPWord((), self.cycle))
+        return Ket.basis(self.rotation_vacua()[0])
 
     def rotation_vacua(self) -> tuple[EPWord, ...]:
         """The vacuum ``r^inf`` of each rotation ``r`` of the cycle, built on first use."""

@@ -170,19 +170,14 @@ def odometer_index(label: EPWord) -> int:
     return ((index - 1) << (right - 1)) + 1
 
 
-def ladder_action(N: int, i: int, star: bool, index: int) -> Optional[int]:
+def ladder_action(N: int, i: int, index: int) -> int:
     """The standard O_N action on basis indices: t_i e_n = e_{N(n-1)+i}."""
     if N < 2 or not 1 <= i <= N or index < 1:
         raise ValueError("need N >= 2, 1 <= i <= N, index >= 1")
-    if not star:
-        return N * (index - 1) + i
-    if index < i or (index - i) % N:
-        return None
-    return (index - i) // N + 1
+    return N * (index - 1) + i
 
 
-def odometer_boson(n: int, create: bool, v: Mapping[int, RadicalScalar]) -> dict[int, RadicalScalar]:
-    """Ladder action on a combination of odometer basis indices, via the label bijection."""
+def odometer_boson(n: int, v: Mapping[int, RadicalScalar]) -> dict[int, RadicalScalar]:
+    """Creator a_n* on a combination of odometer basis indices, via the label bijection."""
     ket = Ket((odometer_isomorphism(idx), coeff) for idx, coeff in v.items())
-    image = apply_create(n, ket) if create else apply_annihilate(n, ket)
-    return {odometer_index(label): coeff for label, coeff in image._amps.items()}
+    return {odometer_index(label): coeff for label, coeff in apply_create(n, ket)._amps.items()}

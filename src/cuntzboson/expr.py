@@ -102,7 +102,7 @@ def parse_expression(text: str) -> list[Term]:
         else:
             factors.append(value)
             saw_content = True
-    flush(tokens[-1][2] if tokens else 0)
+    flush(tokens[-1][2])
     return terms
 
 

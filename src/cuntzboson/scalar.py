@@ -95,32 +95,23 @@ class RadicalScalar:
 
     Stored as ``(_den, _num)``: a positive common denominator and a
     squarefree radicand -> nonzero numerator map, reduced so that
-    ``gcd(_den, *_num.values()) == 1``.  The constructor accepts arbitrary
-    radicands and rational coefficients and reduces them (e.g. ``{8: 1}``
-    becomes ``2*sqrt(2)``); arithmetic builds its results with ``_reduced``
-    instead.
+    ``gcd(_den, *_num.values()) == 1``.  The constructor reduces arbitrary
+    radicands and rational coefficients (``{8: 1}`` is ``2*sqrt(2)``) through
+    the arithmetic kernels: ``_scale_root`` per term, ``_combine`` to add.
     """
 
     __slots__ = ("_den", "_num")
 
     def __init__(self, terms: TermsLike | None = None):
-        den = 1
-        parts = []
+        total = _raw(1, {})
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for radicand, coeff in items:
-                if not isinstance(coeff, (int, Fraction)):
-                    coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                q, r = squarefree_split(radicand)
-                parts.append((r, coeff.numerator * q, coeff.denominator))
-                den = math.lcm(den, coeff.denominator)
-        num: dict[int, int] = {}
-        for r, n, d in parts:
-            add_term(num, r, n * (den // d))
-        reduced = _reduced(den, num)
-        self._den, self._num = reduced._den, reduced._num
+                coeff = RadicalScalar.rational(coeff)
+                if coeff:
+                    q, r = squarefree_split(radicand)
+                    total = total + _scale_root(coeff, q, r)
+        self._den, self._num = total._den, total._num
 
     @classmethod
     def rational(cls, value: Rational) -> "RadicalScalar":

@@ -45,8 +45,7 @@ def random_scalar(rng: random.Random) -> RadicalScalar:
     return _reduced(d, num) if num else ONE
 
 
-def random_label(rng: random.Random, spec: RepSpec, letter_bound: int = 6,
-                 prefix_bound: int = 4) -> EPWord:
+def random_label(rng: random.Random, spec: RepSpec, letter_bound: int, prefix_bound: int) -> EPWord:
     """A drawn prefix prepended to a drawn rotation vacuum of ``spec``.
 
     Draws, in order (see ``random_scalar``): the prefix length
@@ -376,15 +375,15 @@ def run_odometer(*, modes: int, cutoff: int, index_bound: int, **_) -> SuiteResu
             expected = Ket() if backward is None else Ket.basis(embed.odometer_isomorphism(backward))
             result.add(via_words == expected, lambda: f"s{n}* e{index} intertwines")
     for n in range(1, cutoff + 1):
-        image = embed.odometer_boson(n, True, {1: ONE})
+        image = embed.odometer_boson(n, {1: ONE})
         result.add(image == {2 ** (n - 1) + 1: ONE},
                    lambda: f"a{n}* e1 = e{2 ** (n - 1) + 1}: image {sorted(image)}")
     for n in range(1, min(modes, 5) + 1):
         word = embed.embed_generator(embed.EmbeddingSpec(2), n)
         for index in range(1, 65):
-            via_ladder: int | None = index
+            via_ladder = index
             for letter in reversed(word):
-                via_ladder = embed.ladder_action(2, letter, False, via_ladder)
+                via_ladder = embed.ladder_action(2, letter, via_ladder)
             result.add(via_ladder == embed.odometer_action(n, False, index),
                        lambda: f"binary ladder model matches odometer for s{n} e{index}")
     return result

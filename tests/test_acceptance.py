@@ -108,11 +108,11 @@ def _random_monomial(rng: random.Random, mode_cutoff: int, exp_cutoff: int) -> B
 
 def test_criterion_4_pairwise_inequivalence():
     components = {
-        "F_1": enumerate_components(RepSpec((1,)))[0],
-        "F_2": enumerate_components(RepSpec((2,)))[0],
-        "F_3": enumerate_components(RepSpec((3,)))[0],
-        "F_12": enumerate_components(RepSpec((1, 2)))[0],
-        "F_21": enumerate_components(RepSpec((1, 2)))[1],
+        "F_1": enumerate_components(RepSpec((1,)), modes=6)[0],
+        "F_2": enumerate_components(RepSpec((2,)), modes=6)[0],
+        "F_3": enumerate_components(RepSpec((3,)), modes=6)[0],
+        "F_12": enumerate_components(RepSpec((1, 2)), modes=6)[0],
+        "F_21": enumerate_components(RepSpec((1, 2)), modes=6)[1],
     }
     witnesses = {pair: inequivalence_witness(components[pair[0]], components[pair[1]])
                  for pair in itertools.combinations(components, 2)}

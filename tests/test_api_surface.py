@@ -13,9 +13,11 @@ operator; any other alias is a second public way to do one job.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import cuntzboson
+from cuntzboson import cli, verify
 
 PACKAGE = Path(cuntzboson.__file__).resolve().parent
 
@@ -116,3 +118,56 @@ def test_suite_checks_have_one_recorder():
     ``branch`` prints are ``CheckResult`` records."""
     assert _check_result_builders() == {"branching"}
     assert not {"_PASSED", "extend"} & _verify_names()
+
+
+def _option_receivers() -> list[tuple[str, str, inspect.Parameter]]:
+    """``(callee, option, parameter)`` for each parsed option ``args.<option>``
+    that ``cli`` passes straight to a function or class of the package."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        passed = [(slot, value.attr) for slot, value in
+                  list(enumerate(node.args)) + [(kw.arg, kw.value) for kw in node.keywords]
+                  if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+                  and value.value.id == "args"]
+        callee = _resolve(node.func) if passed else None
+        if callee is None:
+            continue
+        params = inspect.signature(callee).parameters
+        for slot, option in passed:
+            param = list(params.values())[slot] if isinstance(slot, int) else params.get(slot)
+            if param is None:
+                continue  # an option run_suite forwards by **kwargs; the suites are checked below
+            found.append((callee.__qualname__, option, param))
+    return found
+
+
+def _resolve(func: ast.expr):
+    """The package function or class that a call's ``func`` names in ``cli``, else None."""
+    path = []
+    while isinstance(func, ast.Attribute):
+        path.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name) or func.id == "args":
+        return None
+    target = getattr(cli, func.id, None)
+    for attr in reversed(path):
+        target = getattr(target, attr, None)
+    module = getattr(target, "__module__", "") or ""
+    return target if callable(target) and module.startswith("cuntzboson") else None
+
+
+def test_cli_options_have_one_default():
+    """A parsed option's default lives on the command line alone: no package
+    parameter that receives one, and no keyword-only parameter of a suite,
+    has a default of its own to shadow it."""
+    receivers = _option_receivers()
+    assert {"enumerate_components", "basis_monomials", "run_suite"} <= {c for c, _, _ in receivers}
+    shadowing = {f"{callee}({param.name}) <- args.{option}"
+                 for callee, option, param in receivers if param.default is not param.empty}
+    for name, suite in verify.SUITES.items():
+        shadowing |= {f"suite {name}({param.name})"
+                      for param in inspect.signature(suite).parameters.values()
+                      if param.kind is param.KEYWORD_ONLY and param.default is not param.empty}
+    assert shadowing == set()

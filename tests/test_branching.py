@@ -17,11 +17,11 @@ from cuntzboson.words import EPWord
 
 
 def test_enumerate_components_examples():
-    assert [c.vacuum_label for c in enumerate_components(RepSpec((1,)))] == [EPWord((), (1,))]
-    comps = enumerate_components(RepSpec((1, 2)))
+    assert [c.vacuum_label for c in enumerate_components(RepSpec((1,)), modes=6)] == [EPWord((), (1,))]
+    comps = enumerate_components(RepSpec((1, 2)), modes=6)
     assert [c.vacuum_label for c in comps] == [EPWord((), (1, 2)), EPWord((), (2, 1))]
     assert [c.classification for c in comps] == ["F_12", "F_21"]
-    comps = enumerate_components(RepSpec((3,)))
+    comps = enumerate_components(RepSpec((3,)), modes=6)
     assert [c.classification for c in comps] == ["F_3"]
 
 
@@ -53,14 +53,14 @@ def test_general_pattern_number_eigenvalues():
 
 
 def test_cyclicity_witness_examples():
-    fock = enumerate_components(RepSpec((1,)))[0]
+    fock = enumerate_components(RepSpec((1,)), modes=6)[0]
     target = EPWord((2, 3), (1,))
     witness = cyclicity_witness(fock, target)
     assert witness == BosonMonomial({1: 1, 2: 2}, {})
     image = witness.apply(Ket.basis(fock.vacuum_label))
     assert image == sqrt_nat(2) * Ket.basis(target)
 
-    comp12 = enumerate_components(RepSpec((1, 2)))[0]
+    comp12 = enumerate_components(RepSpec((1, 2)), modes=6)[0]
     target = EPWord((1, 1), (1, 2))
     witness = cyclicity_witness(comp12, target)
     assert witness == BosonMonomial({}, {2: 1})
@@ -74,7 +74,7 @@ def test_cyclicity_witness_examples():
 
 def test_cyclicity_witness_sweep():
     rng = random.Random(47)
-    comps = enumerate_components(RepSpec((1, 2)))
+    comps = enumerate_components(RepSpec((1, 2)), modes=6)
     for _ in range(50):
         prefix = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4)))
         phase = rng.choice(((1, 2), (2, 1)))
@@ -178,12 +178,12 @@ def test_vacuum_orthogonality_relations():
 
 def test_partition_into_components():
     spec = RepSpec((1, 2))
-    comps = enumerate_components(spec)
+    comps = enumerate_components(spec, modes=6)
     for label in enumerate_labels(spec, 3, 4):
         hits = [c for c in comps if c.vacuum_label.tail_equivalent(label)]
         assert len(hits) == 1
     spec = RepSpec((1, 1, 2))
-    comps = enumerate_components(spec)
+    comps = enumerate_components(spec, modes=6)
     for label in enumerate_labels(spec, 3, 3):
         hits = [c for c in comps if c.vacuum_label.tail_equivalent(label)]
         assert len(hits) == 1
@@ -193,7 +193,7 @@ _ORTHOGONALITY = "<x vac1 | vac2> = 0 for every ladder monomial x"
 
 
 def test_inequivalence_witnesses():
-    f12, f21 = enumerate_components(RepSpec((1, 2)))
+    f12, f21 = enumerate_components(RepSpec((1, 2)), modes=6)
     report = inequivalence_witness(f12, f21)
     assert report.distinct and report.first_difference_mode == 1
     assert report.eigenvalues_first[:4] == (1, 2, 1, 2)
@@ -201,8 +201,8 @@ def test_inequivalence_witnesses():
     assert [c.name for c in report.checks][1:] == [_ORTHOGONALITY]  # one ambient representation
     assert report.ok
 
-    f1 = enumerate_components(RepSpec((1,)))[0]
-    f2 = enumerate_components(RepSpec((2,)))[0]
+    f1 = enumerate_components(RepSpec((1,)), modes=6)[0]
+    f2 = enumerate_components(RepSpec((2,)), modes=6)[0]
     report = inequivalence_witness(f1, f2)
     assert report.distinct and report.first_difference_mode == 1
     assert _ORTHOGONALITY not in [c.name for c in report.checks]  # different ambient representations
@@ -214,14 +214,14 @@ def test_inequivalence_witnesses():
 
 def test_orthogonality_is_decided_for_every_pair_of_rotations():
     for cycle in ((1, 2), (1, 1, 2), (1, 2, 3), (2, 1, 1, 3)):
-        for c1, c2 in itertools.permutations(enumerate_components(RepSpec(cycle)), 2):
+        for c1, c2 in itertools.permutations(enumerate_components(RepSpec(cycle), modes=6), 2):
             report = inequivalence_witness(c1, c2)
             assert report.ok
             assert [c.name for c in report.checks][1:] == [_ORTHOGONALITY]
 
 
 def test_inequivalence_witness_fails_when_the_vacua_share_a_tail_class(monkeypatch):
-    f12, f21 = enumerate_components(RepSpec((1, 2)))
+    f12, f21 = enumerate_components(RepSpec((1, 2)), modes=6)
     monkeypatch.setattr(EPWord, "tail_equivalent", lambda self, other: True)
     report = inequivalence_witness(f12, f21)
     assert report.distinct and not report.ok

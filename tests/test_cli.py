@@ -294,8 +294,7 @@ def _index_off_at_3_2(true):
 
 
 def _a2_star_image_shifted(true):
-    return lambda n, create, v: (
-        {k + 1: c for k, c in true(n, create, v).items()} if n == 2 else true(n, create, v))
+    return lambda n, v: {k + 1: c for k, c in true(n, v).items()} if n == 2 else true(n, v)
 
 
 def _s2_coefficient_doubled_on_one_cubed_creator(true):

@@ -180,21 +180,20 @@ def test_odometer_intertwining_small():
 
 def test_one_particle_indices():
     for n in range(1, 10):
-        image = odometer_boson(n, True, {1: ONE})
+        image = odometer_boson(n, {1: ONE})
         assert image == {2 ** (n - 1) + 1: ONE}
 
 
 def test_ladder_action_model():
     # t_i e_n = e_{N(n-1)+i}; the embedded generators realize the odometer
-    assert ladder_action(2, 1, False, 1) == 1
-    assert ladder_action(2, 2, False, 1) == 2
-    assert ladder_action(2, 2, True, 5) is None
+    assert ladder_action(2, 1, 1) == 1
+    assert ladder_action(2, 2, 1) == 2
     for n in range(1, 6):
         word = embed_generator(N2, n)
         for index in range(1, 33):
             via = index
             for letter in reversed(word):
-                via = ladder_action(2, letter, False, via)
+                via = ladder_action(2, letter, via)
             assert via == odometer_action(n, False, index)
 
 

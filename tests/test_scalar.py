@@ -201,3 +201,29 @@ def test_radicand_bit_bound_fails_fast():
         squarefree_split(2**1024)  # refused although it factors at once
     assert time.monotonic() - start < 0.5
     assert squarefree_split(2**1024 - 2**1023) == (2**511, 2)
+
+
+def test_constructor_reduces_every_input_form(monkeypatch):
+    """The inputs of ``RadicalScalar(terms)`` that the property tests never draw."""
+    assert str(RadicalScalar({12: 1})) == "2*sqrt(3)"
+    assert RadicalScalar({12: 1}).terms() == ((3, Fraction(2)),)
+    assert RadicalScalar([(2, 1), (8, Fraction(-1, 2))]) == ZERO
+    assert RadicalScalar([(3, 1), (3, 1), (27, Fraction(1, 3))]) == RadicalScalar({3: 3})
+    assert RadicalScalar([(1, Fraction(1, 6)), (2, Fraction(1, 4)), (8, Fraction(1, 8))]) == (
+        RadicalScalar.rational(Fraction(1, 6)) + Fraction(1, 2) * sqrt_nat(2))
+    assert RadicalScalar({2: 0.5, 1: "2/3"}) == RadicalScalar({2: Fraction(1, 2), 1: Fraction(2, 3)})
+    assert str(RadicalScalar([(18, "-3/4"), (1, 0.25)])) == "1/4 - 9/4*sqrt(2)"
+    assert RadicalScalar() == ZERO and RadicalScalar({}) == ZERO and RadicalScalar([]) == ZERO
+    with pytest.raises(ValueError, match=r"^radicand must be >= 1, got 0$"):
+        RadicalScalar({0: 1})
+    with pytest.raises(ValueError, match=r"^radicand must be >= 1, got -4$"):
+        RadicalScalar([(-4, Fraction(1, 2))])
+    with pytest.raises(DomainError, match="bits"):
+        RadicalScalar({2**1100 + 1: 1})
+
+    def refuse(n):
+        raise AssertionError(f"radicand {n} was factored")
+
+    monkeypatch.setattr("cuntzboson.scalar.squarefree_split", refuse)
+    assert RadicalScalar({0: 0, -3: Fraction(0)}) == ZERO
+    assert RadicalScalar([(0, 0), (-7, 0.0), (2**5000, "0"), (0, Fraction(0, 5))]) == ZERO
