@@ -18,7 +18,10 @@ The closed rule takes one step per label, whatever the power.  It is a
 weighted injection on labels: distinct labels have distinct images (only the
 letter at position n moves, by the same step), and each weight is a single
 nonzero radical, so the image of a ket needs no accumulation and drops no
-term; a root of 1 passes the amplitude through unchanged.
+term; a root of 1 passes the amplitude through unchanged.  A product of
+ladder powers (``BosonMonomial.apply``, a run of ladder tokens in an
+expression) is one too: ``_walk`` carries each label through every factor
+and scales its amplitude once.
 ``literal_annihilate``/``literal_create`` instead apply the truncated series
 one Cuntz monomial at a time and sum the images; they exist to cross-validate
 the closed form against its defining expansion.
@@ -27,11 +30,13 @@ the closed form against its defining expansion.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
 
 from .cuntz import CuntzMonomial, RepSpec, apply_monomial
-from .scalar import ONE, RadicalScalar, ZERO, _SQRT_CACHE, _root, _scale_root, sqrt_nat, sqrt_product
+from .scalar import (ONE, RadicalScalar, ZERO, _SQRT_CACHE, _root, _root_range, _scale_root, sqrt_nat,
+                     sqrt_product)
 from .states import Ket, _canonical, _sum
 from .words import EPWord, Word, _move_letter
 
@@ -70,8 +75,42 @@ def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
         if power == 1:
             r, q = _SQRT_CACHE.get(low) or _root(low)
         else:
-            (r, q), = sqrt_product(low, low + power - 1)._num.items()
+            r, q = _root_range(low, low + power - 1)
         out[_move_letter(word, n, c + step, old, tail)] = _scale_root(coeff, q, r)
+    return _canonical(out)
+
+
+def _walk(v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:
+    """The product of ladder powers ``steps`` applied to ``v``, one label at a time.
+
+    ``steps`` lists ``(n, k)`` in the order the factors act: (a_n*)^k for
+    k > 0 and a_n^-k for k < 0, with n >= 1 (the callers' modes are checked
+    already).  Each label walks the whole product: per step it reads its
+    letter at n once, moves it with ``_move_letter`` and merges the step's
+    root into one pair ``(r, q)``; it stops at the first step that kills it,
+    and its amplitude is scaled once, at the end.  A product of weighted
+    injections is one, so the images need no accumulation.
+    """
+    out: dict[EPWord, RadicalScalar] = {}
+    for word, coeff in v._amps.items():
+        r, q = 1, 1
+        for n, step in steps:
+            rot, old = word._rot, word._diff.get(n)
+            tail = rot[(n - 1) % len(rot)]
+            c = tail if old is None else old
+            low = c + step if step < 0 else c
+            if low < 1:
+                break
+            if step == 1 or step == -1:
+                ri, qi = _SQRT_CACHE.get(low) or _root(low)
+            else:
+                ri, qi = _root_range(low, low + abs(step) - 1)
+            g = math.gcd(r, ri)
+            q *= qi * g
+            r = (r // g) * (ri // g)
+            word = _move_letter(word, n, c + step, old, tail)
+        else:
+            out[word] = _scale_root(coeff, q, r)
     return _canonical(out)
 
 
@@ -99,15 +138,9 @@ class BosonMonomial:
     def key(self) -> tuple[Exponents, Exponents]:
         return (self.creators, self.annihilators)
 
-    def total_displacement(self) -> int:
-        return sum(e for _, e in self.creators) + sum(e for _, e in self.annihilators)
-
     def apply(self, v: Ket) -> Ket:
-        for mode, exp in self.annihilators:
-            v = apply_annihilate(mode, v, exp)
-        for mode, exp in self.creators:
-            v = apply_create(mode, v, exp)
-        return v
+        """The annihilators, then the creators, in one walk per label."""
+        return _walk(v, tuple((mode, -exp) for mode, exp in self.annihilators) + self.creators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BosonMonomial):

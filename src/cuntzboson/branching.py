@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm, perm, prod
+from math import gcd, lcm, perm, prod
+from operator import itemgetter
 from typing import Optional
 
 from .boson import BosonMonomial, apply_annihilate, apply_create
 from .common import MAX_CHECKS, CheckResult, DomainError
 from .cuntz import RepSpec
-from .scalar import ONE, RadicalScalar, sqrt_product
+from .scalar import RadicalScalar, _raw, _root_range
 from .states import Ket
 from .words import EPWord, Word, format_word, rotations
 
@@ -191,31 +192,34 @@ def basis_monomials(family: str, j: int, modes: int, exps: int
     ``_mode_letters``: by ``(a_n*)^(t-c)`` when t > c, by ``a_n^(c-t)`` when
     t < c.  Its normalizer is the inverse of the product over moved modes of
     sqrt(min(c,t) * ... * (max(c,t)-1)), the norm of that ladder power on
-    the vacuum letter, so no radicand larger than one factor is ever
-    factored; for ``typej`` with j = 1 it is 1/sqrt(k_1! ... k_p!).  The
-    elements are sorted by total displacement, then by monomial.
+    the vacuum letter; for ``typej`` with j = 1 it is 1/sqrt(k_1! ... k_p!).
+    Each mode's roots are integer pairs, merged per element into the one
+    pair its normalizer is built from, so no radicand larger than one factor
+    is ever factored.  The elements are sorted by total displacement, then
+    by monomial.
     """
     vacuum, ranges = _mode_letters(family, j, exps)
     per_mode = []
     for n in range(1, modes + 1):
         c = vacuum.letter_at(n)
-        per_mode.append([(n, t - c, sqrt_product(min(c, t), max(c, t) - 1))
+        per_mode.append([(t - c, (n, abs(t - c)), *_root_range(min(c, t), max(c, t) - 1))
                          for t in ranges[(n - 1) % len(ranges)]])
-    out = []
+    rows = []
     for combo in itertools.product(*per_mode):
-        creators: dict[int, int] = {}
-        annihilators: dict[int, int] = {}
-        norm = ONE
-        for n, step, root in combo:
+        creators, annihilators = [], []
+        displacement, r, q = 0, 1, 1
+        for step, factor, ri, qi in combo:
             if step:
-                if step > 0:
-                    creators[n] = step
-                else:
-                    annihilators[n] = -step
-                norm = norm * root
-        out.append((BosonMonomial(creators, annihilators), norm.inverse()))
-    out.sort(key=lambda pair: (pair[0].total_displacement(), pair[0].key()))
-    return vacuum, out
+                (creators if step > 0 else annihilators).append(factor)
+                displacement += factor[1]
+                g = gcd(r, ri)
+                q *= qi * g
+                r = (r // g) * (ri // g)
+        # 1/(q sqrt(r)) = (1/(q r)) sqrt(r), reduced since the numerator is 1
+        rows.append((displacement, tuple(creators), tuple(annihilators), _raw(q * r, {r: 1})))
+    rows.sort(key=itemgetter(0, 1, 2))
+    return vacuum, [(BosonMonomial(creators, annihilators), normalizer)
+                    for _, creators, annihilators, normalizer in rows]
 
 
 def basis_size(family: str, j: int, modes: int, exps: int) -> int:

@@ -18,9 +18,10 @@ label bijection onto word labels and ``odometer_index`` its inverse.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+import functools
+from typing import Callable, Mapping, Optional
 
-from .boson import _as_exponents, apply_annihilate, apply_create
+from .boson import _as_exponents, apply_create
 from .common import AlphabetError, DomainError
 from .cuntz import RepSpec
 from .scalar import RadicalScalar
@@ -103,20 +104,20 @@ def encode_label(spec: EmbeddingSpec, label: EPWord) -> EPWord:
     return _tail_one(translate_word(spec, label.prefix))
 
 
-def _embedded(spec: EmbeddingSpec, n: int, v: Ket, create: bool) -> Ket:
-    """Decode the ket, apply the ladder once, encode the image; the codec is a bijection."""
-    op = apply_create if create else apply_annihilate
-    image = op(n, _canonical({decode_label(spec, w): c for w, c in v._amps.items()}))
+def _embedded(spec: EmbeddingSpec, v: Ket, op: Callable[[Ket], Ket]) -> Ket:
+    """``op`` acting on O_N labels through the block code: the ket is decoded
+    once, ``op`` applied, and its image encoded once.
+
+    ``op`` is a ladder product, a weighted injection on labels, and the codec
+    is a bijection, so no amplitude is merged on either side.
+    """
+    image = op(_canonical({decode_label(spec, w): c for w, c in v._amps.items()}))
     return _canonical({encode_label(spec, w): c for w, c in image._amps.items()})
 
 
 def embedded_create(spec: EmbeddingSpec, n: int, v: Ket) -> Ket:
     """Mode-n creator acting on O_N labels through the embedding block code."""
-    return _embedded(spec, n, v, create=True)
-
-
-def embedded_annihilate(spec: EmbeddingSpec, n: int, v: Ket) -> Ket:
-    return _embedded(spec, n, v, create=False)
+    return _embedded(spec, v, functools.partial(apply_create, n))
 
 
 # --- odometer model on basis indices -------------------------------------

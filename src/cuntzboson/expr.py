@@ -12,10 +12,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boson import apply_annihilate, apply_create
+from .boson import _walk
 from .common import ExprError, check_index
 from .cuntz import RepSpec, apply_generator
-from .embed import EmbeddingSpec, embedded_annihilate, embedded_create
+from .embed import EmbeddingSpec, _embedded
 from .scalar import ONE, RadicalScalar, sqrt_nat
 from .states import Ket, _sum
 
@@ -109,24 +109,26 @@ def parse_expression(text: str) -> list[Term]:
 def eval_on_ket(spec: RepSpec, terms: list[Term], state: Ket) -> Ket:
     """Apply the expression to a ket; factors in a product act right to left.
 
-    With a finite alphabet the ladder tokens act through the embedding block
-    code, which requires every label to end in 1^inf.
+    Each maximal run of ladder tokens is one ladder product, which every label
+    walks in one pass.  With a finite alphabet the run acts through the
+    embedding block code, decoding each label once before the walk and
+    encoding it once after; that requires every label to end in 1^inf.
     """
     images = []
     for term in terms:
-        v = state
+        v, run = state, []
         for factor in reversed(term.factors):
-            if factor.kind == "s":
-                v = apply_generator(spec, factor.index, v, star=factor.star)
-            else:
-                v = _apply_ladder(spec, factor, v)
-        images.append(term.coeff * v)
+            if factor.kind == "a":
+                run.append((factor.index, 1 if factor.star else -1))
+                continue
+            if run:
+                v, run = _apply_ladders(spec, run, v), []
+            v = apply_generator(spec, factor.index, v, star=factor.star)
+        images.append(term.coeff * (_apply_ladders(spec, run, v) if run else v))
     return _sum(images)
 
 
-def _apply_ladder(spec: RepSpec, factor: Factor, v: Ket) -> Ket:
+def _apply_ladders(spec: RepSpec, steps: list[tuple[int, int]], v: Ket) -> Ket:
     if spec.alphabet is None:
-        return apply_create(factor.index, v) if factor.star else apply_annihilate(factor.index, v)
-    ambient = EmbeddingSpec(spec.alphabet)
-    return (embedded_create if factor.star else embedded_annihilate)(ambient, factor.index, v)
-
+        return _walk(v, steps)
+    return _embedded(EmbeddingSpec(spec.alphabet), v, lambda u: _walk(u, steps))

@@ -26,6 +26,7 @@ prime factors were all divided out before it is tried.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Mapping
@@ -315,16 +316,41 @@ _SQRT_CACHE: dict[int, tuple[int, int]] = {}  # n -> _root(n) for n <= _SQRT_CAC
 
 
 def _root(n: int) -> tuple[int, int]:
-    """``(r, q)`` with sqrt(n) = q*sqrt(r), r squarefree; hot loops try ``_SQRT_CACHE.get(n)`` first."""
+    """``(r, q)`` with sqrt(n) = q*sqrt(r), r squarefree; hot loops try ``_SQRT_CACHE.get(n)`` first.
+
+    A radicand above ``_SQRT_CACHE_BOUND`` is factored once per process while
+    it stays among the 1,024 most recently used ones (``_large_root``).
+    """
     pair = _SQRT_CACHE.get(n)
     if pair is None:
         if n < 1:
             raise ValueError(f"sqrt_nat requires n >= 1, got {n}")
+        if n > _SQRT_CACHE_BOUND:
+            return _large_root(n)
         q, r = squarefree_split(n)
-        pair = r, q
-        if n <= _SQRT_CACHE_BOUND:
-            _SQRT_CACHE[n] = pair
+        pair = _SQRT_CACHE[n] = r, q
     return pair
+
+
+@functools.lru_cache(maxsize=1024)
+def _large_root(n: int) -> tuple[int, int]:
+    q, r = squarefree_split(n)
+    return r, q
+
+
+def _root_range(low: int, high: int) -> tuple[int, int]:
+    """``(r, q)`` with sqrt(low * (low+1) * ... * high) = q*sqrt(r), r squarefree;
+    ``(1, 1)`` for the empty range high < low.
+
+    The root of each factor is merged into the pair, so no product is ever factored.
+    """
+    r, q = 1, 1
+    for i in range(low, high + 1):
+        ri, qi = _SQRT_CACHE.get(i) or _root(i)
+        g = math.gcd(r, ri)
+        q *= qi * g
+        r = (r // g) * (ri // g)
+    return r, q
 
 
 def sqrt_nat(n: int) -> RadicalScalar:
@@ -334,15 +360,6 @@ def sqrt_nat(n: int) -> RadicalScalar:
 
 
 def sqrt_product(low: int, high: int) -> RadicalScalar:
-    """Exact sqrt(low * (low+1) * ... * high), ``ONE`` for the empty range high < low.
-
-    The root is kept as one integer pair q*sqrt(r) with r squarefree, and the
-    root of each factor is merged into it, so no product is ever factored.
-    """
-    q, r = 1, 1
-    for i in range(low, high + 1):
-        ri, qi = _SQRT_CACHE.get(i) or _root(i)
-        g = math.gcd(r, ri)
-        q *= qi * g
-        r = (r // g) * (ri // g)
+    """Exact sqrt(low * (low+1) * ... * high), ``ONE`` for the empty range high < low."""
+    r, q = _root_range(low, high)
     return _raw(1, {r: q})

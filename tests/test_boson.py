@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.boson import (BosonMonomial, apply_annihilate, apply_create,
+from cuntzboson.boson import (BosonMonomial, _walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
 from cuntzboson.common import MAX_MODE
 from cuntzboson.cuntz import RepSpec, apply_generator
 from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
-from cuntzboson.states import Ket
+from cuntzboson.states import Ket, _sum
 from cuntzboson.verify import SuiteResult, _intertwining, random_ket, random_occupations
 from cuntzboson.words import EPWord, expand
 
@@ -109,6 +109,51 @@ def test_adjointness():
 
 def test_empty_monomial_is_identity():
     assert BosonMonomial().apply(OMEGA) == OMEGA
+
+
+def _factor_by_factor(v, steps):
+    """The oracle of ``_walk``: each ladder power applied to the whole ket in turn."""
+    for n, k in steps:
+        v = apply_create(n, v, k) if k > 0 else apply_annihilate(n, v, -k)
+    return v
+
+
+def _canonical_labels(v):
+    """Whether every label of ``v`` is the one its printed form builds afresh, hash and key order included."""
+    for word in v._amps:
+        fresh = EPWord(word.prefix, word.cycle)
+        if not (word == fresh and hash(word) == hash(fresh) and word._rot == fresh._rot
+                and list(word._diff.items()) == list(fresh._diff.items())):
+            return False
+    return True
+
+
+_WALK_MODES = st.integers(min_value=1, max_value=8) | st.sampled_from([2**e for e in range(6, 15)])
+_POWERS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([P1, RepSpec((2,)), P12, RepSpec((1, 2, 3))]),
+       st.lists(st.tuples(_WALK_MODES, _POWERS), max_size=5),
+       _WALK_MODES, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+       st.dictionaries(_WALK_MODES, st.integers(min_value=1, max_value=3), max_size=3),
+       st.dictionaries(_WALK_MODES, st.integers(min_value=1, max_value=3), max_size=3))
+def test_walk_equals_factor_by_factor(seed, spec, steps, n, lower, raise_, creators, annihilators):
+    v = random_ket(random.Random(seed), spec, max_labels=4)
+    # a raised copy at each mode walked, so that lowering both kills and keeps labels
+    v = v + _sum([apply_create(mode, v, 2) for mode in {m for m, _ in steps} | {n} | annihilators.keys()])
+    steps = steps + [(n, -lower), (n, raise_)]  # the same mode lowered, then raised
+    got = _walk(v, steps)
+    same, canonical = got == _factor_by_factor(v, steps), _canonical_labels(got)
+    assert same, f"walk of {steps} differs from its factors applied in turn"
+    assert canonical, f"walk of {steps} leaves a label out of canonical form"
+    monomial = BosonMonomial(creators, annihilators)
+    got = monomial.apply(v)
+    expected = _factor_by_factor(v, [(m, -k) for m, k in monomial.annihilators] + list(monomial.creators))
+    same, canonical = got == expected, _canonical_labels(got)
+    assert same, f"{monomial} differs from its factors applied in turn"
+    assert canonical, f"{monomial} leaves a label out of canonical form"
 
 
 def test_fock_word_examples():

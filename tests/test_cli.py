@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson import boson, branching, cli, cuntz, embed, verify
+from cuntzboson import boson, branching, cli, cuntz, embed, scalar, verify
 from cuntzboson.cli import main
 from cuntzboson.common import MAX_CHECKS, MAX_MODE, DomainError, check_family_sizes
 
@@ -309,6 +309,10 @@ def _left_word_reversed(true):  # s_J applied as the letters of J in reverse ord
     return lambda spec, m, v: true(spec, cuntz.CuntzMonomial(m.coeff, m.left[::-1], m.right), v)
 
 
+def _top_root_factor_dropped(true):  # sqrt(c (c+1) ... (c+k-1)) loses c+k-1 when k >= 2
+    return lambda low, high: true(low, high - 1) if high > low else true(low, high)
+
+
 RELATIONS = ("verify", "relations", "--samples", "20", "--cutoff", "2")
 EMBEDDING = ("verify", "embedding", "--samples", "10")
 FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3")
@@ -344,6 +348,18 @@ FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3"
      ["[FAIL] a2* e1 = e3: image [4]"]),
     ("fock_extension_action", _s2_coefficient_doubled_on_one_cubed_creator, FOCK_EXT, 222, 219,
      [f"[FAIL] s2 on creators (({mode}, 3),)" for mode in (1, 2, 3)]),
+    # planted on boson only: the ladder powers of the walk go wrong, the normalizers
+    # of branching.basis_monomials and the coefficients of fock_extension_action do not
+    ("_root_range", _top_root_factor_dropped, ("verify", "bases", "--cutoff", "1", "--exps", "3"),
+     108, 102,
+     [f"[FAIL] typej j=1 modes 1 exps 3: |v_{k}|^2 = 1: norm^2 1/{k}" for k in (2, 3)]
+     + [f"[FAIL] typej j=2 modes 1 exps 3: |v_{k}|^2 = 1: norm^2 1/{k}" for k in (3, 4)]
+     + [f"[FAIL] onetwov modes 1 exps 3: |v_{k}|^2 = 1: norm^2 1/{k}" for k in (2, 3)]),
+    ("_root_range", _top_root_factor_dropped, ("verify", "fock-ext", "--modes", "3", "--cutoff", "1",
+                                               "--exps", "2"), 42, 34,
+     ["[FAIL] s3 on creators ()"]
+     + [f"[FAIL] s3{star} on creators ((1, {k}),)" for k, star in ((1, ""), (2, ""), (2, "*"))]
+     + [f"[FAIL] s3 on creators (({mode}, {k}),)" for mode in (2, 3) for k in (1, 2)]),
 ])
 def test_planted_failure_records(capsys, monkeypatch, name, plant, argv, total, passed, failures):
     """A fault planted in every package module that binds ``name`` names its failing checks."""
@@ -354,6 +370,38 @@ def test_planted_failure_records(capsys, monkeypatch, name, plant, argv, total, 
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 1 and json.loads(out) == {
         "suite": argv[1], "total": total, "passed": passed, "failures": failures}
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Record in ``calls`` the last argument of every call of ``module.name``: a label or a radicand."""
+    true = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args[-1])
+        return true(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("state, labels_in, labels_out", [("omega", 1, 0), ("2,1|1", 1, 1)])
+def test_act_under_an_alphabet_decodes_once_per_ladder_run(capsys, monkeypatch, state, labels_in,
+                                                           labels_out):
+    decoded, encoded = [], []
+    _counting(monkeypatch, embed, "decode_label", decoded)
+    _counting(monkeypatch, embed, "encode_label", encoded)
+    code, out, _ = run(capsys, "act", "--N", "2", "--expr", "a1* a2* a1", "--state", state)
+    assert code == 0 and len(out.splitlines()) == max(labels_out, 1)
+    assert (len(decoded), len(encoded)) == (labels_in, labels_out)
+
+
+def test_large_cycle_letters_are_factored_once(capsys, monkeypatch):
+    """Roots of letters above the dict cache's bound are kept in a bounded LRU cache."""
+    radicands = []
+    _counting(monkeypatch, scalar, "squarefree_split", radicands)
+    scalar._large_root.cache_clear()
+    code, out, _ = run(capsys, "bases", "--family", "typej", "--j", str(10**12), "--modes", "2")
+    assert code == 0 and out.startswith("family typej: 49 elements, orthonormal: True\n")
+    assert radicands and len(radicands) == len(set(radicands))
 
 
 def test_planted_branch_failure_is_reported(capsys, monkeypatch):
@@ -369,6 +417,17 @@ def test_planted_branch_failure_is_reported(capsys, monkeypatch):
     assert (code, err) == (1, "")
     rows = json.loads(out)["components"][0]["verified"]
     assert [row["name"] for row in rows if not row["passed"]] == ["a2 a2* vac = 1 vac"]
+
+
+def test_planted_ladder_power_failure_is_reported(capsys, monkeypatch):
+    """A fault only in the power branch of the single-step kernel fails the F_3 rows of ``branch``."""
+    true = boson._ladder
+    monkeypatch.setattr(boson, "_ladder",
+                        lambda n, v, power, sign: (2 if power > 1 else 1) * true(n, v, power, sign))
+    code, out, err = run(capsys, "branch", "--rep", "|3")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        f"  [FAIL] (a{n}*)^2 a{n}^2 vac = 2 vac: result 8 * ||3>" for n in range(1, 7)]
 
 
 def _readme_verify_table():
@@ -703,7 +762,7 @@ _commands = st.one_of(
                     _word.map(lambda w: ["--word", w]), _occ.map(lambda o: ["--occ", o])),
           _flag_json),
     _argv(["bases"], _opt("--family", st.sampled_from(["lambda", "typej", "onetwov", "x"])),
-          _opt("--j", st.one_of(_small, st.just(10**9))),
+          _opt("--j", st.one_of(_small, st.sampled_from([10**9, 10**12]))),
           *[st.one_of(_small, _HOSTILE).map(lambda v, f=f: [f, str(v)]) for f in ("--modes", "--exps")],
           _flag_json),
     st.lists(st.one_of(_junk, st.sampled_from(["act", "--help", "--expr", "-x"])), max_size=4),

@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cuntzboson.boson import apply_annihilate, apply_create
 from cuntzboson.common import ExprError
-from cuntzboson.cuntz import RepSpec
+from cuntzboson.cuntz import RepSpec, apply_generator
+from cuntzboson.embed import EmbeddingSpec, _embedded
 from cuntzboson.expr import Factor, _tokenize, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, sqrt_nat
-from cuntzboson.states import Ket
+from cuntzboson.states import Ket, _sum
+from cuntzboson.verify import random_ket
 from cuntzboson.words import EPWord
 
 P1 = RepSpec((1,))
@@ -81,3 +87,40 @@ def test_cancelling_terms_give_the_empty_ket():
     image = eval_on_ket(P1, parse_expression("s1 - s1"), omega)
     assert len(image) == 0
     assert image == Ket()
+
+
+def _token_by_token(spec, terms, v):
+    """The oracle of ``eval_on_ket``: one token applied to the whole ket at a time, right to left."""
+    images = []
+    for term in terms:
+        u = v
+        for factor in reversed(term.factors):
+            if factor.kind == "s":
+                u = apply_generator(spec, factor.index, u, star=factor.star)
+            elif spec.alphabet is None:
+                u = (apply_create if factor.star else apply_annihilate)(factor.index, u)
+            else:
+                ladder = apply_create if factor.star else apply_annihilate
+                u = _embedded(EmbeddingSpec(spec.alphabet), u, partial(ladder, factor.index))
+        images.append(term.coeff * u)
+    return _sum(images)
+
+
+_SPECS = [P1, RepSpec((2,)), RepSpec((1, 2)), RepSpec((1, 2, 3)),
+          RepSpec((1,), alphabet=2), RepSpec((1,), alphabet=3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(_SPECS), st.data())
+def test_eval_equals_token_by_token(seed, spec, data):
+    """Runs of ladder tokens walk in one pass, through the block code under an alphabet."""
+    top = spec.alphabet or 4
+    token = st.one_of(st.builds("a{}{}".format, st.integers(min_value=1, max_value=6),
+                                st.sampled_from(["", "*"])),
+                      st.builds("s{}{}".format, st.integers(min_value=1, max_value=top),
+                                st.sampled_from(["", "*"])))
+    products = st.lists(token, min_size=1, max_size=6).map(" ".join)
+    text = data.draw(st.lists(products, min_size=1, max_size=3).map(" + ".join))
+    v = random_ket(random.Random(seed), spec, max_labels=4)
+    terms = parse_expression(text)
+    assert eval_on_ket(spec, terms, v) == _token_by_token(spec, terms, v), text

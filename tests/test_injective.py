@@ -12,14 +12,14 @@ collision the operators overwrote would show as a difference.
 
 import math
 import random
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
 from cuntzboson.boson import apply_annihilate, apply_create
 from cuntzboson.common import add_term
 from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
-from cuntzboson.embed import (EmbeddingSpec, decode_label, embedded_annihilate, embedded_create,
-                              encode_label)
+from cuntzboson.embed import EmbeddingSpec, _embedded, decode_label, encode_label
 from cuntzboson.scalar import ONE, RadicalScalar
 from cuntzboson.states import Ket
 from cuntzboson.verify import random_ket
@@ -117,10 +117,10 @@ def test_monomials_are_injective_maps(seed, spec, left, right, coeff):
 def test_embedded_ladders_are_injective_maps(seed, N, n, create):
     spec = EmbeddingSpec(N)
     v = Ket((encode_label(spec, w), c) for w, c in _ket(seed, RepSpec((1,)))._amps.items())
-    op = embedded_create if create else embedded_annihilate
+    op = apply_create if create else apply_annihilate
 
     def image(w):
         found = _ladder_image(decode_label(spec, w), n, 1, create)
         return None if found is None else (encode_label(spec, found[0]), found[1])
 
-    _assert_injective_map(lambda u: op(spec, n, u), v, image)
+    _assert_injective_map(lambda u: _embedded(spec, u, partial(op, n)), v, image)
