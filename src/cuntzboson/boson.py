@@ -21,7 +21,9 @@ nonzero radical, so the image of a ket needs no accumulation and drops no
 term; a root of 1 passes the amplitude through unchanged.  A product of
 ladder powers (``BosonMonomial.apply``, a run of ladder tokens in an
 expression) is one too: ``_walk`` carries each label through every factor
-and scales its amplitude once.
+and scales its amplitude once.  A single power k >= 2 is a walk of one
+factor; ``_ladder`` keeps only the single step, the kernel of
+``apply_create``/``apply_annihilate`` that the walk is checked against.
 ``literal_annihilate``/``literal_create`` instead apply the truncated series
 one Cuntz monomial at a time and sum the images; they exist to cross-validate
 the closed form against its defining expansion.
@@ -35,8 +37,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
 
 from .cuntz import CuntzMonomial, RepSpec, apply_monomial
-from .scalar import (ONE, RadicalScalar, ZERO, _SQRT_CACHE, _root, _root_range, _scale_root, sqrt_nat,
-                     sqrt_product)
+from .scalar import ONE, RadicalScalar, ZERO, _root, _root_range, _scale_root, sqrt_nat, sqrt_product
 from .states import Ket, _canonical, _sum
 from .words import EPWord, Word, _move_letter
 
@@ -57,26 +58,24 @@ def _as_exponents(data: Union[Mapping[int, int], Iterable[tuple[int, int]]]) -> 
 
 
 def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
-    """a_n^power (sign -1) or (a_n*)^power (sign 1) by the power rule above."""
+    """a_n^power (sign -1) or (a_n*)^power (sign 1): a single step by the rule
+    above, a power above 1 as one ``_walk`` step."""
     if n < 1:
         raise ValueError(f"modes are 1-based, got {n}")
     if power < 1:
         raise ValueError(f"ladder powers are >= 1, got {power}")
-    step = sign * power
-    shift = step if step < 0 else 0  # letter + shift is the smallest factor under the root
+    if power > 1:
+        return _walk(v, ((n, sign * power),))
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
         rot, old = word._rot, word._diff.get(n)
         tail = rot[(n - 1) % len(rot)]
         c = tail if old is None else old
-        low = c + shift
+        low = c + sign if sign < 0 else c
         if low < 1:
             continue
-        if power == 1:
-            r, q = _SQRT_CACHE.get(low) or _root(low)
-        else:
-            r, q = _root_range(low, low + power - 1)
-        out[_move_letter(word, n, c + step, old, tail)] = _scale_root(coeff, q, r)
+        q, r = _root(low)
+        out[_move_letter(word, n, c + sign, old, tail)] = _scale_root(coeff, q, r)
     return _canonical(out)
 
 
@@ -87,13 +86,13 @@ def _walk(v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:
     k > 0 and a_n^-k for k < 0, with n >= 1 (the callers' modes are checked
     already).  Each label walks the whole product: per step it reads its
     letter at n once, moves it with ``_move_letter`` and merges the step's
-    root into one pair ``(r, q)``; it stops at the first step that kills it,
+    root into one pair ``(q, r)``; it stops at the first step that kills it,
     and its amplitude is scaled once, at the end.  A product of weighted
     injections is one, so the images need no accumulation.
     """
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
-        r, q = 1, 1
+        q, r = 1, 1
         for n, step in steps:
             rot, old = word._rot, word._diff.get(n)
             tail = rot[(n - 1) % len(rot)]
@@ -102,9 +101,9 @@ def _walk(v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:
             if low < 1:
                 break
             if step == 1 or step == -1:
-                ri, qi = _SQRT_CACHE.get(low) or _root(low)
+                qi, ri = _root(low)
             else:
-                ri, qi = _root_range(low, low + abs(step) - 1)
+                qi, ri = _root_range(low, low + abs(step) - 1)
             g = math.gcd(r, ri)
             q *= qi * g
             r = (r // g) * (ri // g)

@@ -207,8 +207,8 @@ def basis_monomials(family: str, j: int, modes: int, exps: int
     rows = []
     for combo in itertools.product(*per_mode):
         creators, annihilators = [], []
-        displacement, r, q = 0, 1, 1
-        for step, factor, ri, qi in combo:
+        displacement, q, r = 0, 1, 1
+        for step, factor, qi, ri in combo:
             if step:
                 (creators if step > 0 else annihilators).append(factor)
                 displacement += factor[1]

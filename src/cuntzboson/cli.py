@@ -78,7 +78,7 @@ def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
         spec = RepSpec((1,))
         if args.state == "omega":
             index = 1
-        elif args.state.startswith("e") and args.state[1:].isdigit():
+        elif args.state.startswith("e") and args.state[1:].isascii() and args.state[1:].isdigit():
             index = int(args.state[1:])
         else:
             raise ValueError(f"odometer states are e<n>, got {args.state!r}")

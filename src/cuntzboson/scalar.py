@@ -21,7 +21,8 @@ float; ``float(x)`` is a numeric view for callers and tests.
 
 Radicands are made squarefree by trial division by 2 and the odd numbers,
 with no table of primes: a composite divisor never divides, because its
-prime factors were all divided out before it is tried.
+prime factors were all divided out before it is tried.  ``_root`` keeps the
+split of the most recently used radicands in one bounded memo.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class RadicalScalar:
             for radicand, coeff in items:
                 coeff = RadicalScalar.rational(coeff)
                 if coeff:
-                    q, r = squarefree_split(radicand)
+                    q, r = _root(radicand)
                     total = total + _scale_root(coeff, q, r)
         self._den, self._num = total._den, total._num
 
@@ -311,55 +312,40 @@ def _coerce(value) -> RadicalScalar:
 ZERO = RadicalScalar()
 ONE = RadicalScalar.rational(1)
 
-_SQRT_CACHE_BOUND = 10_000
-_SQRT_CACHE: dict[int, tuple[int, int]] = {}  # n -> _root(n) for n <= _SQRT_CACHE_BOUND, filled on demand
 
-
+@functools.lru_cache(maxsize=2**14)
 def _root(n: int) -> tuple[int, int]:
-    """``(r, q)`` with sqrt(n) = q*sqrt(r), r squarefree; hot loops try ``_SQRT_CACHE.get(n)`` first.
+    """``squarefree_split(n)``, memoized: ``(q, r)`` with sqrt(n) = q*sqrt(r), r squarefree.
 
-    A radicand above ``_SQRT_CACHE_BOUND`` is factored once per process while
-    it stays among the 1,024 most recently used ones (``_large_root``).
+    The package's one root memo and its one caller of ``squarefree_split``.
+    Every ladder step, normalizer and coefficient root is a root of a natural
+    number; the 2**14 most recently used ones are kept, whatever their size.
     """
-    pair = _SQRT_CACHE.get(n)
-    if pair is None:
-        if n < 1:
-            raise ValueError(f"sqrt_nat requires n >= 1, got {n}")
-        if n > _SQRT_CACHE_BOUND:
-            return _large_root(n)
-        q, r = squarefree_split(n)
-        pair = _SQRT_CACHE[n] = r, q
-    return pair
-
-
-@functools.lru_cache(maxsize=1024)
-def _large_root(n: int) -> tuple[int, int]:
-    q, r = squarefree_split(n)
-    return r, q
+    return squarefree_split(n)
 
 
 def _root_range(low: int, high: int) -> tuple[int, int]:
-    """``(r, q)`` with sqrt(low * (low+1) * ... * high) = q*sqrt(r), r squarefree;
+    """``(q, r)`` with sqrt(low * (low+1) * ... * high) = q*sqrt(r), r squarefree;
     ``(1, 1)`` for the empty range high < low.
 
     The root of each factor is merged into the pair, so no product is ever factored.
     """
-    r, q = 1, 1
+    q, r = 1, 1
     for i in range(low, high + 1):
-        ri, qi = _SQRT_CACHE.get(i) or _root(i)
+        qi, ri = _root(i)
         g = math.gcd(r, ri)
         q *= qi * g
         r = (r // g) * (ri // g)
-    return r, q
+    return q, r
 
 
 def sqrt_nat(n: int) -> RadicalScalar:
     """Exact sqrt(n) for a natural n >= 1, reduced to q*sqrt(r) with r squarefree."""
-    r, q = _root(n)
+    q, r = _root(n)
     return _raw(1, {r: q})
 
 
 def sqrt_product(low: int, high: int) -> RadicalScalar:
     """Exact sqrt(low * (low+1) * ... * high), ``ONE`` for the empty range high < low."""
-    r, q = _root_range(low, high)
+    q, r = _root_range(low, high)
     return _raw(1, {r: q})

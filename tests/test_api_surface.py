@@ -13,6 +13,7 @@ operator; any other alias is a second public way to do one job.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -171,3 +172,49 @@ def test_cli_options_have_one_default():
                       for param in inspect.signature(suite).parameters.values()
                       if param.kind is param.KEYWORD_ONLY and param.default is not param.empty}
     assert shadowing == set()
+
+
+def _memo(node: ast.AST) -> str | None:
+    """``"cache"`` or ``"lru_cache"`` when ``node`` is ``functools.cache`` or ``functools.lru_cache``."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "functools" and node.attr in ("cache", "lru_cache")):
+        return node.attr
+    return None
+
+
+def _unbounded_memos() -> list[str]:
+    """Each memo table in the package without a fixed bound: an ``lru_cache`` whose
+    ``maxsize`` is not an integer, a ``cache`` around a function that takes
+    parameters, and either one used other than as the decorator of a module-level
+    function, or imported by name from ``functools``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"cuntzboson.{path.stem}")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        seen = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.stem}: from functools import {alias.name}" for alias in node.names
+                          if alias.name in ("cache", "lru_cache")]
+            for decorator in getattr(node, "decorator_list", ()):
+                memo = decorator.func if isinstance(decorator, ast.Call) else decorator
+                seen.add(memo)
+                if _memo(memo) == "lru_cache":
+                    maxsize = getattr(module, node.name).cache_parameters()["maxsize"]
+                    if type(maxsize) is not int:
+                        found.append(f"{path.stem}.{node.name}: lru_cache(maxsize={maxsize})")
+                elif _memo(memo) == "cache" and any(
+                        (node.args.posonlyargs, node.args.args, node.args.vararg, node.args.kwonlyargs,
+                         node.args.kwarg)):
+                    found.append(f"{path.stem}.{node.name}: cache around a function with parameters")
+        found += [f"{path.stem}: functools.{node.attr} at line {node.lineno}"
+                  for node in ast.walk(tree) if _memo(node) and node not in seen]
+    return found
+
+
+def test_memo_tables_are_bounded():
+    """Every memo table holds at most a fixed number of entries: an ``lru_cache``
+    states an integer ``maxsize``, and an unbounded ``cache`` only wraps a function
+    of no parameters, which it runs once."""
+    assert _unbounded_memos() == []
+    assert cli.build_parser.cache_info().maxsize is None  # the one ``functools.cache``

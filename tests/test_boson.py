@@ -112,9 +112,10 @@ def test_empty_monomial_is_identity():
 
 
 def _factor_by_factor(v, steps):
-    """The oracle of ``_walk``: each ladder power applied to the whole ket in turn."""
+    """The oracle of ``_walk``: each ladder power applied to the whole ket in turn, as |k|
+    single steps, since a power k >= 2 of ``apply_create``/``apply_annihilate`` is a walk itself."""
     for n, k in steps:
-        v = apply_create(n, v, k) if k > 0 else apply_annihilate(n, v, -k)
+        v = _single_steps(apply_create if k > 0 else apply_annihilate, n, v, abs(k))
     return v
 
 
@@ -142,7 +143,8 @@ _POWERS = st.sampled_from([-3, -2, -1, 1, 2, 3])
 def test_walk_equals_factor_by_factor(seed, spec, steps, n, lower, raise_, creators, annihilators):
     v = random_ket(random.Random(seed), spec, max_labels=4)
     # a raised copy at each mode walked, so that lowering both kills and keeps labels
-    v = v + _sum([apply_create(mode, v, 2) for mode in {m for m, _ in steps} | {n} | annihilators.keys()])
+    v = v + _sum([_single_steps(apply_create, mode, v, 2)
+                  for mode in {m for m, _ in steps} | {n} | annihilators.keys()])
     steps = steps + [(n, -lower), (n, raise_)]  # the same mode lowered, then raised
     got = _walk(v, steps)
     same, canonical = got == _factor_by_factor(v, steps), _canonical_labels(got)

@@ -58,6 +58,13 @@ def test_act_odometer_model_refuses_rep_and_alphabet(capsys, extra):
     assert "usage:" in err and "odometer" in err
 
 
+@pytest.mark.parametrize("state", ["e²", "e", "e-1"])
+def test_act_odometer_model_refuses_states_that_are_not_e_ascii_digits(capsys, state):
+    code, out, err = run(capsys, "act", "--model", "odometer", "--expr", "s1", "--state", state)
+    assert code == 2 and out == ""
+    assert err == f"error: odometer states are e<n>, got {state!r}\n"
+
+
 def test_act_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "act", "--rep", "|1", "--expr", "s1 + @")
     assert code == 2 and "position" in err
@@ -394,13 +401,14 @@ def test_act_under_an_alphabet_decodes_once_per_ladder_run(capsys, monkeypatch, 
     assert (len(decoded), len(encoded)) == (labels_in, labels_out)
 
 
-def test_large_cycle_letters_are_factored_once(capsys, monkeypatch):
-    """Roots of letters above the dict cache's bound are kept in a bounded LRU cache."""
+@pytest.mark.parametrize("j, elements", [(3, 36), (10**12, 49)])
+def test_large_cycle_letters_are_factored_once(capsys, monkeypatch, j, elements):
+    """Roots of small and large letters alike are kept in the one bounded root memo."""
     radicands = []
     _counting(monkeypatch, scalar, "squarefree_split", radicands)
-    scalar._large_root.cache_clear()
-    code, out, _ = run(capsys, "bases", "--family", "typej", "--j", str(10**12), "--modes", "2")
-    assert code == 0 and out.startswith("family typej: 49 elements, orthonormal: True\n")
+    scalar._root.cache_clear()
+    code, out, _ = run(capsys, "bases", "--family", "typej", "--j", str(j), "--modes", "2")
+    assert code == 0 and out.startswith(f"family typej: {elements} elements, orthonormal: True\n")
     assert radicands and len(radicands) == len(set(radicands))
 
 
@@ -420,14 +428,17 @@ def test_planted_branch_failure_is_reported(capsys, monkeypatch):
 
 
 def test_planted_ladder_power_failure_is_reported(capsys, monkeypatch):
-    """A fault only in the power branch of the single-step kernel fails the F_3 rows of ``branch``."""
-    true = boson._ladder
-    monkeypatch.setattr(boson, "_ladder",
-                        lambda n, v, power, sign: (2 if power > 1 else 1) * true(n, v, power, sign))
+    """A fault only in the walk's steps of power |k| >= 2 fails the F_3 rows of ``branch``,
+    whose powers ``apply_create``/``apply_annihilate`` hand to the walk, and ``verify bases``."""
+    true = boson._walk
+    monkeypatch.setattr(boson, "_walk",
+                        lambda v, steps: 2 ** sum(abs(k) >= 2 for _, k in steps) * true(v, steps))
     code, out, err = run(capsys, "branch", "--rep", "|3")
     assert (code, err) == (1, "")
     assert [line for line in out.splitlines() if "[FAIL]" in line] == [
         f"  [FAIL] (a{n}*)^2 a{n}^2 vac = 2 vac: result 8 * ||3>" for n in range(1, 7)]
+    code, _, err = run(capsys, "verify", "bases", "--cutoff", "1", "--exps", "3")
+    assert (code, err) == (1, "")
 
 
 def _readme_verify_table():

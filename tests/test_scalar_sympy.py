@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzboson.boson import apply_create
 from cuntzboson.cli import main
-from cuntzboson.scalar import (ONE, RadicalScalar, _SQRT_CACHE, _SQRT_CACHE_BOUND, _TRIAL_LIMIT, _root,
-                               _scale_root, sqrt_nat, sqrt_product, squarefree_split)
+from cuntzboson.scalar import (ONE, RadicalScalar, _TRIAL_LIMIT, _root, _scale_root, sqrt_nat, sqrt_product,
+                               squarefree_split)
 from cuntzboson.states import Ket
 from cuntzboson.words import EPWord
 
@@ -150,9 +150,7 @@ def test_squarefree_split_matches_factorint(n):
 
 @pytest.mark.parametrize("low, high", [
     (1, 0), (8, 7), (1, 1), (1, 12), (2, 30), (7, 7), (40, 60),
-    (_SQRT_CACHE_BOUND, _SQRT_CACHE_BOUND + 1),  # the first factor past the cache bound
-    (_SQRT_CACHE_BOUND - 10, _SQRT_CACHE_BOUND + 10),
-    (_SQRT_CACHE_BOUND + 1, _SQRT_CACHE_BOUND + 40),
+    (10_000, 10_001), (9_990, 10_010), (10_001, 10_040),
 ])
 def test_sqrt_product_matches_sympy(low, high):
     value = sqrt_product(low, high)
@@ -165,29 +163,48 @@ def test_sqrt_product_matches_sympy(low, high):
 def test_sqrt_product_refuses_a_factor_below_one():
     with pytest.raises(ValueError):
         sqrt_product(0, 3)
+    with pytest.raises(ValueError):
+        sqrt_nat(0)
+
+
+def _assert_root_pair_matches_sympy(n):
+    q, r = _root(n)
+    assert sympy.ntheory.factor_.core(r) == r and q * sympy.sqrt(r) == sympy.sqrt(n), n
+    assert sqrt_nat(n)._num == {r: q} and sqrt_nat(n)._den == 1, n
 
 
 def test_cached_root_pair_matches_sympy():
-    above = [_SQRT_CACHE_BOUND + 1, _SQRT_CACHE_BOUND + 8, 2**40, 12 * 10**9, 99999999999]
-    for n in list(range(1, 201)) + above:
-        r, q = _root(n)
-        assert sympy.ntheory.factor_.core(r) == r and q * sympy.sqrt(r) == sympy.sqrt(n), n
-        assert sqrt_nat(n)._num == {r: q} and sqrt_nat(n)._den == 1, n
-        assert (_SQRT_CACHE.get(n) == (r, q)) == (n <= _SQRT_CACHE_BOUND), n
+    for n in list(range(1, 201)) + [10_001, 10_008, 2**40, 12 * 10**9, 99999999999]:
+        _assert_root_pair_matches_sympy(n)
 
 
-@pytest.mark.parametrize("low, high", [(1, 30), (5, 17), (_SQRT_CACHE_BOUND - 3, _SQRT_CACHE_BOUND + 3)])
+def test_root_memo_is_bounded():
+    """Distinct radicands past the memo's size evict the least recently used ones."""
+    maxsize = _root.cache_info().maxsize
+    for n in range(1, maxsize + 101):
+        _root(n)
+    assert _root.cache_info().currsize == maxsize
+    # the first radicands were evicted and are factored again; the last are kept
+    before = _root.cache_info()
+    _root(1), _root(maxsize + 100)
+    after = _root.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    for n in [1, 2, 12, 100, maxsize, maxsize + 99, maxsize + 100]:
+        _assert_root_pair_matches_sympy(n)
+    assert _root.cache_info().currsize == maxsize
+
+
+@pytest.mark.parametrize("low, high", [(1, 30), (5, 17), (9_997, 10_003)])
 def test_sqrt_product_is_the_product_of_its_factors(low, high):
     assert sqrt_product(low, high) == math.prod((sqrt_nat(i) for i in range(low, high + 1)), start=ONE)
 
 
-def test_ladder_step_far_above_the_cache_bound(capsys):
+def test_ladder_step_at_an_eleven_digit_letter(capsys):
     label = EPWord((99999999999,), (1,))
     image = apply_create(1, Ket.basis(label))
     assert image == 3 * sqrt_nat(11111111111) * Ket.basis(EPWord((10**11,), (1,)))
     assert main(["act", "--state", "99999999999|1", "--expr", "a1*"]) == 0
     assert capsys.readouterr().out == "3*sqrt(11111111111) * |100000000000|1>\n"
-    assert 99999999999 not in _SQRT_CACHE and len(_SQRT_CACHE) <= _SQRT_CACHE_BOUND
 
 
 # every sqrt_nat(k) and sqrt_product(low, high) root of a small range, as (label, scalar)
