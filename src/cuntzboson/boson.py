@@ -20,10 +20,11 @@ letter at position n moves, by the same step), and each weight is a single
 nonzero radical, so the image of a ket needs no accumulation and drops no
 term; a root of 1 passes the amplitude through unchanged.  A product of
 ladder powers (``BosonMonomial.apply``, a run of ladder tokens in an
-expression) is one too: ``_walk`` carries each label through every factor
-and scales its amplitude once.  A single power k >= 2 is a walk of one
-factor; ``_ladder`` keeps only the single step, the kernel of
-``apply_create``/``apply_annihilate`` that the walk is checked against.
+expression) is one too: ``_walk`` carries each label through every factor,
+a power k as the one step (n, +-k), and scales its amplitude once.  So a
+power, (a_n*)^k or a_n^k, is ``BosonMonomial({n: k})`` or
+``BosonMonomial((), {n: k})``; ``apply_create``/``apply_annihilate`` take a
+single step, by ``_ladder``, the kernel the walk is checked against.
 ``literal_annihilate``/``literal_create`` instead apply the truncated series
 one Cuntz monomial at a time and sum the images; they exist to cross-validate
 the closed form against its defining expansion.
@@ -57,15 +58,10 @@ def _as_exponents(data: Union[Mapping[int, int], Iterable[tuple[int, int]]]) -> 
     return tuple(sorted(merged.items()))
 
 
-def _ladder(n: int, v: Ket, power: int, sign: int) -> Ket:
-    """a_n^power (sign -1) or (a_n*)^power (sign 1): a single step by the rule
-    above, a power above 1 as one ``_walk`` step."""
+def _ladder(n: int, v: Ket, sign: int) -> Ket:
+    """a_n (sign -1) or a_n* (sign 1): a single step by the rule above."""
     if n < 1:
         raise ValueError(f"modes are 1-based, got {n}")
-    if power < 1:
-        raise ValueError(f"ladder powers are >= 1, got {power}")
-    if power > 1:
-        return _walk(v, ((n, sign * power),))
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
         rot, old = word._rot, word._diff.get(n)
@@ -113,12 +109,12 @@ def _walk(v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:
     return _canonical(out)
 
 
-def apply_annihilate(n: int, v: Ket, power: int = 1) -> Ket:
-    return _ladder(n, v, power, -1)
+def apply_annihilate(n: int, v: Ket) -> Ket:
+    return _ladder(n, v, -1)
 
 
-def apply_create(n: int, v: Ket, power: int = 1) -> Ket:
-    return _ladder(n, v, power, 1)
+def apply_create(n: int, v: Ket) -> Ket:
+    return _ladder(n, v, 1)
 
 
 class BosonMonomial:

@@ -170,15 +170,13 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
         word = translate_word(spec, source)
         payload = {"source": args.word, "word": list(word)}
         text = f"s_({args.word}) -> {format_word(word)}"
-    elif args.occ is not None:
+    else:
         occ = _parse_occupations(args.occ)
         coeff, _ = fock_word(occ)
         word = fock_word_in_ON(spec, occ)
         payload = {"occupations": {str(k): v for k, v in sorted(occ.items())},
                    "word": list(word), "coefficient": coeff.to_json_terms()}
         text = f"word: {format_word(word)}\ncoefficient: {coeff}"
-    else:
-        raise ValueError("embed needs one of --gen, --word, --occ")
     return 0, json.dumps(payload, indent=2, sort_keys=True) if args.json else text
 
 
@@ -251,9 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     emb = sub.add_parser("embed", help="translate into a finite Cuntz algebra")
     emb.add_argument("--N", type=int, required=True)
-    emb.add_argument("--gen", type=int, default=None)
-    emb.add_argument("--word", default=None)
-    emb.add_argument("--occ", default=None)
+    source = emb.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gen", type=int, default=None)
+    source.add_argument("--word", default=None)
+    source.add_argument("--occ", default=None)
     emb.add_argument("--json", action="store_true")
     emb.set_defaults(func=cmd_embed)
 

@@ -29,7 +29,7 @@ class RepSpec:
     def __init__(self, cycle: Iterable[int], alphabet: Optional[int] = None):
         cycle = _check_word(cycle, "cycle")
         if not cycle:
-            raise DomainError("cycle must be nonempty")
+            raise ValueError("cycle must be nonempty")
         if not is_primitive(cycle):
             raise DomainError(f"cycle must be primitive, got {cycle}")
         if alphabet is not None:

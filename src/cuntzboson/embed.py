@@ -18,7 +18,6 @@ label bijection onto word labels and ``odometer_index`` its inverse.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Mapping, Optional
 
 from .boson import _as_exponents, apply_create
@@ -113,11 +112,6 @@ def _embedded(spec: EmbeddingSpec, v: Ket, op: Callable[[Ket], Ket]) -> Ket:
     """
     image = op(_canonical({decode_label(spec, w): c for w, c in v._amps.items()}))
     return _canonical({encode_label(spec, w): c for w, c in image._amps.items()})
-
-
-def embedded_create(spec: EmbeddingSpec, n: int, v: Ket) -> Ket:
-    """Mode-n creator acting on O_N labels through the embedding block code."""
-    return _embedded(spec, v, functools.partial(apply_create, n))
 
 
 # --- odometer model on basis indices -------------------------------------

@@ -35,10 +35,10 @@ def test_create_examples():
 
 def test_power_examples():
     v = Ket.basis(EPWord((4,), (1,)))
-    assert apply_annihilate(1, v, 2) == sqrt_nat(6) * Ket.basis(EPWord((2,), (1,)))
-    assert apply_annihilate(1, v, 3) == sqrt_nat(6) * Ket.basis(EPWord((), (1,)))
-    assert apply_annihilate(1, v, 4) == Ket()  # letter 4 cannot fall by 4
-    assert apply_create(1, v, 3) == sqrt_nat(4 * 5 * 6) * Ket.basis(EPWord((7,), (1,)))
+    assert BosonMonomial((), {1: 2}).apply(v) == sqrt_nat(6) * Ket.basis(EPWord((2,), (1,)))
+    assert BosonMonomial((), {1: 3}).apply(v) == sqrt_nat(6) * Ket.basis(EPWord((), (1,)))
+    assert BosonMonomial((), {1: 4}).apply(v) == Ket()  # letter 4 cannot fall by 4
+    assert BosonMonomial({1: 3}).apply(v) == sqrt_nat(4 * 5 * 6) * Ket.basis(EPWord((7,), (1,)))
 
 
 def _single_steps(op, n, v, k):
@@ -55,17 +55,17 @@ def test_power_equals_single_steps(seed, spec, k, n):
     v = random_ket(random.Random(seed), spec)
     # raise a copy at mode n so that lowering by k both empties and keeps labels
     v = v + _single_steps(apply_create, n, v, 2)
-    for op in (apply_annihilate, apply_create):
+    for power, op in ((BosonMonomial((), {n: k}), apply_annihilate), (BosonMonomial({n: k}), apply_create)):
         # a bare bool: the text of a label that deviates near MAX_MODE has a million letters
-        same = op(n, v, k) == _single_steps(op, n, v, k)
-        assert same, f"{op.__name__}(mode {n}, power {k}) differs from {k} single steps"
+        same = power.apply(v) == _single_steps(op, n, v, k)
+        assert same, f"{power} at mode {n} differs from {k} steps of {op.__name__}"
 
 
-@pytest.mark.parametrize("power", [0, -1])
+@pytest.mark.parametrize("power", [-1])
 def test_power_below_one_is_refused(power):
-    for op in (apply_annihilate, apply_create):
-        with pytest.raises(ValueError, match="powers"):
-            op(1, OMEGA, power)
+    for exponents in (((), {1: power}), ({1: power},)):
+        with pytest.raises(ValueError, match="exponents"):
+            BosonMonomial(*exponents)
 
 
 def test_closed_form_matches_literal_series():
@@ -113,7 +113,7 @@ def test_empty_monomial_is_identity():
 
 def _factor_by_factor(v, steps):
     """The oracle of ``_walk``: each ladder power applied to the whole ket in turn, as |k|
-    single steps, since a power k >= 2 of ``apply_create``/``apply_annihilate`` is a walk itself."""
+    single steps of ``apply_create``/``apply_annihilate``."""
     for n, k in steps:
         v = _single_steps(apply_create if k > 0 else apply_annihilate, n, v, abs(k))
     return v

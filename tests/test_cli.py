@@ -153,6 +153,31 @@ def test_embed_command(capsys):
     assert doc["word"] == [2]
 
 
+@pytest.mark.parametrize("sources, message", [
+    ((), "one of the arguments --gen --word --occ is required"),
+    (("--gen", "3", "--word", "1"), "argument --word: not allowed with argument --gen"),
+    (("--word", "1", "--occ", "1:1"), "argument --occ: not allowed with argument --word"),
+    (("--occ", "", "--gen", "3"), "argument --gen: not allowed with argument --occ"),
+    (("--gen", "3", "--word", "1", "--occ", "1:1"), "argument --word: not allowed with argument --gen"),
+])
+def test_embed_takes_exactly_one_source(capsys, sources, message):
+    code, out, err = run(capsys, "embed", "--N", "2", *sources)
+    assert code == 2 and out == ""
+    assert err.startswith("usage:") and err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "|"),
+    ("branch", "--rep", "|", "--json"),
+    ("act", "--rep", "|", "--expr", "a1"),
+    ("act", "--rep", "|", "--N", "2", "--expr", "s1"),
+    ("act", "--state", "|", "--expr", "a1"),
+    ("act", "--state", "2|", "--expr", "a1"),
+])
+def test_empty_cycle_is_a_parse_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: cycle must be nonempty\n")
+
+
 def test_verify_small_run(capsys):
     code, out, _ = run(capsys, "verify", "ccr", "--modes", "2", "--samples", "3", "--seed", "7")
     assert code == 0
@@ -255,11 +280,11 @@ def test_planted_lambda_failure_is_reported(capsys, monkeypatch):
 
 
 def _doubled_creator(create, annihilate):
-    return lambda n, v, power=1: 2 * create(n, v, power)
+    return lambda n, v: 2 * create(n, v)
 
 
 def _mode_2_creator_also_lowers_mode_1(create, annihilate):  # a2* + a1 at mode 2
-    return lambda n, v, power=1: create(n, v, power) + annihilate(1, v) if n == 2 else create(n, v, power)
+    return lambda n, v: create(n, v) + annihilate(1, v) if n == 2 else create(n, v)
 
 
 # Expected failure lines captured while every ccr check built its commutator.
@@ -416,7 +441,7 @@ def test_planted_branch_failure_is_reported(capsys, monkeypatch):
     """A failed defining identity is a [FAIL] row and exit code 1, not a traceback."""
     true = branching.apply_create
     monkeypatch.setattr(branching, "apply_create",
-                        lambda n, v, power=1: 2 * true(n, v, power) if n == 2 else true(n, v, power))
+                        lambda n, v: 2 * true(n, v) if n == 2 else true(n, v))
     code, out, err = run(capsys, "branch", "--rep", "|1")
     assert (code, err) == (1, "")
     assert "  [FAIL] a2 a2* vac = 1 vac: result 2 * ||1>\n" in out
@@ -429,7 +454,8 @@ def test_planted_branch_failure_is_reported(capsys, monkeypatch):
 
 def test_planted_ladder_power_failure_is_reported(capsys, monkeypatch):
     """A fault only in the walk's steps of power |k| >= 2 fails the F_3 rows of ``branch``,
-    whose powers ``apply_create``/``apply_annihilate`` hand to the walk, and ``verify bases``."""
+    each one walk of the two steps of ``BosonMonomial({n: 2}, {n: 2})``, so 2 * 2**2 = 8,
+    and ``verify bases``."""
     true = boson._walk
     monkeypatch.setattr(boson, "_walk",
                         lambda v, steps: 2 ** sum(abs(k) >= 2 for _, k in steps) * true(v, steps))
@@ -490,6 +516,30 @@ SUITE_CALLS = CORPUS.SUITES + [("relations", ["--samples", str(samples)]) for sa
 def test_suite_totals_match_the_benchmark_answer_key(capsys, suite, extra):
     code, out, _ = run(capsys, "verify", suite, *extra, "--json")
     assert code == 0 and json.loads(out)["total"] == CORPUS._suite_total(suite, extra)
+
+
+def test_benchmark_worker_traces_the_ladder_calls_it_counts():
+    """One traced ladder-deep unit of ``perfbench/worker.py``, run as the benchmark runs it:
+    every op passes and each of its two creators and two annihilators is one traced call."""
+    root = Path(__file__).resolve().parent.parent
+    request = {"workload": "ladder-deep", "seed": 7, "trace": True,
+               "params": {"ops": 6, "min_exp": 6, "max_exp": 7}}
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py")],
+                          input=json.dumps(request), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    unit = json.loads(done.stdout)
+    assert unit["passed"] == unit["ops"] == 6
+    calls = unit["fn_calls"]
+    assert calls["boson.apply_create"] == calls["boson.apply_annihilate"] == 2 * 6
+
+
+def test_benchmark_literal_series_agrees_with_act(capsys):
+    """The benchmark's answer key for ladder expressions, the defining series, matches ``act``."""
+    code, out, _ = run(capsys, "act", "--rep", "|1,2", "--expr", "2 a1* a1* a2 - a2 a3*",
+                       "--state", "3,2|1,2", "--json")
+    terms = [(2, [(1, True), (1, True), (2, False)]), (-1, [(2, False), (3, True)])]
+    expected = CORPUS._Literal().apply((1, 2), terms, ((3, 2), (1, 2)))
+    assert code == 0 and expected and CORPUS._equal(CORPUS._parse_ket(out, True), expected)
 
 
 def test_run_suite_names_the_missing_options():

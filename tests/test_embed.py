@@ -8,7 +8,7 @@ from cuntzboson.boson import apply_annihilate, apply_create, fock_word
 from cuntzboson.common import DomainError
 from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_monomial
 from cuntzboson.embed import (EmbeddingSpec, decode_label, embed_generator,
-                              _embedded, embedded_create,
+                              _embedded,
                               encode_label, fock_word_in_ON, ladder_action,
                               odometer_action, odometer_boson, odometer_index,
                               odometer_isomorphism, translate_word)
@@ -95,7 +95,7 @@ def test_embedded_ladder_intertwines_the_codec():
             v = Ket.basis(label)
             encoded = Ket.basis(encode_label(spec, label))
             for n in (1, 2, 3):
-                lhs = embedded_create(spec, n, encoded)
+                lhs = _embedded(spec, encoded, partial(apply_create, n))
                 rhs = Ket((encode_label(spec, w), c) for w, c in apply_create(n, v).items())
                 assert lhs == rhs
                 lhs = _embedded(spec, encoded, partial(apply_annihilate, n))
@@ -105,7 +105,7 @@ def test_embedded_ladder_intertwines_the_codec():
             v = random_ket(rng, rep_inf, letter_bound=5, prefix_bound=3)
             encoded = Ket((encode_label(spec, w), c) for w, c in v.items())
             for n in (1, 2, 3):
-                lhs = embedded_create(spec, n, encoded)
+                lhs = _embedded(spec, encoded, partial(apply_create, n))
                 rhs = Ket((encode_label(spec, w), c) for w, c in apply_create(n, v).items())
                 assert lhs == rhs
                 lhs = _embedded(spec, encoded, partial(apply_annihilate, n))
@@ -120,7 +120,7 @@ def test_embedded_fock_state_matches_creators():
             state = omega
             for mode, count in sorted(occ.items()):
                 for _ in range(count):
-                    state = embedded_create(spec, mode, state)
+                    state = _embedded(spec, state, partial(apply_create, mode))
             coeff, _ = fock_word(occ)
             assert state == coeff * Ket.basis(EPWord(fock_word_in_ON(spec, occ), (1,)))
 

@@ -16,7 +16,7 @@ from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.boson import apply_annihilate, apply_create
+from cuntzboson.boson import BosonMonomial, apply_annihilate, apply_create
 from cuntzboson.common import add_term
 from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
 from cuntzboson.embed import EmbeddingSpec, _embedded, decode_label, encode_label
@@ -82,10 +82,12 @@ def _assert_injective_map(op, v, image):
 @given(seeds, specs, modes, powers)
 def test_ladders_are_injective_maps(seed, spec, n, power):
     v = _ket(seed, spec)
-    _assert_injective_map(lambda u: apply_create(n, u, power), v,
+    _assert_injective_map(BosonMonomial({n: power}).apply, v,
                           lambda w: _ladder_image(w, n, power, True))
-    _assert_injective_map(lambda u: apply_annihilate(n, u, power), v,
+    _assert_injective_map(BosonMonomial((), {n: power}).apply, v,
                           lambda w: _ladder_image(w, n, power, False))
+    for op, create in ((apply_create, True), (apply_annihilate, False)):
+        _assert_injective_map(partial(op, n), v, lambda w: _ladder_image(w, n, 1, create))
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuntzboson import words
-from cuntzboson.boson import apply_annihilate, apply_create
+from cuntzboson.boson import BosonMonomial, apply_annihilate, apply_create
 from cuntzboson.embed import odometer_index, odometer_isomorphism
 from cuntzboson.states import Ket
 from cuntzboson.words import EPWord, expand, format_word, is_primitive, parse_word, rotations
@@ -352,16 +352,21 @@ def test_set_letter_and_the_ladder_never_rehash_the_map(monkeypatch):
     # an overwrite, a letter back to the tail, a new last key, an insert before
     # the last key, a deep drop
     edits = [(w, 1, 4), (w, 2, 2), (w, 7, 5), (deep, 5, 3), (deep, 10**6, 1)]
-    ladder_args = [(n, v, k) for n in (1, 2, 5, 10**6) for k in (1, 2)]
-    expected = ([set_letter(u, n, x) for u, n, x in edits],
-                [(apply_create(*args), apply_annihilate(*args)) for args in ladder_args])
+    ladder_modes = (1, 2, 5, 10**6)
+
+    def ladders():
+        """Single steps, then the powers 1 and 2 as one-factor monomials."""
+        return ([(apply_create(n, v), apply_annihilate(n, v)) for n in ladder_modes]
+                + [(BosonMonomial({n: k}).apply(v), BosonMonomial((), {n: k}).apply(v))
+                   for n in ladder_modes for k in (1, 2)])
+
+    expected = ([set_letter(u, n, x) for u, n, x in edits], ladders())
 
     def refuse(rot, diff):
         raise AssertionError("the whole deviation map was rehashed")
 
     monkeypatch.setattr(words, "_label_hash", refuse)
-    got = ([set_letter(u, n, x) for u, n, x in edits],
-           [(apply_create(*args), apply_annihilate(*args)) for args in ladder_args])
+    got = ([set_letter(u, n, x) for u, n, x in edits], ladders())
     monkeypatch.undo()
     assert got == expected
     for u in got[0] + [label for pair in got[1] for ket in pair for label in ket._amps]:
