@@ -4,6 +4,11 @@ Grammar: an expression is a sum of products separated by ``+``/``-``; a
 product juxtaposes factors, each a generator token ``s<k>`` / ``a<k>`` with
 optional trailing ``*``, or a literal (``3``, ``3/2``, ``sqrt(2)``).
 Example: ``s1 s2* + sqrt(2) s3``.
+
+``parse_expression`` reads the text in one pass, each token straight into
+the current term.  An ``ExprError``'s position is the first character of the
+token at fault, and the first bad token wins; an empty last term (at its last
+sign) and an empty expression (at 0) are reported after the whole text is read.
 """
 
 from __future__ import annotations
@@ -40,69 +45,42 @@ class Term:
     factors: tuple[Factor, ...]
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match or match.end() == match.start():
-            if text[pos:].strip():
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise ExprError(f"unexpected character {text[bad]!r}", bad)
-            break
-        start = match.start("token")  # past the leading whitespace
-        if match.group("gen"):
-            index = int(match.group("index"))
+def parse_expression(text: str) -> list[Term]:
+    terms: list[Term] = []
+    coeff, factors, saw_content = ONE, [], False
+    start = pos = 0
+    while match := _TOKEN.match(text, pos):
+        start, pos = match.start("token"), match.end()  # past the leading whitespace
+        if match["gen"]:
+            index = int(match["index"])
             if index < 1:
                 raise ExprError("generator indices are 1-based", start)
-            check_index(index, "mode" if match.group("gen") == "a" else "generator index")
-            tokens.append(("factor", Factor(match.group("gen"), index, bool(match.group("star"))), start))
-        elif match.group("sqrt"):
-            radicand = int(match.group("radicand"))
+            check_index(index, "mode" if match["gen"] == "a" else "generator index")
+            factors.append(Factor(match["gen"], index, bool(match["star"])))
+            saw_content = True
+        elif match["sqrt"]:
+            radicand = int(match["radicand"])
             if radicand < 1:
                 raise ExprError("sqrt needs a radicand >= 1", start)
-            tokens.append(("literal", sqrt_nat(radicand), start))
-        elif match.group("number"):
+            coeff, saw_content = coeff * sqrt_nat(radicand), True
+        elif match["number"]:
             try:
-                value = Fraction(match.group("number"))
+                value = Fraction(match["number"])
             except ZeroDivisionError:
                 raise ExprError("zero denominator", start) from None
-            tokens.append(("literal", RadicalScalar.rational(value), start))
+            coeff, saw_content = coeff * RadicalScalar.rational(value), True
         else:
-            tokens.append(("sign", match.group("sign"), start))
-        pos = match.end()
-    return tokens
-
-
-def parse_expression(text: str) -> list[Term]:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ExprError("empty expression", 0)
-    terms: list[Term] = []
-    coeff = ONE
-    factors: list[Factor] = []
-    saw_content = False
-
-    def flush(position: int) -> None:
-        nonlocal coeff, factors, saw_content
-        if not saw_content:
-            raise ExprError("empty term", position)
-        terms.append(Term(coeff, tuple(factors)))
-        coeff, factors, saw_content = ONE, [], False
-
-    for kind, value, position in tokens:
-        if kind == "sign":
             if saw_content:
-                flush(position)
-            if value == "-":
+                terms.append(Term(coeff, tuple(factors)))
+                coeff, factors, saw_content = ONE, [], False
+            if match["sign"] == "-":
                 coeff = -coeff
-        elif kind == "literal":
-            coeff = coeff * value
-            saw_content = True
-        else:
-            factors.append(value)
-            saw_content = True
-    flush(tokens[-1][2])
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ExprError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    if not saw_content:
+        raise ExprError("empty term" if pos else "empty expression", start)
+    terms.append(Term(coeff, tuple(factors)))
     return terms
 
 

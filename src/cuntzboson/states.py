@@ -46,10 +46,6 @@ class Ket:
         """(label, amplitude) pairs in label order, for printing; operators iterate ``_amps``."""
         return sorted(self._amps.items(), key=lambda kv: kv[0].sort_key())
 
-    def labels(self) -> list[EPWord]:
-        """The labels in label order, for printing."""
-        return sorted(self._amps, key=EPWord.sort_key)
-
     def __bool__(self) -> bool:
         return bool(self._amps)
 

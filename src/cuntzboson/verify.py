@@ -291,7 +291,7 @@ def run_bases(*, cutoff: int, exps: int, **_) -> SuiteResult:
         vacuum_ket = Ket.basis(vacuum)
         kets = [normalizer * monomial.apply(vacuum_ket) for monomial, normalizer in monomials]
         orthonormality_checks(result, f"{name} modes {cutoff} exps {exps}", kets)
-        got_labels = {ket.labels()[0] for ket in kets}
+        got_labels = {w for ket in kets for w in ket._amps}
         result.add(got_labels == expected, lambda: f"{name}: "
                    f"span matches occupation-bounded labels: {len(got_labels)} labels")
     for j in (2, 3):

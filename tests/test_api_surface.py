@@ -5,7 +5,9 @@ module of the package mentions (``__init__.py``, which only re-exports, is
 not counted) is reached by tests alone.  Such a name stays only with a reason:
 it is an oracle that a fast path is checked against, it backs an acceptance
 criterion, or a ROADMAP item is about to use it.  Anything else is a parallel
-API and is deleted instead of listed here.
+API and is deleted instead of listed here.  A private module-level function
+or method has no such reason: the package must mention its name outside its
+own definition, or it is deleted.
 
 A class body may also give a method a second name (``__radd__ = __add__``).
 Between two dunders that is how Python spells the reflected or fallback
@@ -15,6 +17,7 @@ operator; any other alias is a second public way to do one job.
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import cuntzboson
@@ -35,29 +38,39 @@ KEPT = {
 
 
 def _definitions(module: str, tree: ast.Module):
+    """``(qualified name, name, node)`` of each module-level function and class, and each method."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.name
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """How often ``node`` mentions each name, as a variable or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def _unreferenced() -> set[str]:
-    defined: dict[str, str] = {}
-    referenced: set[str] = set()
+    """Public definitions that no package module mentions, and private functions and
+    methods that none mentions outside their own definition."""
+    defined = []
+    mentioned: Counter = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        defined.update(_definitions(path.stem, tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return {qualified for qualified, name in defined.items() if name not in referenced}
+        defined += _definitions(path.stem, tree)
+        mentioned += _mentions(tree)
+    found = set()
+    for qualified, name, node in defined:
+        own = _mentions(node)[name] if name.startswith("_") else 0
+        if not _dunder(name) and mentioned[name] == own:
+            found.add(qualified)
+    return found
 
 
 def test_only_kept_names_are_unreferenced_in_the_package():

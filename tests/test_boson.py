@@ -84,7 +84,7 @@ def test_ccr_diagonal_and_number_operator():
         v = random_ket(rng, P12)
         assert apply_annihilate(1, apply_create(1, v)) - apply_create(1, apply_annihilate(1, v)) == v
     for _ in range(10):
-        w = random_ket(rng, P1, max_labels=1).labels()[0]
+        w = [w for w, _ in random_ket(rng, P1, max_labels=1).items()][0]
         for n in (1, 2, 3, 4):
             number = apply_create(n, apply_annihilate(n, Ket.basis(w)))
             expected = RadicalScalar.rational(w.letter_at(n) - 1) * Ket.basis(w)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cuntzboson import boson, branching, cli, cuntz, embed, scalar, verify
 from cuntzboson.cli import main
 from cuntzboson.common import MAX_CHECKS, MAX_MODE, DomainError, check_family_sizes
+from cuntzboson.words import EPWord
 
 
 def run(capsys, *argv):
@@ -345,6 +346,33 @@ def _top_root_factor_dropped(true):  # sqrt(c (c+1) ... (c+k-1)) loses c+k-1 whe
     return lambda low, high: true(low, high - 1) if high > low else true(low, high)
 
 
+def _long_n_run_decoded_one_too_high(true):  # a block N^r b with r >= 2 decodes one letter too high
+    def decode(spec, label):
+        runs, run = [], 0
+        for letter in label.prefix + (1,):  # the tail's 1 closes a trailing run of N's
+            if letter == spec.N:
+                run += 1
+            else:
+                runs.append(run)
+                run = 0
+        word = true(spec, label)
+        return EPWord(tuple(d + (r >= 2) for d, r in zip(word.prefix, runs)), (1,))
+    return decode
+
+
+def _last_letter_of_long_words_unread(true):  # s_K* with |K| >= 2 strips K's last letter unread
+    def strip(word, label):
+        if len(word) < 2:
+            return true(word, label)
+        head = true(word[:-1], label)
+        return None if head is None else head.drop_first(1)
+    return strip
+
+
+def _power_three_steps_vanish(true):  # a walk with a step of |k| >= 3 gives the zero ket
+    return lambda v, steps: 0 * true(v, steps) if any(abs(k) >= 3 for _, k in steps) else true(v, steps)
+
+
 RELATIONS = ("verify", "relations", "--samples", "20", "--cutoff", "2")
 EMBEDDING = ("verify", "embedding", "--samples", "10")
 FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3")
@@ -392,15 +420,31 @@ FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3"
      ["[FAIL] s3 on creators ()"]
      + [f"[FAIL] s3{star} on creators ((1, {k}),)" for k, star in ((1, ""), (2, ""), (2, "*"))]
      + [f"[FAIL] s3 on creators (({mode}, {k}),)" for mode in (2, 3) for k in (1, 2)]),
+    ("decode_label", _long_n_run_decoded_one_too_high, EMBEDDING, 202, 193,
+     [f"[FAIL] N=2 occupations {{{occupations}}}: embedded creators reproduce the Fock state"
+      for occupations in ("1: 2, 3: 1, 5: 1, 6: 4", "1: 5, 2: 4, 6: 1", "1: 5, 2: 4, 3: 1, 6: 2",
+                          "1: 5, 2: 1, 3: 5, 4: 3", "1: 5, 2: 2, 3: 3, 6: 1", "1: 2, 3: 4, 5: 5, 6: 4",
+                          "4: 4, 5: 3", "2: 2, 6: 1")]
+     + ["[FAIL] N=2: encode/decode roundtrip sample 1"]),
+    # caught by the embedding's s_i* s_j = 0 samples alone: all 146 checks of RELATIONS pass under it
+    ("_strip_word", _last_letter_of_long_words_unread, EMBEDDING, 202, 193,
+     [f"[FAIL] N=2: embedded s{i}* s{j} = 0 on sample {k}"
+      for i, j in ((2, 3), (2, 4), (3, 4)) for k in range(3)]),
+    # captured after the span check read every label: before, a zero element raised IndexError
+    ("_walk", _power_three_steps_vanish, ("verify", "bases", "--cutoff", "1", "--exps", "3"), 108, 102,
+     [line for family, k in (("typej j=1", 3), ("typej j=2", 4), ("onetwov", 3))
+      for line in (f"[FAIL] {family} modes 1 exps 3: |v_{k}|^2 = 1: norm^2 0",
+                   f"[FAIL] {family}: span matches occupation-bounded labels: {k} labels")]),
 ])
 def test_planted_failure_records(capsys, monkeypatch, name, plant, argv, total, passed, failures):
-    """A fault planted in every package module that binds ``name`` names its failing checks."""
+    """A fault planted in every package module that binds ``name`` names its failing checks,
+    on standard output and with exit code 1."""
     true = getattr(cuntz, name, None) or getattr(embed, name, None) or getattr(boson, name)
     for module in (cuntz, boson, embed, verify):
         if getattr(module, name, None) is true:
             monkeypatch.setattr(module, name, plant(true))
-    code, out, _ = run(capsys, *argv, "--json")
-    assert code == 1 and json.loads(out) == {
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "") and json.loads(out) == {
         "suite": argv[1], "total": total, "passed": passed, "failures": failures}
 
 

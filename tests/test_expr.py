@@ -9,7 +9,7 @@ from cuntzboson.boson import apply_annihilate, apply_create
 from cuntzboson.common import ExprError
 from cuntzboson.cuntz import RepSpec, apply_generator
 from cuntzboson.embed import EmbeddingSpec, _embedded
-from cuntzboson.expr import Factor, _tokenize, eval_on_ket, parse_expression
+from cuntzboson.expr import Factor, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, sqrt_nat
 from cuntzboson.states import Ket, _sum
 from cuntzboson.verify import random_ket
@@ -59,8 +59,34 @@ def test_parse_errors_carry_position():
         parse_expression("s0")
 
 
-def test_tokens_record_their_own_start():
-    assert [position for _, _, position in _tokenize("  s1 +  2 a2*\t- sqrt(3)")] == [2, 5, 8, 10, 14, 16]
+@pytest.mark.parametrize("text, message, position", [
+    ("\t s0", "generator indices are 1-based", 2),
+    ("  1/0", "zero denominator", 2),
+    (" \tsqrt(0)", "sqrt needs a radicand >= 1", 2),
+    ("s1 \t+", "empty term", 4),
+    ("  @", "unexpected character '@'", 2)])
+def test_error_position_is_past_the_leading_whitespace(text, message, position):
+    with pytest.raises(ExprError) as err:
+        parse_expression(text)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+_pieces = st.one_of(st.sampled_from(["s0", "s1", "a2*", "a0*", "2", "1/0", "3/2", "sqrt(0)", "sqrt(8)",
+                                     "+", "-"]),
+                    st.text(alphabet="sa*()+-/0123456789@x", min_size=1, max_size=4))
+_gaps = st.text(alphabet=" \t\n", min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_gaps, _pieces), min_size=1, max_size=6), _gaps)
+def test_every_error_points_at_a_token(pieces, trailing):
+    """On text that is not blank, an error's position is the first character of a token or
+    of junk, never whitespace."""
+    text = "".join(gap + piece for gap, piece in pieces) + trailing
+    try:
+        parse_expression(text)
+    except ExprError as err:
+        assert 0 <= err.position < len(text) and not text[err.position].isspace(), text
 
 
 def test_eval_matches_direct_application():

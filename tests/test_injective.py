@@ -73,7 +73,7 @@ def _assert_injective_map(op, v, image):
     for label in v._amps:
         one = op(Ket.basis(label))
         assert len(one) <= 1
-        images += one.labels()
+        images += [w for w, _ in one.items()]
     assert len(set(images)) == len(images)
     assert op(v)._amps == _oracle(v, image)
 
