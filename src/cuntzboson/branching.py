@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm, perm, prod
 from operator import itemgetter
-from typing import Optional
 
 from .boson import BosonMonomial, apply_annihilate, apply_create
 from .common import MAX_CHECKS, CheckResult, DomainError
@@ -107,7 +106,15 @@ def _ket_inline(v: Ket) -> str:
 
 
 def enumerate_components(spec: RepSpec, *, modes: int) -> list[ComponentReport]:
-    """One component per rotation of the cycle, classified and verified."""
+    """One component per rotation of the cycle, classified and verified.
+
+    Under an alphabet bound N the cycle must hold a letter below N: every
+    embedded s_m = t_N^{k-1} t_i ends in a letter i < N, so s_m* kills N^inf
+    and P_N(N) restricts to no representation of O_inf.
+    """
+    if spec.cycle == (spec.alphabet,):
+        raise DomainError(f"{spec} restricts to no representation of O_inf: every embedded "
+                          f"s_m* kills {spec.alphabet}^inf")
     out = []
     for vacuum in spec.rotation_vacua():
         name, checks = classify_vacuum(vacuum, modes=modes)
@@ -255,24 +262,8 @@ def _power_at_most(base: int, exp: int) -> int:
     return min(base ** exp, MAX_CHECKS + 1)
 
 
-@dataclass
-class InequivalenceReport:
-    eigenvalues_first: tuple[int, ...]
-    eigenvalues_second: tuple[int, ...]
-    first_difference_mode: Optional[int]
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def distinct(self) -> bool:
-        return self.first_difference_mode is not None
-
-    @property
-    def ok(self) -> bool:
-        return self.distinct and all(c.passed for c in self.checks)
-
-
-def inequivalence_witness(c1: ComponentReport, c2: ComponentReport) -> InequivalenceReport:
-    """Pairwise inequivalence evidence for two components.
+def inequivalence_witness(c1: ComponentReport, c2: ComponentReport) -> list[CheckResult]:
+    """Pairwise inequivalence evidence for two components, as check rows.
 
     Structural witness: the number-operator eigenvalue sequences of the two
     vacua (the periodic letter patterns) differ at some mode.  When both vacua
@@ -289,15 +280,11 @@ def inequivalence_witness(c1: ComponentReport, c2: ComponentReport) -> Inequival
     ev1 = tuple(v1.letter_at(n) for n in range(1, window + 1))
     ev2 = tuple(v2.letter_at(n) for n in range(1, window + 1))
     first_diff = next((n for n in range(1, window + 1) if ev1[n - 1] != ev2[n - 1]), None)
-    report = InequivalenceReport(ev1, ev2, first_diff)
-    report.checks.append(CheckResult(
-        f"number-operator eigenvalue lists differ: {ev1} vs {ev2}",
-        first_diff is not None,
-        f"first difference at mode {first_diff}",
-    ))
+    checks = [CheckResult(f"number-operator eigenvalue lists differ: {ev1} vs {ev2}",
+                          first_diff is not None, f"first difference at mode {first_diff}")]
     if v1.cycle in rotations(v2.cycle):
         apart = not v1.tail_equivalent(v2)
-        report.checks.append(CheckResult(
+        checks.append(CheckResult(
             "<x vac1 | vac2> = 0 for every ladder monomial x", apart,
             f"|{v1}> and |{v2}> lie in {'distinct tail classes' if apart else 'one tail class'}"))
-    return report
+    return checks

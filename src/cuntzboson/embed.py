@@ -157,8 +157,8 @@ def odometer_index(label: EPWord) -> int:
     if label._rot != (1,):
         raise DomainError(f"odometer labels end in 1^inf, got {label}")
     diff = label._diff
-    index, right = 1, next(reversed(diff), 0) + 1
-    for pos, n in reversed(diff.items()):
+    index, right = 1, max(diff, default=0) + 1
+    for pos, n in sorted(diff.items(), reverse=True):
         # the letters 1 at pos+1..right-1, then letter n at pos
         index = (((index - 1) << (right - pos)) + 1) << (n - 1)
         right = pos

@@ -10,7 +10,7 @@ deviations from it:
     at position 1, agrees with the label from some position on; two labels
     are tail-equivalent (lie in the same component) iff their ``_rot`` agree;
   * ``_diff`` maps each position where the label differs from ``R^inf`` to
-    its letter there, keys in increasing order.
+    its letter there, in no particular order.
 
 Both parts are unique, so equality compares fields, and reading or changing
 one letter costs the same at mode 10**6 as at mode 1.  The hash is
@@ -21,7 +21,9 @@ old item at the changed position and XORs in the new one.  The printed
 ``1..max(_diff)`` and ``cycle`` is ``R`` rotated left by ``max(_diff) mod |R|``.
 That is the maximally absorbed form (primitive cycle, prefix not ending in
 the cycle's last letter), so text, JSON and label order are those of the
-canonical ``(prefix, cycle)`` pair.
+canonical ``(prefix, cycle)`` pair.  Only the readers that need position
+order impose it: ``_split`` (printing and ``sort_key``) and ``expand`` here,
+and ``embed.odometer_index``, which sorts the deviations.
 """
 
 from __future__ import annotations
@@ -148,8 +150,10 @@ class EPWord:
         rot, diff = self._rot, self._diff
         if not diff:
             return (), rot
-        last = next(reversed(diff))
-        prefix = tuple(diff.values()) if len(diff) == last else self.expand(last)
+        last = max(diff)
+        # a label that deviates at every position 1..last reads its prefix off the map
+        prefix = (tuple(map(diff.__getitem__, range(1, last + 1))) if len(diff) == last
+                  else self.expand(last))
         shift = last % len(rot)
         return prefix, (rot[shift:] + rot[:shift] if shift else rot)
 
@@ -204,9 +208,8 @@ class EPWord:
     def expand(self, count: int) -> Word:
         letters = _periodic(self._rot, count)
         for pos, letter in self._diff.items():
-            if pos > count:
-                break
-            letters[pos - 1] = letter
+            if pos <= count:
+                letters[pos - 1] = letter
         return tuple(letters)
 
     def sort_key(self) -> tuple:
@@ -244,28 +247,20 @@ def _move_letter(word: EPWord, n: int, v: int, old: int | None, tail: int) -> EP
     ``old`` is the deviation of ``word`` at ``n`` (None for none) and ``tail``
     the letter of ``_rot``'s repetition at ``n``, both read by the caller, so
     the letter is not read or checked again.  The hash is updated in O(1): the
-    old item XORed out, the new one XORed in; the keys stay in position order.
+    old item XORed out, the new one XORed in.  The map is copied once and
+    changed at ``n`` alone, so its keys are in no particular order.
     """
-    diff = word._diff
+    out = word._diff.copy()
     h = word._hash if old is None else word._hash ^ hash((n, old))
     if v == tail:  # back to the tail letter: the deviation at n goes
-        out = diff.copy()
         del out[n]
         return _raw(word._rot, out, h)
-    if old is not None or not diff or n > next(reversed(diff)):
-        out = diff.copy()
-        out[n] = v  # an existing key keeps its place; a new last key goes last
-    else:  # a new key before the last one: insert it in position order
-        out = {}
-        for pos, x in diff.items():
-            if pos > n and n not in out:
-                out[n] = v
-            out[pos] = x
+    out[n] = v
     return _raw(word._rot, out, h ^ hash((n, v)))
 
 
 def _raw(rot: Word, diff: dict[int, int], h: int | None = None) -> EPWord:
-    """A word from a primitive ``rot``, a position-ordered deviation map and its hash if known."""
+    """A word from a primitive ``rot``, a deviation map in any key order and its hash if known."""
     out = object.__new__(EPWord)
     out._rot = rot
     out._diff = diff

@@ -120,11 +120,11 @@ def _factor_by_factor(v, steps):
 
 
 def _canonical_labels(v):
-    """Whether every label of ``v`` is the one its printed form builds afresh, hash and key order included."""
+    """Whether every label of ``v`` is the one its printed form builds afresh, hash included."""
     for word in v._amps:
         fresh = EPWord(word.prefix, word.cycle)
         if not (word == fresh and hash(word) == hash(fresh) and word._rot == fresh._rot
-                and list(word._diff.items()) == list(fresh._diff.items())):
+                and word._diff == fresh._diff):
             return False
     return True
 

@@ -194,38 +194,42 @@ _ORTHOGONALITY = "<x vac1 | vac2> = 0 for every ladder monomial x"
 
 def test_inequivalence_witnesses():
     f12, f21 = enumerate_components(RepSpec((1, 2)), modes=6)
-    report = inequivalence_witness(f12, f21)
-    assert report.distinct and report.first_difference_mode == 1
-    assert report.eigenvalues_first[:4] == (1, 2, 1, 2)
-    assert report.eigenvalues_second[:4] == (2, 1, 2, 1)
-    assert [c.name for c in report.checks][1:] == [_ORTHOGONALITY]  # one ambient representation
-    assert report.ok
+    rows = inequivalence_witness(f12, f21)
+    assert [c.line() for c in rows] == [  # one ambient representation
+        "[ok] number-operator eigenvalue lists differ: (1, 2, 1, 2) vs (2, 1, 2, 1): "
+        "first difference at mode 1",
+        f"[ok] {_ORTHOGONALITY}: |{f12.vacuum_label}> and |{f21.vacuum_label}> lie in distinct tail classes"]
 
     f1 = enumerate_components(RepSpec((1,)), modes=6)[0]
     f2 = enumerate_components(RepSpec((2,)), modes=6)[0]
-    report = inequivalence_witness(f1, f2)
-    assert report.distinct and report.first_difference_mode == 1
-    assert _ORTHOGONALITY not in [c.name for c in report.checks]  # different ambient representations
-    assert report.ok
+    rows = inequivalence_witness(f1, f2)
+    assert [c.line() for c in rows] == [  # different ambient representations
+        "[ok] number-operator eigenvalue lists differ: (1, 1) vs (2, 2): first difference at mode 1"]
 
     with pytest.raises(DomainError):
         inequivalence_witness(f1, f1)
 
 
+@pytest.mark.parametrize("cycle, N", [((2,), 2), ((3,), 3)])
+def test_a_cycle_of_the_letter_n_restricts_to_nothing(cycle, N):
+    # every embedded s_m* kills N^inf, so P_N(N) is no representation of O_inf
+    with pytest.raises(DomainError, match=f"P_{N}[(]{N}[)] restricts to no representation"):
+        enumerate_components(RepSpec(cycle, alphabet=N), modes=6)
+
+
 def test_orthogonality_is_decided_for_every_pair_of_rotations():
     for cycle in ((1, 2), (1, 1, 2), (1, 2, 3), (2, 1, 1, 3)):
         for c1, c2 in itertools.permutations(enumerate_components(RepSpec(cycle), modes=6), 2):
-            report = inequivalence_witness(c1, c2)
-            assert report.ok
-            assert [c.name for c in report.checks][1:] == [_ORTHOGONALITY]
+            rows = inequivalence_witness(c1, c2)
+            assert all(c.passed for c in rows)
+            assert [c.name for c in rows][1:] == [_ORTHOGONALITY]
 
 
 def test_inequivalence_witness_fails_when_the_vacua_share_a_tail_class(monkeypatch):
     f12, f21 = enumerate_components(RepSpec((1, 2)), modes=6)
     monkeypatch.setattr(EPWord, "tail_equivalent", lambda self, other: True)
-    report = inequivalence_witness(f12, f21)
-    assert report.distinct and not report.ok
-    assert [c.line() for c in report.checks if not c.passed] == [
+    rows = inequivalence_witness(f12, f21)
+    assert [c.line() for c in rows if not c.passed] == [
         f"[FAIL] {_ORTHOGONALITY}: |{f12.vacuum_label}> and |{f21.vacuum_label}> lie in one tail class"]
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cuntzboson import boson, branching, cli, cuntz, embed, scalar, verify
 from cuntzboson.cli import main
 from cuntzboson.common import MAX_CHECKS, MAX_MODE, DomainError, check_family_sizes
-from cuntzboson.words import EPWord
+from cuntzboson.words import EPWord, _raw
 
 
 def run(capsys, *argv):
@@ -373,6 +373,13 @@ def _power_three_steps_vanish(true):  # a walk with a step of |k| >= 3 gives the
     return lambda v, steps: 0 * true(v, steps) if any(abs(k) >= 3 for _, k in steps) else true(v, steps)
 
 
+def _tail_letter_kept_as_a_deviation(true):  # a move back to the tail letter keeps it in _diff
+    def move(word, n, v, old, tail):
+        moved = true(word, n, v, old, tail)
+        return _raw(moved._rot, {**moved._diff, n: v}) if v == tail else moved
+    return move
+
+
 RELATIONS = ("verify", "relations", "--samples", "20", "--cutoff", "2")
 EMBEDDING = ("verify", "embedding", "--samples", "10")
 FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3")
@@ -435,6 +442,10 @@ FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3"
      [line for family, k in (("typej j=1", 3), ("typej j=2", 4), ("onetwov", 3))
       for line in (f"[FAIL] {family} modes 1 exps 3: |v_{k}|^2 = 1: norm^2 0",
                    f"[FAIL] {family}: span matches occupation-bounded labels: {k} labels")]),
+    # planted on boson only: a label that comes back to its tail letter is no longer canonical
+    ("_move_letter", _tail_letter_kept_as_a_deviation, ("verify", "ccr", "--modes", "2", "--samples", "2"),
+     72, 60, [f"[FAIL] P_inf({rep}) sample {idx}: [a{n}, a{n}*] = 1"
+              for rep in ("1", "2", "1,2") for idx in (0, 1) for n in (1, 2)]),
 ])
 def test_planted_failure_records(capsys, monkeypatch, name, plant, argv, total, passed, failures):
     """A fault planted in every package module that binds ``name`` names its failing checks,

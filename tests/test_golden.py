@@ -14,8 +14,11 @@ before ccr came to compare the two operator orderings of each relation
 instead of building their difference, and the last four (a ``typej`` basis
 whose lowering is capped by ``--exps`` and an ``onetwov`` basis on an even
 number of modes, each as text and as JSON) before the occupation families
-came to be built by one builder from one table of letter ranges.  Any change
-to the text or JSON forms shows up here.
+came to be built by one builder from one table of letter ranges, and the
+last two (``branch --rep '|2' --N 2``, as text and as JSON) once a cycle of
+the letter N came to be refused, with their standard error.  Any change to
+the text or JSON forms shows up here.  An entry without ``stderr`` expects
+an empty standard error.
 """
 
 import json
@@ -32,7 +35,8 @@ CORPUS = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 @pytest.mark.parametrize("entry", CORPUS, ids=[" ".join(e["argv"]) for e in CORPUS])
 def test_cli_output_is_unchanged(capsys, entry):
     code = main(list(entry["argv"]))
-    assert (code, capsys.readouterr().out) == (entry["code"], entry["stdout"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (entry["code"], entry["stdout"], entry.get("stderr", ""))
 
 
 def test_reused_parser_keeps_calls_independent(capsys):
@@ -44,7 +48,7 @@ def test_reused_parser_keeps_calls_independent(capsys):
     --rep '|2'`` and a valid odometer call, a ``--json`` call and the same
     call without ``--json``.
     """
-    golden = [(e["argv"], e["code"], e["stdout"], "") for e in CORPUS]
+    golden = [(e["argv"], e["code"], e["stdout"], e.get("stderr", "")) for e in CORPUS]
     act, act_json, odometer = golden[0], golden[1], golden[18]
     assert act_json[0] == act[0] + ["--json"] and odometer[0][:3] == ["act", "--model", "odometer"]
     usage_error = (["act", "--rep", "|1", "--state", "omega"], 2, "",
@@ -59,7 +63,7 @@ def test_reused_parser_keeps_calls_independent(capsys):
         got = main(list(argv))
         captured = capsys.readouterr()
         assert (got, captured.out) == (code, stdout), argv
-        if error:
+        if error.startswith("error: "):  # a usage error, printed after the usage text
             assert captured.err.startswith("usage: cuntzboson") and captured.err.endswith(error)
         else:
-            assert captured.err == "", argv
+            assert captured.err == error, argv

@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cuntzboson import words
-from cuntzboson.boson import BosonMonomial, apply_annihilate, apply_create
+from cuntzboson.boson import BosonMonomial, _walk, apply_annihilate, apply_create
 from cuntzboson.embed import odometer_index, odometer_isomorphism
 from cuntzboson.states import Ket
 from cuntzboson.words import EPWord, expand, format_word, is_primitive, parse_word, rotations
@@ -295,8 +295,39 @@ def test_letter_move_edit_paths(path, prefix, cycle, n, v):
     head[n - 1] = v
     expected = EPWord(head, window(prefix, cycle, None, len(head) + 1, len(cycle)))
     assert got == expected and got._diff == expected._diff, path
-    assert list(got._diff) == sorted(got._diff), path
     assert got._hash == words._label_hash(got._rot, got._diff) == hash(expected), path
+
+
+# --- the deviation map carries no order: only its readers sort ---
+
+_MODES = st.integers(min_value=1, max_value=8) | st.sampled_from([2**e for e in range(6, 15)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1,), (2,), (1, 2), (1, 2, 3)]), prefixes,
+       st.lists(_MODES, max_size=3, unique=True), st.lists(_MODES, max_size=4, unique=True),
+       st.data())
+def test_step_order_leaves_no_trace(cycle, prefix, raised, lifted, data):
+    """Single steps at distinct modes, walked in two orders, give equal kets whose labels
+    print, sort, serialize and expand like the labels their printed form builds afresh."""
+    start = _walk(Ket.basis(EPWord(prefix, cycle)), [(n, 1) for n in raised])
+    # each raised mode is lowered again, back to the tail letter past the prefix; each
+    # lifted mode gains a deviation, so a walk adds keys in the order of its steps
+    steps = [(n, -1) for n in raised] + [(n, 1) for n in lifted if n not in raised]
+    got, again = _walk(start, steps), _walk(start, data.draw(st.permutations(steps)))
+    assert got == again and got.to_json() == again.to_json() and str(got) == str(again)
+    for w in [w for w, _ in got.items()] + [w for w, _ in again.items()]:
+        fresh = EPWord(w.prefix, w.cycle)
+        assert w == fresh and w._diff == fresh._diff
+        assert hash(w) == hash(fresh) == words._label_hash(w._rot, w._diff)
+        assert (str(w), w.sort_key()) == (str(fresh), fresh.sort_key())
+        assert Ket.basis(w).to_json() == Ket.basis(fresh).to_json()
+        last = max(w._diff, default=0)
+        for k in (0, 1, max(last - 1, 0), last, last + len(w._rot)):
+            assert w.expand(k) == fresh.expand(k)
+        if w._rot == (1,):
+            index = odometer_index(w)
+            assert index == odometer_index(fresh) and odometer_isomorphism(index) == w
 
 
 # --- the hash: hash(_rot) XOR hash((pos, letter)) over _diff, updated in O(1) ---
