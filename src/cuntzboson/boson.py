@@ -28,6 +28,13 @@ single step, by ``_ladder``, the kernel the walk is checked against.
 ``literal_annihilate``/``literal_create`` instead apply the truncated series
 one Cuntz monomial at a time and sum the images; they exist to cross-validate
 the closed form against its defining expansion.
+
+A ket may keep its single-step images (``states.Ket``), and ``_ladder`` then
+builds each (n, +-1) image of it once.  Only ``verify``'s ccr and
+intertwining samples keep them, for as long as the suite holds them: each
+is asked for a few images many times, while most kets are never asked for
+one twice, and keeping images on every ket slowed the ladder-deep benchmark
+by a third.
 """
 
 from __future__ import annotations
@@ -46,6 +53,20 @@ Exponents = tuple[tuple[int, int], ...]  # sorted (mode, exponent) pairs, expone
 
 
 def _as_exponents(data: Union[Mapping[int, int], Iterable[tuple[int, int]]]) -> Exponents:
+    """``data`` as sorted (mode, exponent) pairs, repeated modes summed and zero exponents dropped.
+
+    A tuple that is already in that form, strictly increasing modes >= 1 and
+    exponents >= 1 (the exponents of another ``BosonMonomial``, a family
+    element, a fock-ext state), is returned as it is, without the merge.
+    """
+    if type(data) is tuple:
+        last = 0
+        for pair in data:
+            if type(pair) is not tuple or len(pair) != 2 or not last < pair[0] or pair[1] < 1:
+                break
+            last = pair[0]
+        else:
+            return data
     merged: dict[int, int] = {}
     items = data.items() if isinstance(data, Mapping) else data
     for mode, exp in items:
@@ -59,9 +80,19 @@ def _as_exponents(data: Union[Mapping[int, int], Iterable[tuple[int, int]]]) -> 
 
 
 def _ladder(n: int, v: Ket, sign: int) -> Ket:
-    """a_n (sign -1) or a_n* (sign 1): a single step by the rule above."""
+    """a_n (sign -1) or a_n* (sign 1): a single step by the rule above.
+
+    A ket that keeps its images (``v._images`` a dict, see ``states``) is
+    answered from them: the image is built on the first request for the
+    signed mode ``sign * n`` and stored there; the image itself keeps none.
+    """
     if n < 1:
         raise ValueError(f"modes are 1-based, got {n}")
+    images = v._images
+    if images is not None:
+        image = images.get(sign * n)
+        if image is not None:
+            return image
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
         rot, old = word._rot, word._diff.get(n)
@@ -72,7 +103,10 @@ def _ladder(n: int, v: Ket, sign: int) -> Ket:
             continue
         q, r = _root(low)
         out[_move_letter(word, n, c + sign, old, tail)] = _scale_root(coeff, q, r)
-    return _canonical(out)
+    image = _canonical(out)
+    if images is not None:
+        images[sign * n] = image
+    return image
 
 
 def _walk(v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:

@@ -53,6 +53,25 @@ def check_family_sizes(sizes: Iterable[int], what: str) -> None:
                           f"supported number, MAX_CHECKS = {MAX_CHECKS}")
 
 
+# Largest number of checks one ``verify ccr`` or ``verify fock-ext`` call may
+# make.  Each of their checks builds kets by ladder steps or generator
+# actions and compares them, about 15-60 us at modest exponents, a hundred
+# times an orthonormality check, so the bound is a few seconds of work.  The
+# suites count their checks from the arguments and refuse a larger request
+# with DomainError (exit code 3) before they draw or build anything.  The
+# count does not see the size of a fock-ext check, which grows with the
+# digits of sqrt(exps!): `--modes 1 --exps 2000` makes 4,002 checks in
+# about 5 s.
+MAX_KET_CHECKS = 10**5
+
+
+def check_ket_checks(count: int, what: str) -> None:
+    """Refuse a suite call of more than ``MAX_KET_CHECKS`` ket-building checks."""
+    if count > MAX_KET_CHECKS:
+        raise DomainError(f"{what} needs more checks than the largest supported number, "
+                          f"MAX_KET_CHECKS = {MAX_KET_CHECKS}")
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One verified identity: its name, outcome, and the exact scalars seen."""

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import boson, branching, embed
-from .common import add_term, check_family_sizes
+from .common import MAX_KET_CHECKS, add_term, check_family_sizes, check_ket_checks
 from .cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
 from .scalar import ONE, RadicalScalar, _reduced
 from .states import Ket, _canonical, _sum
@@ -119,7 +119,13 @@ def run_ccr(*, modes: int, samples: int, seed: int, **_) -> SuiteResult:
     [a_n, a_m*] = delta_nm as a_n a_m* v == a_m* a_n v + delta_nm v.  Kets
     are canonical (unique labels, nonzero amplitudes), so X == Y + E holds
     exactly when X - Y - E is the zero ket, and no commutator ket is built.
+
+    Each sample keeps its ladder images (``states.Ket``) while it is checked:
+    of its 432 single-step requests, 216 ask for one of its own 12 images,
+    which it builds once.  Every ladder call and every check is made as
+    before; only the repeated label steps go.
     """
+    check_ket_checks(9 * samples * modes**2, "verify ccr")
     result = SuiteResult("ccr")
     rng = random.Random(seed)
     create, annihilate = boson.apply_create, boson.apply_annihilate
@@ -127,6 +133,7 @@ def run_ccr(*, modes: int, samples: int, seed: int, **_) -> SuiteResult:
         spec = RepSpec(cycle)
         for idx in range(samples):
             v = random_ket(rng, spec)
+            v._images = {}
             for n in range(1, modes + 1):
                 for m in range(1, modes + 1):
                     left, right = annihilate(n, create(m, v)), create(m, annihilate(n, v))
@@ -211,8 +218,12 @@ def _isometry_relations(result: SuiteResult, spec: RepSpec, k: int, kets: Sequen
 
 
 def _intertwining(result: SuiteResult, spec: RepSpec, kets: Sequence[Ket]) -> None:
-    """s_m a_n = a_{n+1} s_m and s_m a_n* = a_{n+1}* s_m for m, n = 1..3 on sample kets."""
+    """s_m a_n = a_{n+1} s_m and s_m a_n* = a_{n+1}* s_m for m, n = 1..3 on sample kets.
+
+    Each sample keeps its six ladder images (``states.Ket``), asked for three times each.
+    """
     for idx, v in enumerate(kets):
+        v._images = {}
         for m in range(1, 4):
             for n in range(1, 4):
                 for ladder, star in ((boson.apply_annihilate, ""), (boson.apply_create, "*")):
@@ -390,8 +401,24 @@ def run_odometer(*, modes: int, cutoff: int, index_bound: int, **_) -> SuiteResu
     return result
 
 
+def _fock_ext_checks(modes: int, cutoff: int, exps: int) -> int:
+    """The checks of ``run_fock_ext``, 2 modes sum_{p <= cutoff} C(modes, p) exps^p.
+
+    The sum stops at the first partial sum past ``MAX_KET_CHECKS``, so the
+    count is exact up to that bound and only a few terms are formed above it.
+    """
+    states, term = 0, 1  # term = C(modes, p) exps^p
+    for p in range(min(cutoff, modes) + 1):
+        states += term
+        if 2 * modes * states > MAX_KET_CHECKS:
+            break
+        term = term * (modes - p) * exps // (p + 1)
+    return 2 * modes * states
+
+
 def run_fock_ext(*, modes: int, cutoff: int, exps: int, **_) -> SuiteResult:
     """Both sides of the four isometry-extension formulas, evaluated independently."""
+    check_ket_checks(_fock_ext_checks(modes, cutoff, exps), "verify fock-ext")
     result = SuiteResult("fock-ext")
     spec = RepSpec((1,))
     omega = spec.gp_vector()

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.boson import (BosonMonomial, _walk, apply_annihilate, apply_create,
+from cuntzboson.boson import (BosonMonomial, _as_exponents, _walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
 from cuntzboson.common import MAX_MODE
 from cuntzboson.cuntz import RepSpec, apply_generator
@@ -59,6 +60,56 @@ def test_power_equals_single_steps(seed, spec, k, n):
         # a bare bool: the text of a label that deviates near MAX_MODE has a million letters
         same = power.apply(v) == _single_steps(op, n, v, k)
         assert same, f"{power} at mode {n} differs from {k} steps of {op.__name__}"
+
+
+def _merged_exponents(data):
+    """The merge loop of ``_as_exponents`` without its fast path: the oracle it is checked against."""
+    merged = {}
+    items = data.items() if isinstance(data, Mapping) else data
+    for mode, exp in items:
+        if mode < 1:
+            raise ValueError(f"modes are 1-based, got {mode}")
+        if exp < 0:
+            raise ValueError(f"exponents must be >= 0, got {exp}")
+        if exp:
+            merged[mode] = merged.get(mode, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def _exponents_or_error(convert, data):
+    try:
+        return convert(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("data, canonical", [
+    (((1, 2), (3, 1), (7, 4)), True),
+    ((), True),
+    (((3, 1), (1, 2)), False),  # unsorted
+    (((1, 1), (1, 2), (2, 1)), False),  # a repeated mode
+    (((1, 0), (2, 1)), False),  # a zero exponent
+    (((2, 1), (0, 1)), False),  # a mode below 1, after a canonical pair
+    (((1, 1), (2, -1)), False),  # a negative exponent
+    (((1, 1), [2, 1]), False),  # a pair that is not a tuple
+    ([(1, 1), (2, 1)], False),  # not a tuple
+    ({2: 1, 1: 3}, False),
+])
+def test_exponents_fast_path_matches_the_merge_loop(data, canonical):
+    got = _exponents_or_error(_as_exponents, data)
+    assert got == _exponents_or_error(_merged_exponents, data)
+    assert (got is data) == canonical
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-1, max_value=6), st.integers(min_value=-1, max_value=3)),
+                max_size=5).map(tuple))
+def test_exponents_of_any_pairs_match_the_merge_loop(data):
+    for candidate in (data, tuple(sorted(data))):
+        got = _exponents_or_error(_as_exponents, candidate)
+        assert got == _exponents_or_error(_merged_exponents, candidate)
+        if got == candidate:  # canonical input is returned as it is
+            assert got is candidate
 
 
 @pytest.mark.parametrize("power", [-1])
@@ -196,6 +247,30 @@ def test_fock_extension_both_sides_agree():
                 lhs = apply_generator(P1, m, state, star=star)
                 rhs = coeff * BosonMonomial(image, ()).apply(OMEGA)
                 assert lhs == rhs, (creators, m, star)
+
+
+_STEPS = {1: apply_create, -1: apply_annihilate}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from([P1, RepSpec((2,)), P12]),
+       st.lists(st.tuples(_WALK_MODES, st.sampled_from([1, -1])), min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_kept_images_are_fresh_images_built_once(seed, spec, requests, order):
+    v = random_ket(random.Random(seed), spec)
+    fresh, text, doc = Ket(v._amps), str(v), v.to_json()
+    v._images = {}
+    requests = requests * 2  # every request repeated, in random order
+    order.shuffle(requests)
+    first = {}
+    for n, sign in requests:
+        image = _STEPS[sign](n, v)
+        assert image == _STEPS[sign](n, fresh), f"kept image of {(n, sign)} differs from a fresh copy's"
+        assert image is first.setdefault((n, sign), image), f"{(n, sign)} was built twice"
+        assert image._images is None, "an image keeps images of its own"
+    assert len(v._images) <= 2 * len({n for n, _ in requests})
+    assert set(v._images) == {sign * n for n, sign in requests}
+    assert v == fresh and fresh == v and str(v) == text and v.to_json() == doc
 
 
 def test_intertwining_relations():

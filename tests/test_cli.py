@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzboson import boson, branching, cli, cuntz, embed, scalar, verify
 from cuntzboson.cli import main
-from cuntzboson.common import MAX_CHECKS, MAX_MODE, DomainError, check_family_sizes
+from cuntzboson.common import (MAX_CHECKS, MAX_KET_CHECKS, MAX_MODE, DomainError, check_family_sizes,
+                               check_ket_checks)
 from cuntzboson.words import EPWord, _raw
 
 
@@ -573,19 +574,35 @@ def test_suite_totals_match_the_benchmark_answer_key(capsys, suite, extra):
     assert code == 0 and json.loads(out)["total"] == CORPUS._suite_total(suite, extra)
 
 
-def test_benchmark_worker_traces_the_ladder_calls_it_counts():
-    """One traced ladder-deep unit of ``perfbench/worker.py``, run as the benchmark runs it:
-    every op passes and each of its two creators and two annihilators is one traced call."""
+def _traced_benchmark_unit(workload, params):
+    """One traced unit of ``perfbench/worker.py`` at seed 7, run as the benchmark runs it."""
     root = Path(__file__).resolve().parent.parent
-    request = {"workload": "ladder-deep", "seed": 7, "trace": True,
-               "params": {"ops": 6, "min_exp": 6, "max_exp": 7}}
+    request = {"workload": workload, "seed": 7, "trace": True, "params": params}
     done = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py")],
                           input=json.dumps(request), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    unit = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_benchmark_worker_traces_the_ladder_calls_it_counts():
+    """Every ladder-deep op passes and each of its two creators and two annihilators is one
+    traced call."""
+    unit = _traced_benchmark_unit("ladder-deep", {"ops": 6, "min_exp": 6, "max_exp": 7})
     assert unit["passed"] == unit["ops"] == 6
     calls = unit["fn_calls"]
     assert calls["boson.apply_create"] == calls["boson.apply_annihilate"] == 2 * 6
+
+
+def test_benchmark_worker_traces_every_ccr_ladder_call():
+    """A ccr sample keeps its ladder images, which saves label steps, not calls: every check
+    passes, each is one ``verify.add``, and each makes its six creators and six annihilators
+    (3 samples modes^2 6 of each kind)."""
+    samples, modes = 2, 2
+    unit = _traced_benchmark_unit("ccr", {"modes": modes, "samples": samples})
+    assert unit["passed"] == unit["ops"] == 9 * samples * modes**2 == 72
+    calls = unit["fn_calls"]
+    assert calls["boson.apply_create"] == calls["boson.apply_annihilate"] == 3 * samples * modes**2 * 6
+    assert calls["verify.add"] == 72
 
 
 def test_benchmark_literal_series_agrees_with_act(capsys):
@@ -735,6 +752,37 @@ def test_check_count_above_max_checks_is_domain_error_within_deadline(argv):
     assert elapsed < 2
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("domain error: ") and f"MAX_CHECKS = {MAX_CHECKS}" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "ccr", "--modes", "300"),  # 4,050,000 checks
+    ("verify", "ccr", "--modes", "106", "--samples", "1"),  # 101,124 checks
+    ("verify", "ccr", "--samples", str(10**30), "--modes", str(10**30), "--json"),
+    ("verify", "fock-ext", "--modes", "40"),  # 2 * 40 * 102,091 checks
+    ("verify", "fock-ext", "--modes", "1", "--exps", "50000"),  # 100,002 checks
+    ("verify", "fock-ext", "--modes", str(10**30), "--cutoff", str(10**30), "--exps", str(10**30)),
+])
+def test_check_count_above_max_ket_checks_is_domain_error_within_deadline(argv):
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith(f"domain error: verify {argv[1]} needs more checks than the largest")
+    assert f"MAX_KET_CHECKS = {MAX_KET_CHECKS}" in done.stderr
+
+
+def test_ket_check_bound_is_inclusive():
+    check_ket_checks(MAX_KET_CHECKS, "at the bound")
+    with pytest.raises(DomainError, match="past the bound needs more checks"):
+        check_ket_checks(MAX_KET_CHECKS + 1, "past the bound")
+    # the largest ccr and fock-ext calls of one sample or mode that are served
+    assert 9 * 105**2 <= MAX_KET_CHECKS < 9 * 106**2
+    assert verify._fock_ext_checks(1, 1, 49999) <= MAX_KET_CHECKS < verify._fock_ext_checks(1, 1, 50000)
+
+
+@pytest.mark.parametrize("modes, cutoff, exps", itertools.product((1, 2, 5), (1, 2, 6), (1, 3)))
+def test_fock_ext_check_count_is_the_suite_total(modes, cutoff, exps):
+    total = verify.run_suite("fock-ext", modes=modes, cutoff=cutoff, exps=exps).total
+    assert verify._fock_ext_checks(modes, cutoff, exps) == total
 
 
 def test_embedded_word_longer_than_max_mode_is_domain_error_within_deadline():
