@@ -8,7 +8,7 @@ from .boson import (BosonMonomial, apply_annihilate, apply_create, fock_extensio
                     fock_word)
 from .branching import (ComponentReport, basis_lambda_j, basis_monomials, classify_vacuum,
                         cyclicity_witness, enumerate_components, inequivalence_witness)
-from .embed import (EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_action,
-                    odometer_isomorphism, translate_word)
+from .embed import (embed_generator, fock_word_in_ON, odometer_action, odometer_isomorphism,
+                    translate_word)
 
 __version__ = "0.1.0"

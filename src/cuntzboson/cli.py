@@ -18,7 +18,7 @@ from .boson import fock_word
 from .branching import basis_lambda_j, basis_monomials, basis_size, enumerate_components
 from .common import MAX_MODE, AlphabetError, DomainError, ExprError, check_family_sizes, check_index
 from .cuntz import RepSpec
-from .embed import EmbeddingSpec, embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
+from .embed import embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
 from .scalar import _grouped
 from .states import Ket
@@ -153,7 +153,7 @@ def cmd_fock(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
-    spec = EmbeddingSpec(args.N)
+    spec = _parse_rep("|1", args.N)
     if args.gen is not None:
         check_index(args.gen, "generator index")
         word = embed_generator(spec, args.gen)
@@ -163,9 +163,9 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
         source = parse_word(args.word)
         for m in source:
             check_index(m, "generator index")
-        length = sum((m - 1) // (spec.N - 1) + 1 for m in source)  # len(embed_generator(spec, m))
+        length = sum((m - 1) // (args.N - 1) + 1 for m in source)  # len(embed_generator(spec, m))
         if length > MAX_MODE:
-            raise DomainError(f"the O_{spec.N} word would have {length} letters, more than the largest "
+            raise DomainError(f"the O_{args.N} word would have {length} letters, more than the largest "
                               f"supported word length MAX_MODE = {MAX_MODE}")
         word = translate_word(spec, source)
         payload = {"source": args.word, "word": list(word)}

@@ -9,7 +9,7 @@ this map the standard cycle-(1) representation of O_N restricts to the
 standard representation of the infinite algebra, and labels translate by a
 block code: d leading copies of N followed by a letter b < N decode to the
 single letter (N-1)d + b.  The ladder operators act on O_N labels through
-that code.
+that code; its functions read N from the alphabet bound of an O_N ``RepSpec``.
 
 The odometer model realizes the standard representation on basis indices
 e_1, e_2, ... via s_n e_m = e_{2^{n-1}(2m-1)}; ``odometer_isomorphism`` is the
@@ -28,82 +28,67 @@ from .states import Ket, _canonical
 from .words import EPWord, Word, _tail_one
 
 
-class EmbeddingSpec:
-    """Target algebra O_N of the embedding; N finite and >= 2."""
-
-    __slots__ = ("N",)
-
-    def __init__(self, N: int):
-        if N < 2:
-            raise ValueError(f"embedding target needs N >= 2, got {N}")
-        self.N = N
-
-    def rep(self) -> RepSpec:
-        return RepSpec((1,), alphabet=self.N)
-
-    def __repr__(self) -> str:
-        return f"EmbeddingSpec(N={self.N})"
-
-
-def embed_generator(spec: EmbeddingSpec, m: int) -> Word:
+def embed_generator(spec: RepSpec, m: int) -> Word:
     """Word over {1..N} representing generator index m."""
     if m < 1:
         raise ValueError(f"generator indices are 1-based, got {m}")
-    k1, i1 = divmod(m - 1, spec.N - 1)  # m-1 = (N-1)(k-1) + (i-1)
-    return (spec.N,) * k1 + (i1 + 1,)
+    k1, i1 = divmod(m - 1, spec.alphabet - 1)  # m-1 = (N-1)(k-1) + (i-1)
+    return (spec.alphabet,) * k1 + (i1 + 1,)
 
 
-def translate_word(spec: EmbeddingSpec, J: Word) -> Word:
+def translate_word(spec: RepSpec, J: Word) -> Word:
     out: list[int] = []
     for m in J:
         out += embed_generator(spec, m)
     return tuple(out)
 
 
-def fock_word_in_ON(spec: EmbeddingSpec, occupations: Mapping[int, int]) -> Word:
+def fock_word_in_ON(spec: RepSpec, occupations: Mapping[int, int]) -> Word:
     """O_N word whose action on the GP vector carries the occupation list.
 
     Built directly from the digit decomposition k = (N-1)(c-1) + (b-1) of each
     occupation count; agrees letter for letter with translating the word from
     ``fock_word`` generator by generator, and refuses the same occupation lists.
     """
+    N = spec.alphabet
     word: list[int] = []
     previous = 0
     for mode, count in _as_exponents(occupations):
-        c1, b1 = divmod(count, spec.N - 1)  # count = (N-1)(c-1) + (b-1)
-        word += (1,) * (mode - previous - 1) + (spec.N,) * c1 + (b1 + 1,)
+        c1, b1 = divmod(count, N - 1)  # count = (N-1)(c-1) + (b-1)
+        word += (1,) * (mode - previous - 1) + (N,) * c1 + (b1 + 1,)
         previous = mode
     return tuple(word)
 
 
-def decode_label(spec: EmbeddingSpec, label: EPWord) -> EPWord:
+def decode_label(spec: RepSpec, label: EPWord) -> EPWord:
     """O_N label with tail 1^inf -> label of the infinite-alphabet standard rep."""
     if label._rot != (1,):
         raise DomainError(f"only labels with tail 1^inf decode, got {label}")
+    N = spec.alphabet
     out = []
     run = 0
     for letter in label.prefix:
-        if letter > spec.N:
-            raise AlphabetError(f"letter {letter} exceeds alphabet bound {spec.N}")
-        if letter == spec.N:
+        if letter > N:
+            raise AlphabetError(f"letter {letter} exceeds alphabet bound {N}")
+        if letter == N:
             run += 1
         else:
-            out.append((spec.N - 1) * run + letter)
+            out.append((N - 1) * run + letter)
             run = 0
     if run:
         # trailing run of Ns closes with a 1 read from the periodic tail
-        out.append((spec.N - 1) * run + 1)
+        out.append((N - 1) * run + 1)
     return _tail_one(out)
 
 
-def encode_label(spec: EmbeddingSpec, label: EPWord) -> EPWord:
+def encode_label(spec: RepSpec, label: EPWord) -> EPWord:
     """Inverse of ``decode_label``."""
     if label._rot != (1,):
         raise DomainError(f"only labels with tail 1^inf encode, got {label}")
     return _tail_one(translate_word(spec, label.prefix))
 
 
-def _embedded(spec: EmbeddingSpec, v: Ket, op: Callable[[Ket], Ket]) -> Ket:
+def _embedded(spec: RepSpec, v: Ket, op: Callable[[Ket], Ket]) -> Ket:
     """``op`` acting on O_N labels through the block code: the ket is decoded
     once, ``op`` applied, and its image encoded once.
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .boson import _walk
 from .common import ExprError, check_index
 from .cuntz import RepSpec, apply_generator
-from .embed import EmbeddingSpec, _embedded
+from .embed import _embedded
 from .scalar import ONE, RadicalScalar, sqrt_nat
 from .states import Ket, _sum
 
@@ -109,4 +109,4 @@ def eval_on_ket(spec: RepSpec, terms: list[Term], state: Ket) -> Ket:
 def _apply_ladders(spec: RepSpec, steps: list[tuple[int, int]], v: Ket) -> Ket:
     if spec.alphabet is None:
         return _walk(v, steps)
-    return _embedded(EmbeddingSpec(spec.alphabet), v, lambda u: _walk(u, steps))
+    return _embedded(spec, v, lambda u: _walk(u, steps))

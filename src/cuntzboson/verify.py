@@ -325,9 +325,8 @@ def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> Suite
     """Digit formula vs generator translation, and the embedded Fock dictionary."""
     result = SuiteResult("embedding")
     rng = random.Random(seed)
-    spec = embed.EmbeddingSpec(N)
-    rep = spec.rep()
-    omega = rep.gp_vector()
+    spec = RepSpec((1,), alphabet=N)
+    omega = spec.gp_vector()
     for idx in range(samples):
         occ = random_occupations(rng, max_modes=4, max_count=5, mode_bound=6)
         coeff, word = boson.fock_word(occ)
@@ -347,9 +346,9 @@ def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> Suite
             word_i = embed.embed_generator(spec, i)
             word_j = embed.embed_generator(spec, j)
             for idx in range(3):
-                v = random_ket(rng, rep)
-                got = apply_monomial(rep, CuntzMonomial(ONE, (), word_i),
-                                     apply_monomial(rep, CuntzMonomial(ONE, word_j, ()), v))
+                v = random_ket(rng, spec)
+                got = apply_monomial(spec, CuntzMonomial(ONE, (), word_i),
+                                     apply_monomial(spec, CuntzMonomial(ONE, word_j, ()), v))
                 expected = v if i == j else Ket()
                 result.add(got == expected, lambda: f"N={N}: "
                            f"embedded s{i}* s{j} = {'I' if i == j else '0'} on sample {idx}")
@@ -390,8 +389,9 @@ def run_odometer(*, modes: int, cutoff: int, index_bound: int, **_) -> SuiteResu
         image = embed.odometer_boson(n, {1: ONE})
         result.add(image == {2 ** (n - 1) + 1: ONE},
                    lambda: f"a{n}* e1 = e{2 ** (n - 1) + 1}: image {sorted(image)}")
+    o2 = RepSpec((1,), alphabet=2)
     for n in range(1, min(modes, 5) + 1):
-        word = embed.embed_generator(embed.EmbeddingSpec(2), n)
+        word = embed.embed_generator(o2, n)
         for index in range(1, 65):
             via_ladder = index
             for letter in reversed(word):

@@ -351,7 +351,7 @@ def _long_n_run_decoded_one_too_high(true):  # a block N^r b with r >= 2 decodes
     def decode(spec, label):
         runs, run = [], 0
         for letter in label.prefix + (1,):  # the tail's 1 closes a trailing run of N's
-            if letter == spec.N:
+            if letter == spec.alphabet:
                 run += 1
             else:
                 runs.append(run)

@@ -7,7 +7,7 @@ import pytest
 from cuntzboson.boson import apply_annihilate, apply_create, fock_word
 from cuntzboson.common import DomainError
 from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_monomial
-from cuntzboson.embed import (EmbeddingSpec, decode_label, embed_generator,
+from cuntzboson.embed import (decode_label, embed_generator,
                               _embedded,
                               encode_label, fock_word_in_ON, ladder_action,
                               odometer_action, odometer_boson, odometer_index,
@@ -17,8 +17,8 @@ from cuntzboson.states import Ket
 from cuntzboson.verify import random_ket, random_label, random_occupations
 from cuntzboson.words import EPWord
 
-N2 = EmbeddingSpec(2)
-N3 = EmbeddingSpec(3)
+N2 = RepSpec((1,), alphabet=2)
+N3 = RepSpec((1,), alphabet=3)
 
 
 def test_embed_generator_examples():
@@ -28,12 +28,12 @@ def test_embed_generator_examples():
 
 
 def test_embed_generator_inverts_index_formula():
-    for spec in (N2, N3, EmbeddingSpec(4)):
+    for spec in (N2, N3, RepSpec((1,), alphabet=4)):
         for m in range(1, 30):
             word = embed_generator(spec, m)
             run = len(word) - 1
-            assert word[:run] == (spec.N,) * run and word[run] < spec.N
-            assert (spec.N - 1) * run + word[run] == m
+            assert word[:run] == (spec.alphabet,) * run and word[run] < spec.alphabet
+            assert (spec.alphabet - 1) * run + word[run] == m
 
 
 def test_translate_word_examples():
@@ -78,7 +78,7 @@ def test_fock_word_in_ON_refuses_what_fock_word_refuses(occupations):
 
 def test_label_codec_roundtrip():
     rng = random.Random(59)
-    for spec in (N2, N3, EmbeddingSpec(5)):
+    for spec in (N2, N3, RepSpec((1,), alphabet=5)):
         for _ in range(40):
             label = random_label(rng, RepSpec((1,)), letter_bound=7, prefix_bound=4)
             assert decode_label(spec, encode_label(spec, label)) == label
@@ -115,7 +115,7 @@ def test_embedded_ladder_intertwines_the_codec():
 
 def test_embedded_fock_state_matches_creators():
     for spec in (N2, N3):
-        omega = spec.rep().gp_vector()
+        omega = spec.gp_vector()
         for occ in ({}, {1: 2}, {2: 1, 3: 2}, {1: 1, 4: 3}):
             state = omega
             for mode, count in sorted(occ.items()):
@@ -128,14 +128,13 @@ def test_embedded_fock_state_matches_creators():
 def test_embedded_isometry_relations():
     rng = random.Random(67)
     for spec in (N2, N3):
-        rep = spec.rep()
         for i in range(1, 5):
             for j in range(1, 5):
                 word_i, word_j = embed_generator(spec, i), embed_generator(spec, j)
                 for _ in range(3):
-                    v = random_ket(rng, rep)
-                    got = apply_monomial(rep, CuntzMonomial(ONE, (), word_i),
-                                         apply_monomial(rep, CuntzMonomial(ONE, word_j, ()), v))
+                    v = random_ket(rng, spec)
+                    got = apply_monomial(spec, CuntzMonomial(ONE, (), word_i),
+                                         apply_monomial(spec, CuntzMonomial(ONE, word_j, ()), v))
                     assert got == (v if i == j else Ket())
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cuntzboson.boson import apply_annihilate, apply_create
 from cuntzboson.common import ExprError
 from cuntzboson.cuntz import RepSpec, apply_generator
-from cuntzboson.embed import EmbeddingSpec, _embedded
+from cuntzboson.embed import _embedded
 from cuntzboson.expr import Factor, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, sqrt_nat
 from cuntzboson.states import Ket, _sum
@@ -127,7 +127,7 @@ def _token_by_token(spec, terms, v):
                 u = (apply_create if factor.star else apply_annihilate)(factor.index, u)
             else:
                 ladder = apply_create if factor.star else apply_annihilate
-                u = _embedded(EmbeddingSpec(spec.alphabet), u, partial(ladder, factor.index))
+                u = _embedded(spec, u, partial(ladder, factor.index))
         images.append(term.coeff * u)
     return _sum(images)
 

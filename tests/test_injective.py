@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from cuntzboson.boson import BosonMonomial, apply_annihilate, apply_create
 from cuntzboson.common import add_term
 from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
-from cuntzboson.embed import EmbeddingSpec, _embedded, decode_label, encode_label
+from cuntzboson.embed import _embedded, decode_label, encode_label
 from cuntzboson.scalar import ONE, RadicalScalar
 from cuntzboson.states import Ket
 from cuntzboson.verify import random_ket
@@ -117,7 +117,7 @@ def test_monomials_are_injective_maps(seed, spec, left, right, coeff):
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.sampled_from([2, 3]), modes, st.booleans())
 def test_embedded_ladders_are_injective_maps(seed, N, n, create):
-    spec = EmbeddingSpec(N)
+    spec = RepSpec((1,), alphabet=N)
     v = Ket((encode_label(spec, w), c) for w, c in _ket(seed, RepSpec((1,)))._amps.items())
     op = apply_create if create else apply_annihilate
 
