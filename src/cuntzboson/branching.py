@@ -21,7 +21,7 @@ from math import gcd, lcm, perm, prod
 from operator import itemgetter
 
 from .boson import BosonMonomial, apply_annihilate, apply_create
-from .common import MAX_CHECKS, CheckResult, DomainError
+from .common import MAX_CHECKS, CheckResult, DomainError, check_ket_checks
 from .cuntz import RepSpec
 from .scalar import RadicalScalar, _raw, _root_range
 from .states import Ket
@@ -105,16 +105,32 @@ def _ket_inline(v: Ket) -> str:
     return str(v).replace("\n", "  +  ")
 
 
+def _row_count(cycle: Word, modes: int) -> int:
+    """The rows of ``classify_vacuum`` over every rotation of ``cycle``, from its arguments alone.
+
+    With M = max(modes, 2 * period): a pattern (j) has 2M rows for j = 1 and
+    M * j otherwise, (1,2) and (2,1) have 3 * (M // 2) each, and any other pattern M.
+    """
+    M = max(modes, 2 * len(cycle))
+    if len(cycle) == 1:
+        return 2 * M if cycle == (1,) else M * cycle[0]
+    if cycle in ((1, 2), (2, 1)):
+        return 2 * 3 * (M // 2)
+    return len(cycle) * M
+
+
 def enumerate_components(spec: RepSpec, *, modes: int) -> list[ComponentReport]:
     """One component per rotation of the cycle, classified and verified.
 
     Under an alphabet bound N the cycle must hold a letter below N: every
     embedded s_m = t_N^{k-1} t_i ends in a letter i < N, so s_m* kills N^inf
-    and P_N(N) restricts to no representation of O_inf.
+    and P_N(N) restricts to no representation of O_inf.  The rows are counted
+    first, and more than ``MAX_KET_CHECKS`` of them are refused.
     """
     if spec.cycle == (spec.alphabet,):
         raise DomainError(f"{spec} restricts to no representation of O_inf: every embedded "
                           f"s_m* kills {spec.alphabet}^inf")
+    check_ket_checks(_row_count(spec.cycle, modes), "branch")
     out = []
     for vacuum in spec.rotation_vacua():
         name, checks = classify_vacuum(vacuum, modes=modes)

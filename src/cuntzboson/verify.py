@@ -148,8 +148,22 @@ def run_ccr(*, modes: int, samples: int, seed: int, **_) -> SuiteResult:
     return result
 
 
+def _relations_checks(samples: int, cutoff: int) -> int:
+    """The checks of ``run_relations``, from its arguments alone.
+
+    Per sample, with c the cutoff: each of the two infinite specs makes c^2 + 1
+    isometry, 18 intertwining and c + 3 adjointness checks; O_N, with k = min(c, N),
+    makes k^2 + 1 + [k = N] isometry and k adjointness checks; the Cuntz monomials 2.
+    """
+    k2, k3 = min(cutoff, 2), min(cutoff, 3)
+    per_sample = (2 * (cutoff**2 + cutoff + 22) + (k2**2 + k2 + 1 + (k2 == 2))
+                  + (k3**2 + k3 + 1 + (k3 == 3)) + 2)
+    return max(2, samples // 10) * per_sample
+
+
 def run_relations(*, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
     """Isometry relations, shift intertwining, adjointness, and the action of Cuntz monomials."""
+    check_ket_checks(_relations_checks(samples, cutoff), "verify relations")
     result = SuiteResult("relations")
     rng = random.Random(seed)
     sample_count = max(2, samples // 10)
@@ -321,8 +335,19 @@ def _vacuum_orthogonality(result: SuiteResult, j: int, modes: int, powers: int) 
             result.add(not inner, lambda: f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}: inner {inner}")
 
 
+def _embedding_checks(samples: int, cutoff: int) -> int:
+    """The checks of ``run_embedding``, from its arguments alone, whatever N is.
+
+    Two per Fock sample, one per codec sample (samples // 5 of them), three per
+    pair s_i* s_j with i, j <= c, the cutoff, and one per ordered pair of distinct
+    generator images of s_1..s_3c.
+    """
+    return 2 * samples + samples // 5 + 3 * cutoff**2 + 3 * cutoff * (3 * cutoff - 1)
+
+
 def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
     """Digit formula vs generator translation, and the embedded Fock dictionary."""
+    check_ket_checks(_embedding_checks(samples, cutoff), "verify embedding")
     result = SuiteResult("embedding")
     rng = random.Random(seed)
     spec = RepSpec((1,), alphabet=N)

@@ -11,7 +11,9 @@ own definition, or it is deleted.
 
 A class body may also give a method a second name (``__radd__ = __add__``).
 Between two dunders that is how Python spells the reflected or fallback
-operator; any other alias is a second public way to do one job.
+operator; any other alias is a second public way to do one job.  So is a
+method whose body is only ``return C(...)`` for another package class ``C``:
+it is a second constructor of ``C``.
 """
 
 import ast
@@ -102,6 +104,29 @@ def _method_aliases() -> set[str]:
 
 def test_class_bodies_alias_only_dunders():
     assert _method_aliases() == set()
+
+
+def _constructor_forwarders() -> set[str]:
+    """Methods whose body, past a docstring, is only ``return C(...)`` for a package
+    class ``C`` other than the method's own class: a second constructor of ``C``."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    found = set()
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in (item for item in cls.body if isinstance(item, ast.FunctionDef)):
+                body = method.body[1:] if ast.get_docstring(method) is not None else method.body
+                call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+                callee = getattr(call.func, "id", None) if isinstance(call, ast.Call) else None
+                if callee in classes - {cls.name}:
+                    found.add(f"{module}.{cls.name}.{method.name} -> {callee}")
+    return found
+
+
+def test_methods_are_not_constructors_of_other_classes():
+    assert _constructor_forwarders() == set()
 
 
 def _check_result_builders() -> set[str]:

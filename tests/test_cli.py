@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson import boson, branching, cli, cuntz, embed, scalar, verify
+from cuntzboson import boson, branching, cli, common, cuntz, embed, scalar, verify
 from cuntzboson.cli import main
 from cuntzboson.common import (MAX_CHECKS, MAX_KET_CHECKS, MAX_MODE, DomainError, check_family_sizes,
                                check_ket_checks)
@@ -687,6 +687,20 @@ def test_nonprimitive_rep_is_domain_error(capsys):
     assert code == 3 and "primitive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("act", "--expr", "a1"),
+    ("branch", "--rep", "|1"),
+    ("verify", "embedding"),
+    ("embed", "--gen", "3"),
+    ("embed", "--word", "1,2"),
+    ("embed", "--occ", "1:2"),
+])
+@pytest.mark.parametrize("N", [1, 0, -1])
+def test_alphabet_bound_below_two_has_one_message(capsys, argv, N):
+    code, out, err = run(capsys, *argv, "--N", str(N))
+    assert (code, out, err) == (2, "", f"error: alphabet bound must be >= 2, got {N}\n")
+
+
 @pytest.mark.parametrize("option", ["--samples", "--modes", "--cutoff", "--exps", "--index-bound"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_verify_rejects_counts_below_one(capsys, option, value):
@@ -761,6 +775,14 @@ def test_check_count_above_max_checks_is_domain_error_within_deadline(argv):
     ("verify", "fock-ext", "--modes", "40"),  # 2 * 40 * 102,091 checks
     ("verify", "fock-ext", "--modes", "1", "--exps", "50000"),  # 100,002 checks
     ("verify", "fock-ext", "--modes", str(10**30), "--cutoff", str(10**30), "--exps", str(10**30)),
+    ("verify", "relations", "--samples", "100000"),  # 1,080,000 checks
+    ("verify", "relations", "--cutoff", "3000"),  # 5 * 2 * 3000^2 checks and more
+    ("verify", "relations", "--samples", str(10**30)),
+    ("verify", "relations", "--cutoff", str(10**30), "--json"),
+    ("verify", "embedding", "--samples", "1000000"),  # 2,200,110 checks
+    ("verify", "embedding", "--cutoff", "3000"),  # 107,991,100 checks
+    ("verify", "embedding", "--samples", str(10**30)),
+    ("verify", "embedding", "--cutoff", str(10**30), "--json"),
 ])
 def test_check_count_above_max_ket_checks_is_domain_error_within_deadline(argv):
     done, elapsed = _run_cli_subprocess(*argv)
@@ -770,6 +792,20 @@ def test_check_count_above_max_ket_checks_is_domain_error_within_deadline(argv):
     assert f"MAX_KET_CHECKS = {MAX_KET_CHECKS}" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("branch", "--rep", "|1", "--modes", "100000"),  # 200,000 rows
+    ("branch", "--rep", "|1", "--modes", str(10**30), "--json"),
+    ("branch", "--rep", "|1000000000000"),  # 6 * 10^12 rows
+    ("branch", "--rep", f"|{10**30}", "--modes", str(10**30)),
+])
+def test_branch_rows_above_max_ket_checks_are_domain_error_within_deadline(argv):
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("domain error: branch needs more checks than the largest supported number, "
+                           f"MAX_KET_CHECKS = {MAX_KET_CHECKS}\n")
+
+
 def test_ket_check_bound_is_inclusive():
     check_ket_checks(MAX_KET_CHECKS, "at the bound")
     with pytest.raises(DomainError, match="past the bound needs more checks"):
@@ -777,12 +813,48 @@ def test_ket_check_bound_is_inclusive():
     # the largest ccr and fock-ext calls of one sample or mode that are served
     assert 9 * 105**2 <= MAX_KET_CHECKS < 9 * 106**2
     assert verify._fock_ext_checks(1, 1, 49999) <= MAX_KET_CHECKS < verify._fock_ext_checks(1, 1, 50000)
+    # and the largest relations, embedding and branch calls at the other CLI defaults
+    assert verify._relations_checks(9259, 4) <= MAX_KET_CHECKS < verify._relations_checks(9260, 4)
+    assert verify._embedding_checks(45373, 4) <= MAX_KET_CHECKS < verify._embedding_checks(45374, 4)
+    assert branching._row_count((1,), 50000) <= MAX_KET_CHECKS < branching._row_count((1,), 50001)
 
 
 @pytest.mark.parametrize("modes, cutoff, exps", itertools.product((1, 2, 5), (1, 2, 6), (1, 3)))
 def test_fock_ext_check_count_is_the_suite_total(modes, cutoff, exps):
     total = verify.run_suite("fock-ext", modes=modes, cutoff=cutoff, exps=exps).total
     assert verify._fock_ext_checks(modes, cutoff, exps) == total
+
+
+@pytest.mark.parametrize("samples, cutoff", itertools.product((1, 9, 10, 20, 35, 50), (1, 2, 3, 4, 6)))
+def test_relations_and_embedding_check_counts_are_the_suite_totals(samples, cutoff):
+    total = verify.run_suite("relations", samples=samples, cutoff=cutoff, seed=7).total
+    assert verify._relations_checks(samples, cutoff) == total
+    for N in (2, 3, 5):  # the embedding count does not depend on N
+        total = verify.run_suite("embedding", N=N, samples=samples, cutoff=cutoff, seed=7).total
+        assert verify._embedding_checks(samples, cutoff) == total
+
+
+@pytest.mark.parametrize("cycle", [(1,), (2,), (5,), (1, 2), (1, 2, 3), (1, 1, 2)])
+def test_branch_row_count_is_the_number_of_rows(cycle):
+    for modes in range(1, 13):
+        components = branching.enumerate_components(cuntz.RepSpec(cycle), modes=modes)
+        rows = sum(len(c.verified_conditions) for c in components)
+        assert branching._row_count(cycle, modes) == rows, modes
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("verify", "relations"), 540),
+    (("verify", "embedding"), 290),
+    (("branch", "--rep", "|1,2"), 18),
+])
+def test_relations_embedding_and_branch_bounds_are_inclusive(capsys, monkeypatch, argv, count):
+    """A call of exactly the bound's count is served, and one of one more is refused."""
+    monkeypatch.setattr(common, "MAX_KET_CHECKS", count)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    monkeypatch.setattr(common, "MAX_KET_CHECKS", count - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and f"MAX_KET_CHECKS = {count - 1}" in err
 
 
 def test_embedded_word_longer_than_max_mode_is_domain_error_within_deadline():
@@ -875,11 +947,14 @@ def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
 # --- fuzzing the command line ------------------------------------------------
 #
 # argv drawn from a grammar of subcommands, flags and tokens, hostile integers
-# and malformed words included.  Counts that size a computation (verify
-# samples, branch cycles) stay small: large ones run long by design, which is
-# not a hang.  ``bases`` takes hostile modes and exponents too: a family above
-# MAX_CHECKS is refused before it is built.  MAX_MODE, the largest index that
-# is served, reaches the longest outputs: a label or O_N word of a million letters.
+# and malformed words included.  Counts that size a computation stay small
+# where no bound refuses them (branch cycle letters, the counts of verify ccr,
+# bases, odometer and fock-ext): large ones run long by design, which is not a
+# hang.  Hostile counts go where a bound counts the work first and refuses it:
+# ``bases`` modes and exponents (MAX_CHECKS), ``verify relations|embedding``
+# samples and cutoffs and ``branch`` modes (MAX_KET_CHECKS).  MAX_MODE, the
+# largest index that is served, reaches the longest outputs: a label or O_N
+# word of a million letters.
 
 _HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE, MAX_MODE + 1, 10**9, 10**30])
 _index = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=-2, max_value=12),
@@ -914,11 +989,13 @@ _commands = st.one_of(
           _expr.map(lambda e: ["--expr", e]), _opt("--state", _state),
           _opt("--model", st.sampled_from(["words", "odometer", "x"])), _flag_json),
     _argv(["branch"], _small_word.map(lambda w: ["--rep", "|" + w]), _opt("--N", _index),
-          _opt("--modes", _small), _flag_json),
-    _argv(["verify"], st.sampled_from(["ccr", "relations", "bases", "embedding", "odometer",
-                                       "fock-ext", "nope"]).map(lambda s: [s]),
+          _opt("--modes", st.one_of(_small, _HOSTILE)), _flag_json),
+    _argv(["verify"], st.sampled_from(["ccr", "bases", "odometer", "fock-ext", "nope"]).map(lambda s: [s]),
           *[_small.map(lambda v, f=f: [f, str(v)]) for f in
             ("--samples", "--modes", "--cutoff", "--exps", "--index-bound")],
+          _opt("--seed", _index), _opt("--N", st.integers(min_value=-1, max_value=4)), _flag_json),
+    _argv(["verify"], st.sampled_from(["relations", "embedding"]).map(lambda s: [s]),
+          *[st.one_of(_small, _HOSTILE).map(lambda v, f=f: [f, str(v)]) for f in ("--samples", "--cutoff")],
           _opt("--seed", _index), _opt("--N", st.integers(min_value=-1, max_value=4)), _flag_json),
     _argv(["fock"], _opt("--occ", _occ), _flag_json),
     _argv(["embed"], _opt("--N", _index),
