@@ -776,11 +776,11 @@ def test_check_count_above_max_checks_is_domain_error_within_deadline(argv):
     ("verify", "fock-ext", "--modes", "1", "--exps", "50000"),  # 100,002 checks
     ("verify", "fock-ext", "--modes", str(10**30), "--cutoff", str(10**30), "--exps", str(10**30)),
     ("verify", "relations", "--samples", "100000"),  # 1,080,000 checks
-    ("verify", "relations", "--cutoff", "3000"),  # 5 * 2 * 3000^2 checks and more
+    ("verify", "relations", "--cutoff", "3000"),  # 90,030,340 checks
     ("verify", "relations", "--samples", str(10**30)),
     ("verify", "relations", "--cutoff", str(10**30), "--json"),
-    ("verify", "embedding", "--samples", "1000000"),  # 2,200,110 checks
-    ("verify", "embedding", "--cutoff", "3000"),  # 107,991,100 checks
+    ("verify", "embedding", "--samples", "1000000"),  # 2,200,180 checks
+    ("verify", "embedding", "--cutoff", "3000"),  # 107,991,110 checks
     ("verify", "embedding", "--samples", str(10**30)),
     ("verify", "embedding", "--cutoff", str(10**30), "--json"),
 ])
