@@ -30,11 +30,10 @@ one Cuntz monomial at a time and sum the images; they exist to cross-validate
 the closed form against its defining expansion.
 
 A ket may keep its single-step images (``states.Ket``), and ``_ladder`` then
-builds each (n, +-1) image of it once.  Only ``verify``'s ccr and
-intertwining samples keep them, for as long as the suite holds them: each
-is asked for a few images many times, while most kets are never asked for
-one twice, and keeping images on every ket slowed the ladder-deep benchmark
-by a third.
+builds each (n, +-1) image of it once.  The one user is ``verify``'s ccr:
+its samples keep images, each while it is checked, since a sample is asked
+for a few images many times, while most kets are never asked for one twice;
+keeping images on every ket slowed the ladder-deep benchmark by a third.
 """
 
 from __future__ import annotations
@@ -184,7 +183,7 @@ class BosonMonomial:
     __repr__ = __str__
 
 
-def fock_word(occupations: Mapping[int, int]) -> tuple[RadicalScalar, Word]:
+def fock_word(occupations: Union[Mapping[int, int], Exponents]) -> tuple[RadicalScalar, Word]:
     """Occupation list -> (coefficient, word) of the corresponding basis label.
 
     Applying prod (a_n*)^{k_n} to the vacuum of the standard representation

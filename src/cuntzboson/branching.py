@@ -124,12 +124,16 @@ def enumerate_components(spec: RepSpec, *, modes: int) -> list[ComponentReport]:
 
     Under an alphabet bound N the cycle must hold a letter below N: every
     embedded s_m = t_N^{k-1} t_i ends in a letter i < N, so s_m* kills N^inf
-    and P_N(N) restricts to no representation of O_inf.  The rows are counted
-    first, and more than ``MAX_KET_CHECKS`` of them are refused.
+    and P_N(N) restricts to no representation of O_inf.  A cycle that also
+    holds N is refused until the block code decodes it; one without N decodes
+    to itself.  More than ``MAX_KET_CHECKS`` rows, counted first, are refused.
     """
     if spec.cycle == (spec.alphabet,):
         raise DomainError(f"{spec} restricts to no representation of O_inf: every embedded "
                           f"s_m* kills {spec.alphabet}^inf")
+    if spec.alphabet in spec.cycle:
+        raise DomainError(f"the restriction of {spec} is not computed: a cycle that holds the "
+                          f"letter {spec.alphabet} must be decoded by the block code first")
     check_ket_checks(_row_count(spec.cycle, modes), "branch")
     out = []
     for vacuum in spec.rotation_vacua():

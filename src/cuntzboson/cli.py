@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 domain error (e.g. alphabet violations).  Each command returns its exit
-code and its whole output text, which ``main`` prints only once the command
-has finished, so a command that fails leaves standard output empty.
+code and its whole output: its text, or under ``--json`` a JSON payload that
+``main`` serializes in the one JSON form.  ``main`` prints it only once the
+command has finished, so a command that fails leaves standard output empty.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .boson import fock_word
+from .boson import Exponents, _as_exponents, fock_word
 from .branching import basis_lambda_j, basis_monomials, basis_size, enumerate_components
 from .common import MAX_MODE, AlphabetError, DomainError, ExprError, check_family_sizes, check_index
 from .cuntz import RepSpec
@@ -35,12 +36,10 @@ def _parse_rep(text: str, alphabet: int | None) -> RepSpec:
     return RepSpec(parse_word(cycle_text), alphabet=alphabet)
 
 
-def _parse_occupations(text: str) -> dict[int, int]:
-    occ: dict[int, int] = {}
+def _parse_occupations(text: str) -> Exponents:
+    pairs = []
     text = text.strip()
-    if not text:
-        return occ
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text else ():
         try:
             mode, count = map(int, chunk.split(":"))
         except ValueError as exc:
@@ -52,9 +51,8 @@ def _parse_occupations(text: str) -> dict[int, int]:
         if count < 0:
             raise ValueError(f"bad occupation entry {chunk!r}: count is negative")
         check_index(mode, "mode")
-        if count:
-            occ[mode] = occ.get(mode, 0) + count
-    return occ
+        pairs.append((mode, count))
+    return _as_exponents(pairs)
 
 
 def _past_int_text_limit(exc: ValueError) -> bool:
@@ -72,7 +70,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_act(args: argparse.Namespace) -> tuple[int, str | dict]:
     terms = parse_expression(args.expr)
     if args.model == "odometer":
         spec = RepSpec((1,))
@@ -85,9 +83,7 @@ def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
         result = eval_on_ket(spec, terms, Ket.basis(odometer_isomorphism(index)))
         pairs = sorted((odometer_index(w), c) for w, c in result._amps.items())
         if args.json:
-            return 0, json.dumps({"terms": [
-                {"index": i, "coeff": c.to_json_terms()} for i, c in pairs]},
-                indent=2, sort_keys=True)
+            return 0, {"terms": [{"index": i, "coeff": c.to_json_terms()} for i, c in pairs]}
         if not pairs:
             return 0, "0"
         return 0, "\n".join(f"{_grouped(c)} * e{i}" for i, c in pairs)
@@ -101,58 +97,48 @@ def cmd_act(args: argparse.Namespace) -> tuple[int, str]:
             raise AlphabetError(f"state letter {top} exceeds alphabet bound {args.N}")
         state = Ket.basis(label)
     result = eval_on_ket(spec, terms, state)
-    return 0, json.dumps(result.to_json(), indent=2, sort_keys=True) if args.json else str(result)
+    return 0, result.to_json() if args.json else str(result)
 
 
-def cmd_branch(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_branch(args: argparse.Namespace) -> tuple[int, str | dict]:
     spec = _parse_rep(args.rep, args.N)
     components = enumerate_components(spec, modes=args.modes)
     code = 0 if all(chk.passed for c in components for chk in c.verified_conditions) else 1
     if args.json:
-        return code, json.dumps({
-            "representation": str(spec),
-            "components": [
-                {
-                    "vacuum": str(c.vacuum_label),
-                    "pattern": list(c.vacuum_label.cycle),
-                    "classification": c.classification,
-                    "verified": [
-                        {"name": chk.name, "passed": chk.passed, "detail": chk.detail}
-                        for chk in c.verified_conditions
-                    ],
-                }
-                for c in components
-            ],
-        }, indent=2, sort_keys=True)
+        return code, {"representation": str(spec), "components": [{
+            "vacuum": str(c.vacuum_label),
+            "pattern": list(c.vacuum_label.cycle),
+            "classification": c.classification,
+            "verified": [{"name": chk.name, "passed": chk.passed, "detail": chk.detail}
+                         for chk in c.verified_conditions],
+        } for c in components]}
     lines = [f"{spec} restricted to the ladder algebra: {len(components)} component(s)"]
     for c in components:
         lines += c.lines()
     return code, "\n".join(lines)
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str | dict]:
     result = run_suite(
         args.suite, modes=args.modes, samples=args.samples, seed=args.seed,
         cutoff=args.cutoff, exps=args.exps, N=args.N, index_bound=args.index_bound)
     code = 0 if result.ok else 1
     if args.json:
-        return code, json.dumps({
-            "suite": result.name, "total": result.total, "passed": result.passed,
-            "failures": result.failures}, indent=2, sort_keys=True)
+        return code, {"suite": result.name, "total": result.total, "passed": result.passed,
+                      "failures": result.failures}
     return code, "\n".join([result.summary()]
                            + [f"  first failures: {failure}" for failure in result.failures])
 
 
-def cmd_fock(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_fock(args: argparse.Namespace) -> tuple[int, str | dict]:
     occ = _parse_occupations(args.occ)
     coeff, word = fock_word(occ)
     if args.json:
-        return 0, json.dumps({"word": list(word), "coefficient": coeff.to_json_terms()},
-                             indent=2, sort_keys=True)
+        return 0, {"word": list(word), "coefficient": coeff.to_json_terms()}
     return 0, f"word: {format_word(word)}\ncoefficient: {coeff}"
 
 
-def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_embed(args: argparse.Namespace) -> tuple[int, str | dict]:
     spec = _parse_rep("|1", args.N)
     if args.gen is not None:
         check_index(args.gen, "generator index")
@@ -174,13 +160,13 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, str]:
         occ = _parse_occupations(args.occ)
         coeff, _ = fock_word(occ)
         word = fock_word_in_ON(spec, occ)
-        payload = {"occupations": {str(k): v for k, v in sorted(occ.items())},
+        payload = {"occupations": {str(k): v for k, v in occ},
                    "word": list(word), "coefficient": coeff.to_json_terms()}
         text = f"word: {format_word(word)}\ncoefficient: {coeff}"
-    return 0, json.dumps(payload, indent=2, sort_keys=True) if args.json else text
+    return 0, payload if args.json else text
 
 
-def cmd_bases(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_bases(args: argparse.Namespace) -> tuple[int, str | dict]:
     check_family_sizes([basis_size(args.family, args.j, args.modes, args.exps)],
                        f"bases --family {args.family}")
     if args.family == "lambda":
@@ -197,9 +183,8 @@ def cmd_bases(args: argparse.Namespace) -> tuple[int, str]:
     orthonormal = checks.ok
     code = 0 if orthonormal else 1
     if args.json:
-        return code, json.dumps({
-            "family": args.family, "size": len(rows), "orthonormal": orthonormal,
-            "elements": rows}, indent=2, sort_keys=True)
+        return code, {"family": args.family, "size": len(rows), "orthonormal": orthonormal,
+                      "elements": rows}
     return code, "\n".join(
         [f"family {args.family}: {len(rows)} elements, orthonormal: {orthonormal}"] + rows)
 
@@ -276,7 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = args.func(args)
+        code, output = args.func(args)
+        text = json.dumps(output, indent=2, sort_keys=True) if args.json else output
     except ExprError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,9 @@ label bijection onto word labels and ``odometer_index`` its inverse.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
-from .boson import _as_exponents, apply_create
+from .boson import Exponents, _as_exponents, apply_create
 from .common import AlphabetError, DomainError
 from .cuntz import RepSpec
 from .scalar import RadicalScalar
@@ -43,7 +43,7 @@ def translate_word(spec: RepSpec, J: Word) -> Word:
     return tuple(out)
 
 
-def fock_word_in_ON(spec: RepSpec, occupations: Mapping[int, int]) -> Word:
+def fock_word_in_ON(spec: RepSpec, occupations: Union[Mapping[int, int], Exponents]) -> Word:
     """O_N word whose action on the GP vector carries the occupation list.
 
     Built directly from the digit decomposition k = (N-1)(c-1) + (b-1) of each
@@ -116,19 +116,16 @@ def odometer_action(n: int, star: bool, index: int) -> Optional[int]:
 def odometer_isomorphism(index: int) -> EPWord:
     """Basis index -> word label, peeling one generator per step.
 
-    The leading generator index is the 2-adic valuation plus one; e_1 is the
-    GP vector and maps to 1^inf.
+    The leading generator index is the 2-adic valuation plus one, read off
+    the lowest set bit; e_1 is the GP vector and maps to 1^inf.
     """
     if index < 1:
         raise ValueError("basis indices are 1-based")
     letters = []
     while index != 1:
-        n = 1
-        while index % 2 == 0:
-            index //= 2
-            n += 1
+        n = (index & -index).bit_length()
         letters.append(n)
-        index = (index + 1) // 2
+        index = ((index >> (n - 1)) + 1) >> 1
     return _tail_one(letters)
 
 

@@ -234,14 +234,15 @@ def _isometry_relations(result: SuiteResult, spec: RepSpec, k: int, kets: Sequen
 def _intertwining(result: SuiteResult, spec: RepSpec, kets: Sequence[Ket]) -> None:
     """s_m a_n = a_{n+1} s_m and s_m a_n* = a_{n+1}* s_m for m, n = 1..3 on sample kets.
 
-    Each sample keeps its six ladder images (``states.Ket``), asked for three times each.
+    A sample's six ladder images are built once here; only ccr keeps them on a ket (``states.Ket``).
     """
+    ladders = ((boson.apply_annihilate, ""), (boson.apply_create, "*"))
     for idx, v in enumerate(kets):
-        v._images = {}
+        images = {(n, star): ladder(n, v) for n in range(1, 4) for ladder, star in ladders}
         for m in range(1, 4):
             for n in range(1, 4):
-                for ladder, star in ((boson.apply_annihilate, ""), (boson.apply_create, "*")):
-                    lhs = apply_generator(spec, m, ladder(n, v))
+                for ladder, star in ladders:
+                    lhs = apply_generator(spec, m, images[n, star])
                     rhs = ladder(n + 1, apply_generator(spec, m, v))
                     result.add(lhs == rhs, lambda: f"{spec} sample {idx}: "
                                f"s{m} a{n}{star} = a{n + 1}{star} s{m}")
@@ -360,7 +361,7 @@ def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> Suite
         result.add(via_digits == via_translation, lambda: f"N={N} occupations {occ}: "
                    f"digit word = translated word: {via_digits} vs {via_translation}")
         state = omega
-        for mode, count in sorted(occ.items()):
+        for mode, count in occ.items():
             for _ in range(count):
                 state = embed._embedded(spec, state, partial(boson.apply_create, mode))
         expected = coeff * Ket.basis(EPWord(via_digits, (1,)))

@@ -126,16 +126,8 @@ class EPWord:
             raise ValueError("cycle must be nonempty")
         if len(c) > 1:
             c = primitive_root(c)
-        if not p:
-            self._rot, self._diff, self._hash = c, {}, hash(c)
-            return
-        # the tail c^inf starts at position len(p) + 1; align it at position 1
-        shift = len(p) % len(c)
-        rot = c[-shift:] + c[:-shift] if shift else c
-        diff = _deviations(p, rot)
-        self._rot = rot
-        self._diff = diff
-        self._hash = _label_hash(rot, diff)
+        word = _raw(c, {}, hash(c)).prepend(p)  # the vacuum c^inf, the prefix prepended
+        self._rot, self._diff, self._hash = word._rot, word._diff, word._hash
 
     @classmethod
     def parse(cls, text: str) -> "EPWord":

@@ -212,6 +212,39 @@ def test_cli_options_have_one_default():
     assert shadowing == set()
 
 
+def test_cli_writes_one_json_form():
+    """Each command returns its ``--json`` payload, and ``main`` alone serializes it."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    dumps = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
+    assert len(dumps) == 1
+
+
+def _image_slot_fillers() -> list[str]:
+    """The function around each package statement that sets some ``._images`` to a
+    value other than ``None``: the kets that keep their ladder images."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [(qualified, node) for qualified, _, node in _definitions(path.stem, tree)
+                     if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+            if (any(isinstance(t, ast.Attribute) and t.attr == "_images"
+                    for target in targets for t in ast.walk(target))
+                    and not (isinstance(node.value, ast.Constant) and node.value.value is None)):
+                found.append(next((qualified for qualified, f in functions
+                                   if f.lineno <= node.lineno <= f.end_lineno), path.stem))
+    return found
+
+
+def test_only_ccr_samples_keep_ladder_images():
+    """The image slot of ``states.Ket`` has one user, ``verify.run_ccr``."""
+    assert _image_slot_fillers() == ["verify.run_ccr"]
+
+
 def _memo(node: ast.AST) -> str | None:
     """``"cache"`` or ``"lru_cache"`` when ``node`` is ``functools.cache`` or ``functools.lru_cache``."""
     if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)

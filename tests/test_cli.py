@@ -104,6 +104,29 @@ def test_branch_json(capsys):
     assert all(chk["passed"] for chk in comp["verified"])
 
 
+@pytest.mark.parametrize("flag", [(), ("--json",)])
+@pytest.mark.parametrize("cycle, N", [("1,2", 2), ("1,1,2", 2), ("1,3", 3), ("2,3", 3)])
+def test_branch_refuses_a_cycle_that_holds_the_letter_n(capsys, cycle, N, flag):
+    # the O_inf rules applied to undecoded O_N labels gave F_12 + F_21 for |1,2 at N = 2;
+    # through the block code the law is a single F_2
+    assert run(capsys, "branch", "--rep", f"|{cycle}", "--N", str(N), *flag) == (
+        3, "", f"domain error: the restriction of P_{N}({cycle}) is not computed: a cycle that "
+        f"holds the letter {N} must be decoded by the block code first\n")
+
+
+def test_branch_under_an_alphabet_is_plain_branch_on_a_cycle_below_it(capsys):
+    """A cycle without the letter N decodes to itself, so ``branch --N`` is plain
+    ``branch`` but for the name of the representation."""
+    for N in range(2, 5):
+        for length in range(1, 4):
+            for cycle in itertools.product(range(1, N), repeat=length):
+                rep = "|" + ",".join(map(str, cycle))
+                for flag in ((), ("--json",)):
+                    code, out, err = run(capsys, "branch", "--rep", rep, *flag)
+                    expected = (code, out.replace("P_inf(", f"P_{N}("), err)
+                    assert run(capsys, "branch", "--rep", rep, "--N", str(N), *flag) == expected
+
+
 def test_branch_deterministic(capsys):
     _, first, _ = run(capsys, "branch", "--rep", "|1,2", "--json")
     _, second, _ = run(capsys, "branch", "--rep", "|1,2", "--json")
@@ -142,6 +165,48 @@ def test_occupation_entry_error_names_the_reason(capsys, argv, reason):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: bad occupation entry {reason}\n"
+
+
+# a repeated mode, a zero count and modes out of order: the output is that of the normal form
+MIXED_OCC = "3:1,1:2,3:2,2:0"
+COEFF_2_SQRT_3 = """  "coefficient": [
+    {
+      "denominator": 1,
+      "numerator": 2,
+      "radicand": 3
+    }
+  ],
+"""
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("fock", "--occ", MIXED_OCC), "word: 3,1,4\ncoefficient: 2*sqrt(3)\n"),
+    (("fock", "--occ", MIXED_OCC, "--json"),
+     "{\n" + COEFF_2_SQRT_3 + """  "word": [
+    3,
+    1,
+    4
+  ]
+}
+"""),
+    (("embed", "--N", "3", "--occ", MIXED_OCC), "word: 3,1,1,3,2\ncoefficient: 2*sqrt(3)\n"),
+    (("embed", "--N", "3", "--occ", MIXED_OCC, "--json"),
+     "{\n" + COEFF_2_SQRT_3 + """  "occupations": {
+    "1": 2,
+    "3": 3
+  },
+  "word": [
+    3,
+    1,
+    1,
+    3,
+    2
+  ]
+}
+"""),
+])
+def test_occupations_print_in_normal_form(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_embed_command(capsys):

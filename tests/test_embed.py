@@ -165,6 +165,29 @@ def test_odometer_isomorphism_examples():
         assert odometer_index(odometer_isomorphism(index)) == index
 
 
+def _odometer_isomorphism_bit_by_bit(index):
+    """The label of e_index, one factor of 2 stripped per step: the oracle of the peel."""
+    letters = []
+    while index != 1:
+        n = 1
+        while not index & 1:
+            index >>= 1
+            n += 1
+        letters.append(n)
+        index = (index + 1) >> 1
+    return EPWord(letters, (1,))
+
+
+def test_odometer_isomorphism_matches_the_bit_by_bit_peel():
+    rng = random.Random(11)
+    indices = [rng.randint(1, 2**2000) for _ in range(2000)]
+    indices += [2**k * (2 * rng.randint(1, 2**64) - 1) for k in range(3001)]
+    for index in indices:
+        label = odometer_isomorphism(index)
+        assert label == _odometer_isomorphism_bit_by_bit(index), index
+        assert odometer_index(label) == index
+
+
 def test_odometer_intertwining_small():
     spec = RepSpec((1,))
     from cuntzboson.cuntz import apply_generator

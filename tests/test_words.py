@@ -44,6 +44,19 @@ def test_empty_cycle_rejected():
         EPWord((1,), ())
 
 
+@given(st.lists(letters, max_size=8).map(tuple), cycles)
+def test_a_label_is_its_vacuum_with_the_prefix_prepended(prefix, cycle):
+    # ``cycles`` draws non-primitive cycles too, which the constructor reduces first
+    built, prepended = EPWord(prefix, cycle), EPWord((), cycle).prepend(prefix)
+    assert built._rot == prepended._rot and built._diff == prepended._diff
+    assert hash(built) == hash(prepended)
+
+
+def test_prefix_letters_are_checked_before_the_cycle():
+    with pytest.raises(ValueError, match="prefix letters must be integers >= 1, got 0"):
+        EPWord((0,), ())
+
+
 def test_letter_at_examples():
     assert EPWord((), (1, 2)).letter_at(3) == 1
     assert EPWord((3,), (1,)).letter_at(1) == 3
