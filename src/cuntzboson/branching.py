@@ -169,28 +169,15 @@ def basis_lambda_j(j: int, bound: int) -> list[EPWord]:
 
     All labels with prefix length <= bound and letters <= bound; these are in
     bijection with the finite words whose last letter differs from j, plus the
-    vacuum itself.
+    vacuum itself.  Each is its word prepended to the vacuum, listed by length,
+    then letters: the order of ``EPWord.sort_key``.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    out = {EPWord((), (j,))}
-    for length in range(1, bound + 1):
-        for prefix in itertools.product(range(1, bound + 1), repeat=length):
-            if prefix[-1] != j:
-                out.add(EPWord(prefix, (j,)))
-    return sorted(out, key=EPWord.sort_key)
-
-
-def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> set[EPWord]:
-    """The set of canonical labels with prefix length <= prefix_bound, letters <= letter_bound."""
-    top = letter_bound if spec.alphabet is None else min(letter_bound, spec.alphabet)
-    out = set()
-    for rotation in spec.rotation_vacua():
-        out.add(rotation)
-        for length in range(1, prefix_bound + 1):
-            for prefix in itertools.product(range(1, top + 1), repeat=length):
-                out.add(EPWord(prefix, rotation.cycle))
-    return out
+    vacuum = EPWord((), (j,))
+    return [vacuum] + [vacuum.prepend(prefix) for length in range(1, bound + 1)
+                       for prefix in itertools.product(range(1, bound + 1), repeat=length)
+                       if prefix[-1] != j]
 
 
 def _mode_letters(family: str, j: int, exps: int) -> tuple[EPWord, list[range]]:

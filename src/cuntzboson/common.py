@@ -53,16 +53,16 @@ def check_family_sizes(sizes: Iterable[int], what: str) -> None:
                           f"supported number, MAX_CHECKS = {MAX_CHECKS}")
 
 
-# Largest number of checks one ``verify ccr``, ``relations``, ``embedding``
-# or ``fock-ext`` call, or rows one ``branch`` call, may make.  Each builds
-# kets by ladder steps or generator actions and compares them, about 15-80 us
-# at modest exponents, a hundred times an orthonormality check, so the bound
-# is several seconds of work.  The suites and ``branch`` count their checks
-# from the arguments and refuse a larger request with DomainError (exit code
-# 3) before they draw or build anything.  The count does not see the size of
-# a check, which grows with the digits of sqrt(exps!) in fock-ext (`--modes 1
-# --exps 2000` makes 4,002 checks in about 5 s) and with the cycle letter j
-# of an F_j row of ``branch``.
+# Largest number of checks one ``verify ccr``, ``relations``, ``embedding``,
+# ``odometer`` or ``fock-ext`` call, or rows one ``branch`` call, may make.
+# Each builds kets by ladder steps or generator actions and compares them, about
+# 15-80 us at modest exponents, a hundred times an orthonormality check, so the
+# bound is several seconds of work.  Each count comes from the arguments, and a
+# larger request is refused with DomainError (exit code 3) before anything is
+# drawn or built.  The odometer count adds the modes its checks name over 10**4,
+# as a check at mode n works on n-bit integers.  No count sees the digits of
+# sqrt(exps!) in fock-ext (`--modes 1 --exps 2000` makes 4,002 checks in about
+# 5 s) or the cycle letter j of an F_j row of ``branch``.
 MAX_KET_CHECKS = 10**5
 
 

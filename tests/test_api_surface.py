@@ -289,3 +289,28 @@ def test_memo_tables_are_bounded():
     of no parameters, which it runs once."""
     assert _unbounded_memos() == []
     assert cli.build_parser.cache_info().maxsize is None  # the one ``functools.cache``
+
+
+def _prefixed_label_builders() -> set[str]:
+    """The function around each package call ``EPWord(prefix, ...)`` whose prefix is not
+    the empty tuple: a label built through the validating constructor, not prepended."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [(qualified, node) for qualified, _, node in _definitions(path.stem, tree)
+                     if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EPWord"):
+                continue
+            prefix = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords if kw.arg == "prefix"), None)
+            if prefix is not None and not (isinstance(prefix, ast.Tuple) and not prefix.elts):
+                found.add(next((qualified for qualified, f in functions
+                                if f.lineno <= node.lineno <= f.end_lineno), path.stem))
+    return found
+
+
+def test_only_outside_input_builds_a_prefixed_label_through_the_constructor():
+    """Package code prepends a prefix to a vacuum (``EPWord.prepend``); only ``Ket.from_json``,
+    which reads outside input, passes a prefix to ``EPWord(...)``."""
+    assert _prefixed_label_builders() == {"states.Ket.from_json"}

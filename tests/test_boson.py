@@ -5,6 +5,7 @@ from collections.abc import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuntzboson import verify
 from cuntzboson.boson import (BosonMonomial, _as_exponents, _walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
 from cuntzboson.common import MAX_MODE
@@ -280,6 +281,20 @@ def test_intertwining_relations():
     _intertwining(result, P12, samples)
     # s_m a_n = a_{n+1} s_m and its adjoint form, m, n = 1..3, on each of the 5 kets
     assert (result.total, result.passed, result.failures) == (90, 90, [])
+
+
+def test_intertwining_builds_each_generator_operand_once(monkeypatch):
+    """One sample takes s_m v once per m and s_m of each of its six ladder images: 3 + 18 calls."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return apply_generator(*args, **kwargs)
+    monkeypatch.setattr(verify, "apply_generator", spy)
+    result = SuiteResult("intertwining")
+    _intertwining(result, P12, [random_ket(random.Random(41), P12)])
+    assert (result.total, result.passed) == (18, 18)
+    assert len(calls) == 21 and sorted(calls) == [1] * 7 + [2] * 7 + [3] * 7
 
 
 def test_ccr_exact_sweep_small():

@@ -3,17 +3,113 @@ import random
 
 import pytest
 
+from cuntzboson import verify
 from cuntzboson.boson import BosonMonomial
 from cuntzboson.branching import (basis_lambda_j, basis_monomials, basis_size,
                                   classify_vacuum, cyclicity_witness, enumerate_components,
-                                  enumerate_labels, inequivalence_witness)
+                                  inequivalence_witness)
 from cuntzboson.common import MAX_CHECKS, DomainError
 from cuntzboson.cuntz import RepSpec
 from cuntzboson.scalar import ONE, sqrt_nat
 from cuntzboson.states import Ket
-from cuntzboson.verify import (SuiteResult, _onetwov_expected_labels, _typej_expected_labels,
-                               _vacuum_orthogonality)
+from cuntzboson.verify import SuiteResult, _labels, _vacuum_orthogonality
 from cuntzboson.words import EPWord
+
+
+# --- oracles: the label enumerators that ``verify._labels`` replaced, kept verbatim ---
+# Each builds every label through the validating ``EPWord`` constructor.
+
+def enumerate_labels(spec: RepSpec, prefix_bound: int, letter_bound: int) -> set[EPWord]:
+    """The set of canonical labels with prefix length <= prefix_bound, letters <= letter_bound."""
+    top = letter_bound if spec.alphabet is None else min(letter_bound, spec.alphabet)
+    out = set()
+    for rotation in spec.rotation_vacua():
+        out.add(rotation)
+        for length in range(1, prefix_bound + 1):
+            for prefix in itertools.product(range(1, top + 1), repeat=length):
+                out.add(EPWord(prefix, rotation.cycle))
+    return out
+
+
+def _typej_expected_labels(j: int, modes: int, exps: int) -> set[EPWord]:
+    low = j - min(j - 1, exps)
+    ranges = [range(low, j + exps + 1)] * modes
+    return {EPWord(combo, (j,)) for combo in itertools.product(*ranges)}
+
+
+def _onetwov_expected_labels(modes: int, exps: int) -> set[EPWord]:
+    ranges = []
+    for mode in range(1, modes + 1):
+        base = 1 if mode % 2 else 2
+        ranges.append(range(1, base + exps + 1))
+    tail = (1, 2) if modes % 2 == 0 else (2, 1)
+    return {EPWord(combo, tail) for combo in itertools.product(*ranges)}
+
+
+def _constructed_basis_lambda_j(j: int, bound: int) -> list[EPWord]:
+    """The body of ``basis_lambda_j`` before its labels were prepended to the vacuum."""
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    out = {EPWord((), (j,))}
+    for length in range(1, bound + 1):
+        for prefix in itertools.product(range(1, bound + 1), repeat=length):
+            if prefix[-1] != j:
+                out.add(EPWord(prefix, (j,)))
+    return sorted(out, key=EPWord.sort_key)
+
+
+_TAILS = [(1,), (2,), (1, 2), (2, 1), (1, 1, 2)]
+
+
+def test_labels_is_every_range_of_prefixes_prepended_to_its_tail():
+    letter_ranges = [range(1, 5), range(2, 4), range(4, 5), range(3, 3)]  # the last one is empty
+    for cycle in _TAILS:
+        spec, tail = RepSpec(cycle), EPWord((), cycle)
+        for length in range(4):
+            for ranges in itertools.product(letter_ranges, repeat=length):
+                assert _labels(tail, ranges) == {EPWord(p, cycle) for p in itertools.product(*ranges)}
+        for prefix_bound in range(4):
+            for letters in range(1, 5):
+                got = set().union(*(_labels(vacuum, [range(1, letters + 1)] * length)
+                                    for vacuum in spec.rotation_vacua() for length in range(prefix_bound + 1)))
+                assert got == enumerate_labels(spec, prefix_bound, letters), (cycle, prefix_bound, letters)
+
+
+def test_labels_builds_the_typej_and_onetwov_spans_of_the_oracles():
+    for modes in range(4):
+        for exps in range(4):
+            for j in range(1, 5):
+                ranges = [range(j - min(j - 1, exps), j + exps + 1)] * modes
+                assert _labels(EPWord((), (j,)), ranges) == _typej_expected_labels(j, modes, exps)
+            tail = (2, 1) if modes % 2 else (1, 2)
+            ranges = [range(1, (1 if n % 2 else 2) + exps + 1) for n in range(1, modes + 1)]
+            assert _labels(EPWord((), tail), ranges) == _onetwov_expected_labels(modes, exps)
+
+
+def test_run_bases_expects_the_spans_of_the_oracles(monkeypatch):
+    """Each expected span that ``verify bases`` builds is the oracle's: the lambda
+    spans are the union of the first 2(cutoff + 1) calls, then typej 1, typej 2, onetwov."""
+    for cutoff in range(1, 4):
+        for exps in range(1, 4):
+            spans = []
+
+            def spy(tail, ranges):
+                spans.append(_labels(tail, ranges))
+                return spans[-1]
+            monkeypatch.setattr(verify, "_labels", spy)
+            assert verify.run_bases(cutoff=cutoff, exps=exps).ok
+            lam = cutoff + 1
+            assert set().union(*spans[:lam]) == enumerate_labels(RepSpec((1,)), cutoff, cutoff)
+            assert set().union(*spans[lam:2 * lam]) == enumerate_labels(RepSpec((2,)), cutoff, cutoff)
+            assert spans[2 * lam:] == [_typej_expected_labels(1, cutoff, exps),
+                                       _typej_expected_labels(2, cutoff, exps),
+                                       _onetwov_expected_labels(cutoff, exps)]
+
+
+def test_basis_lambda_is_the_constructor_built_list():
+    for j in range(1, 4):
+        for bound in range(5):
+            assert basis_lambda_j(j, bound) == _constructed_basis_lambda_j(j, bound), (j, bound)
 
 
 def test_enumerate_components_examples():

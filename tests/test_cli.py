@@ -922,6 +922,70 @@ def test_relations_embedding_and_branch_bounds_are_inclusive(capsys, monkeypatch
     assert (code, out) == (3, "") and f"MAX_KET_CHECKS = {count - 1}" in err
 
 
+@pytest.mark.parametrize("modes, cutoff, index_bound",
+                         itertools.product((1, 2, 5, 6, 9), (1, 4, 30), (1, 7, 64)))
+def test_odometer_check_count_is_the_suite_total_plus_its_modes(modes, cutoff, index_bound):
+    """The count is the suite's checks plus, over 10**4, the modes they name: s_n and s_n*
+    for each index and n <= modes, a_n* e1 for n <= cutoff, and the O_2 model's s_n for
+    n <= min(modes, 5) on 64 indices."""
+    total = verify.run_suite("odometer", modes=modes, cutoff=cutoff, index_bound=index_bound).total
+    mode_sum = (index_bound * 2 * sum(range(1, modes + 1)) + sum(range(1, cutoff + 1))
+                + 64 * sum(range(1, min(modes, 5) + 1)))
+    assert verify._odometer_checks(modes, cutoff, index_bound) == total + mode_sum // 10**4
+
+
+def test_odometer_bound_counts_the_modes_of_its_checks():
+    assert verify._odometer_checks(6, 4, 512) == 6982  # 6,980 checks at the CLI defaults
+    # the largest index bound served at the other defaults
+    assert verify._odometer_checks(6, 4, 7664) <= MAX_KET_CHECKS < verify._odometer_checks(6, 4, 7665)
+    # each under 10^5 checks; served, the first two take 8-17 s
+    assert verify._odometer_checks(49800, 4, 1) > MAX_KET_CHECKS
+    assert verify._odometer_checks(1, 99000, 1) > MAX_KET_CHECKS
+    assert verify._odometer_checks(22000, 1, 1) <= MAX_KET_CHECKS
+
+
+def test_odometer_bound_is_inclusive(capsys, monkeypatch):
+    """A call of exactly the bound's count is served, and one of one more is refused."""
+    monkeypatch.setattr(common, "MAX_KET_CHECKS", 6982)
+    code, out, _ = run(capsys, "verify", "odometer")
+    assert code == 0 and out == "suite odometer: 6980/6980 checks passed\n"
+    monkeypatch.setattr(common, "MAX_KET_CHECKS", 6981)
+    code, out, err = run(capsys, "verify", "odometer")
+    assert (code, out) == (3, "") and err == ("domain error: verify odometer needs more checks than the "
+                                              "largest supported number, MAX_KET_CHECKS = 6981\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "odometer", "--modes", "49800", "--index-bound", "1"),  # 99,925 checks
+    ("verify", "odometer", "--modes", "1", "--cutoff", "99000", "--index-bound", "1"),  # 99,067 checks
+    ("verify", "odometer", "--index-bound", "7665", "--json"),
+])
+def test_odometer_modes_above_max_ket_checks_are_domain_error_within_deadline(argv):
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("domain error: verify odometer needs more checks than the largest supported "
+                           f"number, MAX_KET_CHECKS = {MAX_KET_CHECKS}\n")
+
+
+def _count_options(suite):
+    """The ``verify`` flags of the counts that ``suite`` reads: each keyword-only
+    parameter of its runner but the seed and the alphabet bound."""
+    params = inspect.signature(verify.SUITES[suite]).parameters.values()
+    return ["--" + p.name.replace("_", "-") for p in params
+            if p.kind is p.KEYWORD_ONLY and p.name not in ("seed", "N")]
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_every_suite_refuses_huge_counts_within_deadline(suite):
+    argv = [token for flag in _count_options(suite) for token in (flag, str(10**30))]
+    assert argv
+    done, elapsed = _run_cli_subprocess("verify", suite, *argv)
+    assert elapsed < 2, argv
+    assert done.returncode == 3 and done.stdout == "", argv
+    assert done.stderr.startswith(f"domain error: verify {suite} needs more "), done.stderr
+
+
 def test_embedded_word_longer_than_max_mode_is_domain_error_within_deadline():
     # 2,000,000 letters of O_2 from two indices that are each served alone
     done, elapsed = _run_cli_subprocess("embed", "--N", "2", "--word", f"{MAX_MODE},{MAX_MODE}")
@@ -1012,14 +1076,13 @@ def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
 # --- fuzzing the command line ------------------------------------------------
 #
 # argv drawn from a grammar of subcommands, flags and tokens, hostile integers
-# and malformed words included.  Counts that size a computation stay small
-# where no bound refuses them (branch cycle letters, the counts of verify ccr,
-# bases, odometer and fock-ext): large ones run long by design, which is not a
-# hang.  Hostile counts go where a bound counts the work first and refuses it:
-# ``bases`` modes and exponents (MAX_CHECKS), ``verify relations|embedding``
-# samples and cutoffs and ``branch`` modes (MAX_KET_CHECKS).  MAX_MODE, the
-# largest index that is served, reaches the longest outputs: a label or O_N
-# word of a million letters.
+# and malformed words included.  Branch cycle letters stay small: the row
+# bound does not see a row's cost, which grows with the letter, so a large one
+# runs long by design, which is not a hang.  Hostile counts go wherever a bound
+# counts the work first and refuses it: ``bases`` and ``verify bases`` modes,
+# cutoffs and exponents (MAX_CHECKS), the counts of every other suite and
+# ``branch`` modes (MAX_KET_CHECKS).  MAX_MODE, the largest index that is
+# served, reaches the longest outputs: a label or O_N word of a million letters.
 
 _HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE, MAX_MODE + 1, 10**9, 10**30])
 _index = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=-2, max_value=12),
@@ -1056,7 +1119,7 @@ _commands = st.one_of(
     _argv(["branch"], _small_word.map(lambda w: ["--rep", "|" + w]), _opt("--N", _index),
           _opt("--modes", st.one_of(_small, _HOSTILE)), _flag_json),
     _argv(["verify"], st.sampled_from(["ccr", "bases", "odometer", "fock-ext", "nope"]).map(lambda s: [s]),
-          *[_small.map(lambda v, f=f: [f, str(v)]) for f in
+          *[st.one_of(_small, _HOSTILE).map(lambda v, f=f: [f, str(v)]) for f in
             ("--samples", "--modes", "--cutoff", "--exps", "--index-bound")],
           _opt("--seed", _index), _opt("--N", st.integers(min_value=-1, max_value=4)), _flag_json),
     _argv(["verify"], st.sampled_from(["relations", "embedding"]).map(lambda s: [s]),

@@ -80,6 +80,19 @@ def test_isometry_relations_report():
     assert isometry_record(finite, 2, [random_ket(rng, finite) for _ in range(3)]) == (18, 18, [])
 
 
+@pytest.mark.parametrize("spec, k", [(P1, 3), (P12, 4), (RepSpec((1,), alphabet=2), 2)], ids=str)
+def test_isometry_relations_build_each_generator_operand_once(monkeypatch, spec, k):
+    """Per sample: each s_j v once, s_i* of each (k^2), then s_i s_i* v for the projection (2k)."""
+    true_apply, calls = verify.apply_generator, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return true_apply(*args, **kwargs)
+    monkeypatch.setattr(verify, "apply_generator", spy)
+    _isometry_relations(SuiteResult("isometry"), spec, k, [random_ket(random.Random(3), spec)])
+    assert len(calls) == k**2 + 3 * k
+
+
 def test_wrong_range_projection_fails(monkeypatch):
     """Dropping s_3 s_3* still contracts, but it is not the first-letter projection."""
     true_apply = verify.apply_generator
