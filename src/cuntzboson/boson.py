@@ -30,10 +30,12 @@ one Cuntz monomial at a time and sum the images; they exist to cross-validate
 the closed form against its defining expansion.
 
 A ket may keep its single-step images (``states.Ket``), and ``_ladder`` then
-builds each (n, +-1) image of it once.  The one user is ``verify``'s ccr:
-its samples keep images, each while it is checked, since a sample is asked
-for a few images many times, while most kets are never asked for one twice;
-keeping images on every ket slowed the ladder-deep benchmark by a third.
+builds each (n, +-1) image of it once.  The one user is ``verify``'s ccr,
+whose samples are asked for a few images many times, while most kets are
+never asked for one twice: a sample and each of its single-step images keep
+images while the sample is checked, so each one- and two-step image of the
+sample is built once.  Keeping images on every ket slowed the ladder-deep
+benchmark by a third.
 """
 
 from __future__ import annotations

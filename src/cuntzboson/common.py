@@ -60,9 +60,11 @@ def check_family_sizes(sizes: Iterable[int], what: str) -> None:
 # bound is several seconds of work.  Each count comes from the arguments, and a
 # larger request is refused with DomainError (exit code 3) before anything is
 # drawn or built.  The odometer count adds the modes its checks name over 10**4,
-# as a check at mode n works on n-bit integers.  No count sees the digits of
-# sqrt(exps!) in fock-ext (`--modes 1 --exps 2000` makes 4,002 checks in about
-# 5 s) or the cycle letter j of an F_j row of ``branch``.
+# as a check at mode n works on n-bit integers.  The fock-ext count adds
+# checks * (k * exps)**2 // (5 * 10**4), k = min(cutoff, modes), as the digits of
+# its coefficients grow with k * exps (`--modes 1 --cutoff 1 --exps 2000` makes
+# 4,002 checks of about 5 s in all and is refused).  No count sees the cycle
+# letter j of an F_j row of ``branch``.
 MAX_KET_CHECKS = 10**5
 
 

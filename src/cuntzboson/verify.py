@@ -120,27 +120,36 @@ def run_ccr(*, modes: int, samples: int, seed: int, **_) -> SuiteResult:
     are canonical (unique labels, nonzero amplitudes), so X == Y + E holds
     exactly when X - Y - E is the zero ket, and no commutator ket is built.
 
-    Each sample keeps its ladder images (``states.Ket``) while it is checked:
-    of its 432 single-step requests, 216 ask for one of its own 12 images,
-    which it builds once.  Every ladder call and every check is made as
-    before; only the repeated label steps go.
+    Each sample and each of its single-step images keep their ladder images
+    (``states.Ket``) while the sample is checked.  Of a sample's 432 ladder
+    requests (12 per pair n, m), 216 ask for one of its 2·modes single-step
+    images and 216 for a two-step image such as a_n a_m v, of which
+    4·modes² are distinct; each is built once, so a sample makes
+    2·modes + 4·modes² image builds.  Every ladder call and every check is
+    made as before; only the repeated label steps go.
     """
     check_ket_checks(9 * samples * modes**2, "verify ccr")
     result = SuiteResult("ccr")
     rng = random.Random(seed)
     create, annihilate = boson.apply_create, boson.apply_annihilate
+
+    def kept(image: Ket) -> Ket:
+        if image._images is None:
+            image._images = {}
+        return image
+
     for cycle in ((1,), (2,), (1, 2)):
         spec = RepSpec(cycle)
         for idx in range(samples):
-            v = random_ket(rng, spec)
-            v._images = {}
+            v = kept(random_ket(rng, spec))
             for n in range(1, modes + 1):
                 for m in range(1, modes + 1):
-                    left, right = annihilate(n, create(m, v)), create(m, annihilate(n, v))
+                    left = annihilate(n, kept(create(m, v)))
+                    right = create(m, kept(annihilate(n, v)))
                     outcomes = (
                         left == (right + v if n == m else right),
-                        annihilate(n, annihilate(m, v)) == annihilate(m, annihilate(n, v)),
-                        create(n, create(m, v)) == create(m, create(n, v)),
+                        annihilate(n, kept(annihilate(m, v))) == annihilate(m, kept(annihilate(n, v))),
+                        create(n, kept(create(m, v))) == create(m, kept(create(n, v))),
                     )
                     for passed, relation in zip(outcomes, _CCR_RELATIONS):
                         result.add(passed, lambda: f"{spec} sample {idx}: "
@@ -452,8 +461,14 @@ def _fock_ext_checks(modes: int, cutoff: int, exps: int) -> int:
 
 
 def run_fock_ext(*, modes: int, cutoff: int, exps: int, **_) -> SuiteResult:
-    """Both sides of the four isometry-extension formulas, evaluated independently."""
-    check_ket_checks(_fock_ext_checks(modes, cutoff, exps), "verify fock-ext")
+    """Both sides of the four isometry-extension formulas, evaluated independently.
+
+    A state holds up to k = min(cutoff, modes) creators of up to ``exps``
+    quanta each, and the digits of its coefficients grow with k·exps, so the
+    bound charges each check once more per 5·10^4 of (k·exps)^2.
+    """
+    checks = _fock_ext_checks(modes, cutoff, exps)
+    check_ket_checks(checks + checks * (min(cutoff, modes) * exps)**2 // (5 * 10**4), "verify fock-ext")
     result = SuiteResult("fock-ext")
     spec = RepSpec((1,))
     omega = spec.gp_vector()

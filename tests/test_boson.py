@@ -5,7 +5,7 @@ from collections.abc import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson import verify
+from cuntzboson import boson, verify
 from cuntzboson.boson import (BosonMonomial, _as_exponents, _walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
 from cuntzboson.common import MAX_MODE
@@ -295,6 +295,65 @@ def test_intertwining_builds_each_generator_operand_once(monkeypatch):
     _intertwining(result, P12, [random_ket(random.Random(41), P12)])
     assert (result.total, result.passed) == (18, 18)
     assert len(calls) == 21 and sorted(calls) == [1] * 7 + [2] * 7 + [3] * 7
+
+
+@pytest.mark.parametrize("modes, samples", [(2, 2), (3, 1), (1, 3), (6, 1)])
+def test_ccr_builds_each_ladder_image_once(monkeypatch, modes, samples):
+    """A ccr sample builds each of its 2·modes single-step images and 4·modes² two-step
+    images once: 120 builds at modes 2, samples 2."""
+    builds = []
+    canonical = boson._canonical
+
+    def spy(amps):
+        builds.append(1)
+        return canonical(amps)
+    monkeypatch.setattr(boson, "_canonical", spy)
+    result = verify.run_suite("ccr", modes=modes, samples=samples, seed=7)
+    assert result.total == result.passed == 9 * samples * modes**2
+    assert len(builds) == 3 * samples * (2 * modes + 4 * modes**2)
+
+
+def _ccr_without_kept_images(modes, samples, seed):
+    """``(total, passed, failures)`` of ccr from a plain loop: samples drawn as ``run_ccr``
+    draws them, every ladder applied to kets that keep no images, the relations in order."""
+    rng = random.Random(seed)
+    checks = []
+    for cycle in ((1,), (2,), (1, 2)):
+        spec = RepSpec(cycle)
+        for idx in range(samples):
+            v = random_ket(rng, spec)
+            assert v._images is None
+            for n in range(1, modes + 1):
+                for m in range(1, modes + 1):
+                    lowered_raised = apply_annihilate(n, apply_create(m, v))
+                    raised_lowered = apply_create(m, apply_annihilate(n, v))
+                    delta = v if n == m else Ket()
+                    annihilators = (apply_annihilate(n, apply_annihilate(m, v)),
+                                    apply_annihilate(m, apply_annihilate(n, v)))
+                    creators = apply_create(n, apply_create(m, v)), apply_create(m, apply_create(n, v))
+                    checks += [(lowered_raised == raised_lowered + delta, spec, idx,
+                                f"[a{n}, a{m}*] = {int(n == m)}"),
+                               (annihilators[0] == annihilators[1], spec, idx, f"[a{n}, a{m}] = 0"),
+                               (creators[0] == creators[1], spec, idx, f"[a{n}*, a{m}*] = 0")]
+    failures = [f"[FAIL] {spec} sample {idx}: {name}" for passed, spec, idx, name in checks if not passed]
+    return len(checks), len(checks) - len(failures), failures
+
+
+def _root_wrong_at_5(true):
+    return lambda n: (2, 5) if n == 5 else true(n)
+
+
+@pytest.mark.parametrize("plant", [None, _root_wrong_at_5])
+def test_kept_images_change_no_ccr_outcome(monkeypatch, plant):
+    """``run_ccr``, whose samples and their images keep images, records the checks of a
+    loop whose kets keep none, with a planted kernel fault and without one."""
+    monkeypatch.setattr(SuiteResult, "MAX_FAILURES", 10**6)
+    if plant:
+        monkeypatch.setattr(boson, "_root", plant(boson._root))
+    result = verify.run_ccr(modes=4, samples=8, seed=7)
+    expected = _ccr_without_kept_images(4, 8, 7)
+    assert (result.total, result.passed, result.failures) == expected
+    assert (expected[1] < expected[0]) if plant else (expected[1] == expected[0] == 1152)
 
 
 def test_ccr_exact_sweep_small():

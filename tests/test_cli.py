@@ -839,6 +839,10 @@ def test_check_count_above_max_checks_is_domain_error_within_deadline(argv):
     ("verify", "ccr", "--samples", str(10**30), "--modes", str(10**30), "--json"),
     ("verify", "fock-ext", "--modes", "40"),  # 2 * 40 * 102,091 checks
     ("verify", "fock-ext", "--modes", "1", "--exps", "50000"),  # 100,002 checks
+    # under 10^5 checks each, but their coefficients have thousands of digits; served, 3.7-4.9 s
+    ("verify", "fock-ext", "--modes", "1", "--cutoff", "1", "--exps", "2000"),  # 4,002 checks
+    ("verify", "fock-ext", "--modes", "4", "--cutoff", "1", "--exps", "700"),  # 22,408 checks
+    ("verify", "fock-ext", "--modes", "10", "--cutoff", "1", "--exps", "290"),  # 58,020 checks
     ("verify", "fock-ext", "--modes", str(10**30), "--cutoff", str(10**30), "--exps", str(10**30)),
     ("verify", "relations", "--samples", "100000"),  # 1,080,000 checks
     ("verify", "relations", "--cutoff", "3000"),  # 90,030,340 checks
@@ -877,7 +881,9 @@ def test_ket_check_bound_is_inclusive():
         check_ket_checks(MAX_KET_CHECKS + 1, "past the bound")
     # the largest ccr and fock-ext calls of one sample or mode that are served
     assert 9 * 105**2 <= MAX_KET_CHECKS < 9 * 106**2
-    assert verify._fock_ext_checks(1, 1, 49999) <= MAX_KET_CHECKS < verify._fock_ext_checks(1, 1, 50000)
+    # fock-ext charges its c checks once more per 5 * 10^4 of (exps * min(cutoff, modes))^2,
+    # and at one mode and cutoff c = 2(1 + exps)
+    assert 2690 + 2690 * 1344**2 // (5 * 10**4) <= MAX_KET_CHECKS < 2692 + 2692 * 1345**2 // (5 * 10**4)
     # and the largest relations, embedding and branch calls at the other CLI defaults
     assert verify._relations_checks(9259, 4) <= MAX_KET_CHECKS < verify._relations_checks(9260, 4)
     assert verify._embedding_checks(45373, 4) <= MAX_KET_CHECKS < verify._embedding_checks(45374, 4)
@@ -888,6 +894,26 @@ def test_ket_check_bound_is_inclusive():
 def test_fock_ext_check_count_is_the_suite_total(modes, cutoff, exps):
     total = verify.run_suite("fock-ext", modes=modes, cutoff=cutoff, exps=exps).total
     assert verify._fock_ext_checks(modes, cutoff, exps) == total
+
+
+@pytest.mark.parametrize("options, count, served", [
+    ((), 22973, True),  # the defaults: 22,908 checks
+    (("--modes", "1", "--cutoff", "1", "--exps", "300"), 1685, True),  # 602 checks
+    (("--modes", "3", "--cutoff", "2", "--exps", "40"), 33305, False),  # 29,526 checks, about 1 s
+    (("--modes", "1", "--cutoff", "1", "--exps", "1000"), 42042, False),  # 2,002 checks, about 0.8 s
+])
+def test_fock_ext_bound_counts_the_size_of_its_exponents(capsys, monkeypatch, options, count, served):
+    """The fock-ext count adds checks * (exps * min(cutoff, modes))^2 // (5 * 10^4) to its
+    checks: a call whose count is one past the bound is refused, and one at the bound is served."""
+    argv = ("verify", "fock-ext", *options)
+    if served:
+        monkeypatch.setattr(common, "MAX_KET_CHECKS", count)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("suite fock-ext: ")
+    monkeypatch.setattr(common, "MAX_KET_CHECKS", count - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and err == ("domain error: verify fock-ext needs more checks than the "
+                                              f"largest supported number, MAX_KET_CHECKS = {count - 1}\n")
 
 
 @pytest.mark.parametrize("samples, cutoff", itertools.product((1, 9, 10, 20, 35, 50), (1, 2, 3, 4, 6)))
@@ -1080,9 +1106,13 @@ def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
 # bound does not see a row's cost, which grows with the letter, so a large one
 # runs long by design, which is not a hang.  Hostile counts go wherever a bound
 # counts the work first and refuses it: ``bases`` and ``verify bases`` modes,
-# cutoffs and exponents (MAX_CHECKS), the counts of every other suite and
-# ``branch`` modes (MAX_KET_CHECKS).  MAX_MODE, the largest index that is
-# served, reaches the longest outputs: a label or O_N word of a million letters.
+# cutoffs and exponents (MAX_CHECKS, orthonormality checks), the counts of every
+# other suite (MAX_KET_CHECKS, checks; odometer also counts the modes its checks
+# name, fock-ext the size of its exponents) and ``branch`` modes (MAX_KET_CHECKS,
+# rows).  Large fock-ext exponents at small modes and cutoffs, which make few
+# checks of many digits each, have a line of their own.  MAX_MODE, the largest
+# index that is served, reaches the longest outputs: a label or O_N word of a
+# million letters.
 
 _HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE, MAX_MODE + 1, 10**9, 10**30])
 _index = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=-2, max_value=12),
@@ -1122,6 +1152,9 @@ _commands = st.one_of(
           *[st.one_of(_small, _HOSTILE).map(lambda v, f=f: [f, str(v)]) for f in
             ("--samples", "--modes", "--cutoff", "--exps", "--index-bound")],
           _opt("--seed", _index), _opt("--N", st.integers(min_value=-1, max_value=4)), _flag_json),
+    _argv(["verify", "fock-ext"], *[_small.map(lambda v, f=f: [f, str(v)]) for f in ("--modes", "--cutoff")],
+          st.one_of(_small, st.sampled_from([1_500, 2_000, 5_000, 49_999])).map(lambda v: ["--exps", str(v)]),
+          _flag_json),
     _argv(["verify"], st.sampled_from(["relations", "embedding"]).map(lambda s: [s]),
           *[st.one_of(_small, _HOSTILE).map(lambda v, f=f: [f, str(v)]) for f in ("--samples", "--cutoff")],
           _opt("--seed", _index), _opt("--N", st.integers(min_value=-1, max_value=4)), _flag_json),
