@@ -42,9 +42,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
 
+from .common import DomainError
 from .cuntz import CuntzMonomial, RepSpec, apply_monomial
 from .scalar import ONE, RadicalScalar, ZERO, _root, _root_range, _scale_root, sqrt_nat, sqrt_product
 from .states import Ket, _canonical, _sum
@@ -191,8 +193,19 @@ def fock_word(occupations: Union[Mapping[int, int], Exponents]) -> tuple[Radical
     Applying prod (a_n*)^{k_n} to the vacuum of the standard representation
     yields coefficient * |J . 1^inf> with J = (occupation+1 per mode up to the
     largest occupied one) and coefficient = prod sqrt(k_n!).
+
+    A coefficient q sqrt(r) whose q surely has more digits than the int-to-text
+    limit D is refused with ``DomainError`` before any root is taken: with
+    B = floor(log2 k), sum_{i<=k} floor(log2 i) = B(k+1) - 2^(B+1) + 2 is at
+    most log2 k!, and the squarefree part of k! is below 4^k, so log2 q >= t
+    below, and 1000 t >= 3322 D gives q >= 10^D.
     """
     occ = dict(_as_exponents(occupations))
+    digits = sys.get_int_max_str_digits()
+    t = sum((b := k.bit_length() - 1) * (k + 1) - (2 << b) + 2 - 2 * k for k in occ.values()) // 2
+    if digits and 1000 * t >= 3322 * digits:
+        raise DomainError(f"the coefficient of these occupations has more than {digits} decimal "
+                          "digits, the limit of Python's integer-text conversion")
     top = max(occ) if occ else 0
     word = tuple(occ.get(mode, 0) + 1 for mode in range(1, top + 1))
     coeff = ONE

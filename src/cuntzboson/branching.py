@@ -43,16 +43,6 @@ class ComponentReport:
         return out
 
 
-def classification_of_pattern(pattern: Word) -> str:
-    if len(pattern) == 1:
-        return "Fock" if pattern[0] == 1 else f"F_{pattern[0]}"
-    if pattern == (1, 2):
-        return "F_12"
-    if pattern == (2, 1):
-        return "F_21"
-    return f"periodic({format_word(pattern)})"
-
-
 def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResult]]:
     """Classify a purely periodic vacuum and verify its defining identities.
 
@@ -65,7 +55,6 @@ def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResul
     pattern = vacuum.cycle
     M = max(modes, 2 * len(pattern))
     vac = Ket.basis(vacuum)
-    name = classification_of_pattern(pattern)
     checks: list[CheckResult] = []
 
     def check(label: str, got: Ket, expected: Ket) -> None:
@@ -77,15 +66,18 @@ def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResul
             check(f"a{n} a{n}* vac = {j} vac",
                   apply_annihilate(n, apply_create(n, vac)), j * vac)
         if j == 1:
+            name = "Fock"
             for n in range(1, M + 1):
                 check(f"a{n} vac = 0", apply_annihilate(n, vac), Ket())
         else:
+            name = f"F_{j}"
             for n in range(1, M + 1):
                 for l in range(1, j):
                     expected = perm(j - 1, l)
                     check(f"(a{n}*)^{l} a{n}^{l} vac = {expected} vac",
                           BosonMonomial({n: l}, {n: l}).apply(vac), expected * vac)
     elif pattern in ((1, 2), (2, 1)):
+        name = "F_12" if pattern == (1, 2) else "F_21"
         for half in range(1, M // 2 + 1):
             odd, even = 2 * half - 1, 2 * half
             killed, kept = (odd, even) if pattern == (1, 2) else (even, odd)
@@ -94,6 +86,7 @@ def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResul
                   apply_create(kept, apply_annihilate(kept, vac)), vac)
             check(f"a{kept}^2 vac = 0", BosonMonomial((), {kept: 2}).apply(vac), Ket())
     else:
+        name = f"periodic({format_word(pattern)})"
         for n in range(1, M + 1):
             c = vacuum.letter_at(n)
             check(f"a{n}* a{n} vac = {c - 1} vac",

@@ -48,7 +48,8 @@ def fock_word_in_ON(spec: RepSpec, occupations: Union[Mapping[int, int], Exponen
 
     Built directly from the digit decomposition k = (N-1)(c-1) + (b-1) of each
     occupation count; agrees letter for letter with translating the word from
-    ``fock_word`` generator by generator, and refuses the same occupation lists.
+    ``fock_word`` generator by generator, and refuses the same malformed
+    occupation lists (``fock_word`` alone bounds the coefficient).
     """
     N = spec.alphabet
     word: list[int] = []

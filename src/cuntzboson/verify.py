@@ -355,7 +355,8 @@ def _embedding_checks(samples: int, cutoff: int) -> int:
 
 def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
     """Digit formula vs generator translation, and the embedded Fock dictionary."""
-    check_ket_checks(_embedding_checks(samples, cutoff), "verify embedding")
+    # each creator of a Fock sample decodes and encodes its state: two checks' worth more per sample
+    check_ket_checks(_embedding_checks(samples, cutoff) + 2 * samples, "verify embedding")
     result = SuiteResult("embedding")
     rng = random.Random(seed)
     spec = RepSpec((1,), alphabet=N)

@@ -90,22 +90,10 @@ def expand(prefix: Sequence[int], cycle: Sequence[int], count: int) -> Word:
     return tuple(out)
 
 
-def _periodic(rot: Word, count: int) -> list[int]:
-    """First ``count`` letters of rot^inf."""
-    return list((rot * (count // len(rot) + 1))[:count])
-
-
 def _deviations(letters: Iterable[int], rot: Word) -> dict[int, int]:
     """Positions of ``letters`` (read from position 1) that differ from rot^inf."""
     diff = {}
     pos = 0
-    if len(rot) == 1:
-        r = rot[0]
-        for x in letters:
-            pos += 1
-            if x != r:
-                diff[pos] = x
-        return diff
     n = len(rot)
     for x in letters:
         if x != rot[pos % n]:
@@ -124,8 +112,7 @@ class EPWord:
         c = _check_word(cycle, "cycle")
         if not c:
             raise ValueError("cycle must be nonempty")
-        if len(c) > 1:
-            c = primitive_root(c)
+        c = primitive_root(c)
         word = _raw(c, {}, hash(c)).prepend(p)  # the vacuum c^inf, the prefix prepended
         self._rot, self._diff, self._hash = word._rot, word._diff, word._hash
 
@@ -143,11 +130,8 @@ class EPWord:
         if not diff:
             return (), rot
         last = max(diff)
-        # a label that deviates at every position 1..last reads its prefix off the map
-        prefix = (tuple(map(diff.__getitem__, range(1, last + 1))) if len(diff) == last
-                  else self.expand(last))
         shift = last % len(rot)
-        return prefix, (rot[shift:] + rot[:shift] if shift else rot)
+        return self.expand(last), (rot[shift:] + rot[:shift] if shift else rot)
 
     @property
     def prefix(self) -> Word:
@@ -198,7 +182,8 @@ class EPWord:
         return self._rot == other._rot
 
     def expand(self, count: int) -> Word:
-        letters = _periodic(self._rot, count)
+        rot = self._rot
+        letters = list((rot * (count // len(rot) + 1))[:count])
         for pos, letter in self._diff.items():
             if pos <= count:
                 letters[pos - 1] = letter

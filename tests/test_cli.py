@@ -4,6 +4,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -886,7 +887,9 @@ def test_ket_check_bound_is_inclusive():
     assert 2690 + 2690 * 1344**2 // (5 * 10**4) <= MAX_KET_CHECKS < 2692 + 2692 * 1345**2 // (5 * 10**4)
     # and the largest relations, embedding and branch calls at the other CLI defaults
     assert verify._relations_checks(9259, 4) <= MAX_KET_CHECKS < verify._relations_checks(9260, 4)
-    assert verify._embedding_checks(45373, 4) <= MAX_KET_CHECKS < verify._embedding_checks(45374, 4)
+    # embedding charges each Fock sample twice more than its checks
+    assert (verify._embedding_checks(23766, 4) + 2 * 23766 <= MAX_KET_CHECKS
+            < verify._embedding_checks(23767, 4) + 2 * 23767)
     assert branching._row_count((1,), 50000) <= MAX_KET_CHECKS < branching._row_count((1,), 50001)
 
 
@@ -935,8 +938,9 @@ def test_branch_row_count_is_the_number_of_rows(cycle):
 
 @pytest.mark.parametrize("argv, count", [
     (("verify", "relations"), 540),
-    (("verify", "embedding"), 290),
+    (("verify", "embedding"), 390),  # 290 checks, and two more per Fock sample
     (("branch", "--rep", "|1,2"), 18),
+    (("verify", "embedding", "--samples", "100", "--cutoff", "1"), 429),  # 229 checks
 ])
 def test_relations_embedding_and_branch_bounds_are_inclusive(capsys, monkeypatch, argv, count):
     """A call of exactly the bound's count is served, and one of one more is refused."""
@@ -1044,6 +1048,34 @@ def test_integer_beyond_the_text_limit_is_domain_error_within_deadline(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("fock", "--occ", "1:1000000000000"),
+    ("fock", "--occ", "1:100000"),
+    ("fock", "--occ", "1:3000,2:3000,3:3000"),  # each count is served alone
+    ("embed", "--N", "2", "--occ", "1:1000000000000"),  # its O_2 word would have 10^12 letters
+])
+def test_unprintable_occupation_coefficient_is_refused_before_it_is_built(argv):
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("domain error: the coefficient of these occupations has more "
+                                  "than 4300 decimal digits")
+
+
+def test_largest_printable_occupation_coefficient_is_served(capsys):
+    """sqrt(3000!) = q sqrt(r), r squarefree, and q has about 3,450 digits: under the limit."""
+    code, out, _ = run(capsys, "fock", "--occ", "1:3000", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    [term] = payload["coefficient"]
+    q, r = term["numerator"], term["radicand"]
+    assert payload["word"] == [3001] and term["denominator"] == 1
+    assert q * q * r == math.factorial(3000)
+    assert all(r % (p * p) for p in range(2, 3001))
+    code, out, _ = run(capsys, "fock", "--occ", "1:3000")
+    assert code == 0 and out == f"word: 3001\ncoefficient: {q}*sqrt({r})\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("bases", "--family", "typej", "--modes", "5"),  # 1,025 lines, 43 kB
     ("act", "--expr", "a1* + a200000*"),  # a short line, then one of 400 kB
 ])
@@ -1108,8 +1140,9 @@ def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
 # counts the work first and refuses it: ``bases`` and ``verify bases`` modes,
 # cutoffs and exponents (MAX_CHECKS, orthonormality checks), the counts of every
 # other suite (MAX_KET_CHECKS, checks; odometer also counts the modes its checks
-# name, fock-ext the size of its exponents) and ``branch`` modes (MAX_KET_CHECKS,
-# rows).  Large fock-ext exponents at small modes and cutoffs, which make few
+# name, fock-ext the size of its exponents), ``branch`` modes (MAX_KET_CHECKS,
+# rows) and the occupation counts of ``fock`` and ``embed --occ`` (the digits of
+# their coefficient against the int-to-text limit, in ``boson.fock_word``).  Large fock-ext exponents at small modes and cutoffs, which make few
 # checks of many digits each, have a line of their own.  MAX_MODE, the largest
 # index that is served, reaches the longest outputs: a label or O_N word of a
 # million letters.
@@ -1127,7 +1160,8 @@ _literal = st.one_of(st.builds("{}/{}".format, _small, _small), _index.map(str),
                      _index.map("sqrt({})".format))
 _expr = st.lists(st.one_of(_factor, _factor, _factor, _literal, st.sampled_from(["+", "-"]), _junk),
                  min_size=1, max_size=4).map(" ".join)
-_occ = st.one_of(st.lists(st.builds("{}:{}".format, _index, st.integers(min_value=-1, max_value=6)),
+_occ = st.one_of(st.lists(st.builds("{}:{}".format, _index,
+                                    st.one_of(st.integers(min_value=-1, max_value=6), _HOSTILE)),
                           max_size=3).map(",".join), _junk)
 _state = st.one_of(st.just("omega"), _index.map("e{}".format),
                    st.builds("{}|{}".format, _word, _word), _junk)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuntzboson import words
 from cuntzboson.boson import BosonMonomial, _walk, apply_annihilate, apply_create
@@ -278,6 +278,10 @@ def test_tail_equivalent_matches_dense_model(p1, c1, s1, p2, c2, s2):
 
 
 @given(prefixes, cycles, short_splices)
+# a one-letter tail on a label that deviates at every position 1..last, and a cycle
+# that reduces to one letter
+@example((2, 3, 2), (1,), None)
+@example((4,), (3, 3), (2, 1))
 def test_prefix_and_cycle_follow_the_absorption_rule(prefix, cycle, splice):
     w = build(prefix, cycle, splice)
     assert (w.prefix, w.cycle) == absorbed(*dense(prefix, cycle, splice))
