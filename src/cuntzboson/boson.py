@@ -32,10 +32,11 @@ the closed form against its defining expansion.
 A ket may keep its single-step images (``states.Ket``), and ``_ladder`` then
 builds each (n, +-1) image of it once.  The one user is ``verify``'s ccr,
 whose samples are asked for a few images many times, while most kets are
-never asked for one twice: a sample and each of its single-step images keep
-images while the sample is checked, so each one- and two-step image of the
-sample is built once.  Keeping images on every ket slowed the ladder-deep
-benchmark by a third.
+never asked for one twice: a sample keeps its 2·modes single-step images,
+and each of those keeps its modes two-step images of the same kind, while
+the sample is checked, so each one- and two-step image of the sample is
+built once and 2·modes·(1 + modes) are held.  Keeping images on every ket
+slowed the ladder-deep benchmark by a third.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ plus a range of letters per mode (``_mode_letters``), from which
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd, lcm, perm, prod
 from operator import itemgetter
 
@@ -28,11 +27,14 @@ from .states import Ket
 from .words import EPWord, Word, format_word, rotations
 
 
-@dataclass
 class ComponentReport:
-    vacuum_label: EPWord
-    classification: str
-    verified_conditions: list[CheckResult] = field(default_factory=list)
+    """One boson component of ``branch``: its vacuum, its class and the checks behind it."""
+
+    def __init__(self, vacuum_label: EPWord, classification: str,
+                 verified_conditions: list[CheckResult]):
+        self.vacuum_label = vacuum_label
+        self.classification = classification
+        self.verified_conditions = verified_conditions
 
     def lines(self) -> list[str]:
         out = [

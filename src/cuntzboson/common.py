@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class DomainError(ValueError):
@@ -40,9 +39,11 @@ def check_index(index: int, what: str) -> None:
 
 
 # Largest number of orthonormality checks one ``bases`` or ``verify bases``
-# call may make.  A family of n elements costs n(n+1)/2 checks, at most about
-# 0.4 us each, so the bound is a few seconds of work; a larger request is
-# refused with DomainError (exit code 3) before any family is built.
+# call may make.  A family of n elements costs n(n+1)/2 checks, about 0.11 us
+# each (``bases --family typej --j 1 --modes 6 --exps 3``: 8,390,656 checks,
+# 0.95 s as a CLI process on a 2-vCPU machine, Python 3.11), so the bound is
+# about 1.1 s of work; a larger request is refused with DomainError (exit
+# code 3) before any family is built.
 MAX_CHECKS = 10**7
 
 
@@ -77,8 +78,7 @@ def check_ket_checks(count: int, what: str) -> None:
                           f"MAX_KET_CHECKS = {MAX_KET_CHECKS}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verified identity: its name, outcome, and the exact scalars seen."""
 
     name: str

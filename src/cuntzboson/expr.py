@@ -14,8 +14,8 @@ sign) and an empty expression (at 0) are reported after the whole text is read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .boson import _walk
 from .common import ExprError, check_index
@@ -32,15 +32,13 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     kind: str  # 's' or 'a'
     index: int
     star: bool
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: RadicalScalar
     factors: tuple[Factor, ...]
 

@@ -12,13 +12,13 @@ one ket for the same single ladder step many times sets it to ``{}``, and
 keyed by the signed mode.  An image keeps none of its own unless its caller
 sets its slot too, so a kept ket holds at most two images per mode it is
 asked for and frees them when it is freed.  The slot has one user:
-``verify``'s ccr keeps images on each sample and on each of the sample's
-single-step images while the sample is checked, so a sample holds at most
-(2·modes)(1 + 2·modes) kets, freed with the sample.  It is not on for every
-ket: the ladder-deep benchmark
-keeps 1,080 one-label inputs alive for a whole unit and never repeats a
-request, and images kept on every ket took its ``wall_s`` from 0.0126 to
-0.0174 s and its ``peak_rss_mb`` from 17.3 to 20.4 (``BENCH_29.json``).
+``verify``'s ccr keeps images on each sample and, for the images of their
+own kind, on each of the sample's single-step images while the sample is
+checked, so a sample holds at most 2·modes·(1 + modes) kets, freed with the
+sample.  It is not on for every ket: the ladder-deep benchmark keeps 1,080
+one-label inputs alive for a whole unit and never repeats a request, and
+images kept on every ket took its ``wall_s`` from 0.0126 to 0.0174 s and its
+``peak_rss_mb`` from 17.3 to 20.4 (``BENCH_29.json``).
 """
 
 from __future__ import annotations

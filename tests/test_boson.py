@@ -300,17 +300,32 @@ def test_intertwining_builds_each_generator_operand_once(monkeypatch):
 @pytest.mark.parametrize("modes, samples", [(2, 2), (3, 1), (1, 3), (6, 1)])
 def test_ccr_builds_each_ladder_image_once(monkeypatch, modes, samples):
     """A ccr sample builds each of its 2·modes single-step images and 4·modes² two-step
-    images once: 120 builds at modes 2, samples 2."""
-    builds = []
-    canonical = boson._canonical
+    images once: 120 builds at modes 2, samples 2.  It keeps its single-step images, and
+    each of those keeps only its modes two-step images of its own kind, the ones asked
+    for twice: 2·modes·(1 + modes) kets, 84 at modes 6."""
+    builds, drawn = [], []
+    canonical, draw = boson._canonical, verify.random_ket
 
     def spy(amps):
         builds.append(1)
         return canonical(amps)
+
+    def drawing(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
     monkeypatch.setattr(boson, "_canonical", spy)
+    monkeypatch.setattr(verify, "random_ket", drawing)
     result = verify.run_suite("ccr", modes=modes, samples=samples, seed=7)
     assert result.total == result.passed == 9 * samples * modes**2
     assert len(builds) == 3 * samples * (2 * modes + 4 * modes**2)
+    assert len(drawn) == 3 * samples
+    for v in drawn:
+        assert sorted(v._images) == list(range(-modes, 0)) + list(range(1, modes + 1))
+        for key, image in v._images.items():
+            assert len(image._images) == modes and all(key * k > 0 for k in image._images)
+            assert all(two_step._images is None for two_step in image._images.values())
+        held = len(v._images) + sum(len(image._images) for image in v._images.values())
+        assert held == 2 * modes * (1 + modes)
 
 
 def _ccr_without_kept_images(modes, samples, seed):

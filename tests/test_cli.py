@@ -728,6 +728,19 @@ def test_parser_is_built_once_per_process_and_not_at_import():
     assert after_main == one_build > 1  # the top parser and its subcommand parsers
 
 
+def test_cli_import_loads_no_introspection_modules():
+    # `dataclasses` would bring these in and run generated code at import, in
+    # every process the command starts; the package's records need neither.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (f"import sys; sys.path.insert(0, {src!r}); import cuntzboson.cli; "
+              f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"], ["act", "--help"], ["verify", "--help"], ["bases", "--help"],
     [], ["act"], ["verify", "nope"], ["bases", "--family", "x"],

@@ -25,6 +25,14 @@ def test_parse_sum_of_products():
     assert terms[0].factors == (Factor("s", 1, False), Factor("s", 2, True))
     assert terms[1].coeff == sqrt_nat(2)
     assert terms[1].factors == (Factor("s", 3, False),)
+    # terms and factors are immutable values: equal and hashed alike when parsed again
+    again = parse_expression("s1 s2* + sqrt(2) s3")
+    assert again == terms and list(map(hash, again)) == list(map(hash, terms))
+    assert hash(again[0].factors[1]) == hash(Factor("s", 2, True))
+    assert terms[0] != again[1] and Factor("s", 2, False) != Factor("s", 2, True)
+    for record, field in ((terms[0], "coeff"), (terms[0].factors[0], "index")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
 
 
 def test_parse_rationals_and_minus():

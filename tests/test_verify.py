@@ -86,10 +86,11 @@ def test_add_describes_only_the_failures_it_keeps():
     assert (result.total, result.passed) == (31, 21)
     assert result.failures == [f"[FAIL] check {k}" for k in range(0, 30, 3)]
     assert described == list(range(0, 30, 3))
-    result.MAX_FAILURES = 12
+    result.MAX_FAILURES = 12  # this result's own cap; the class keeps its default
     for k in range(30, 36):
         result.add(False, describe(k))
     assert (result.total, result.passed) == (37, 21)
+    assert len(result.failures) == 12 and SuiteResult.MAX_FAILURES == 20
     assert described == list(range(0, 30, 3)) + [30, 31]
     assert not result.ok and result.summary() == "suite demo: 21/37 checks passed"
 
@@ -170,3 +171,16 @@ def test_random_label_matches_general_constructor(spec, bounds):
         for _ in range(3):
             assert random_label(fast, spec, *bounds) == oracle_label(slow, spec, *bounds)
             assert fast.getstate() == slow.getstate()
+
+
+def test_check_results_are_immutable_values():
+    row = CheckResult("a1 vac = 0", True, "result 0")
+    assert row.line() == "[ok] a1 vac = 0: result 0"
+    assert CheckResult("a1 vac = 0", False).line() == "[FAIL] a1 vac = 0"
+    twin = CheckResult("a1 vac = 0", True, "result 0")
+    assert row == twin and hash(row) == hash(twin) and len({row, twin, PASS}) == 2
+    assert row != CheckResult("a1 vac = 0", False, "result 0") and PASS == CheckResult("passed", True, "")
+    assert repr(PASS) == "CheckResult(name='passed', passed=True, detail='')"
+    for field in ("name", "passed", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(row, field, None)
