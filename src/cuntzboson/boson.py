@@ -19,15 +19,16 @@ weighted injection on labels: distinct labels have distinct images (only the
 letter at position n moves, by the same step), and each weight is a single
 nonzero radical, so the image of a ket needs no accumulation and drops no
 term; a root of 1 passes the amplitude through unchanged.  A product of
-ladder powers (``BosonMonomial.apply``, a run of ladder tokens in an
-expression) is one too: ``_walk`` carries each label through every factor,
-a power k as the one step (n, +-k), and scales its amplitude once.  So a
-power, (a_n*)^k or a_n^k, is ``BosonMonomial({n: k})`` or
-``BosonMonomial((), {n: k})``; ``apply_create``/``apply_annihilate`` take a
-single step, by ``_ladder``, the kernel the walk is checked against.
+ladder powers is one too: ``_walk`` carries each label through every factor,
+a power k as the one step (n, +-k), and scales its amplitude once.  A
+ladder product as a value is an ``expr.Term``, each run of whose ladder
+factors ``expr.eval_on_ket`` walks; ``branching`` and ``verify`` call
+``_walk`` on step tuples.
+``apply_create``/``apply_annihilate`` take a single step, by ``_ladder``,
+the kernel the walk is checked against.
 ``literal_annihilate``/``literal_create`` instead apply the truncated series
-one Cuntz monomial at a time and sum the images; they exist to cross-validate
-the closed form against its defining expansion.
+one Cuntz monomial at a time (``cuntz.apply_monomial``) and sum the images;
+they exist to cross-validate the closed form against its defining expansion.
 
 A ket may keep its single-step images (``states.Ket``), and ``_ladder`` then
 builds each (n, +-1) image of it once.  The one user is ``verify``'s ccr,
@@ -48,7 +49,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
 
 from .common import DomainError
-from .cuntz import CuntzMonomial, RepSpec, apply_monomial
+from .cuntz import RepSpec, apply_monomial
 from .scalar import ONE, RadicalScalar, ZERO, _root, _root_range, _scale_root, sqrt_nat, sqrt_product
 from .states import Ket, _canonical, _sum
 from .words import EPWord, Word, _move_letter
@@ -60,8 +61,8 @@ def _as_exponents(data: Union[Mapping[int, int], Iterable[tuple[int, int]]]) -> 
     """``data`` as sorted (mode, exponent) pairs, repeated modes summed and zero exponents dropped.
 
     A tuple that is already in that form, strictly increasing modes >= 1 and
-    exponents >= 1 (the exponents of another ``BosonMonomial``, a family
-    element, a fock-ext state), is returned as it is, without the merge.
+    exponents >= 1 (an occupation list already merged, a fock-ext state), is
+    returned as it is, without the merge.
     """
     if type(data) is tuple:
         last = 0
@@ -155,39 +156,6 @@ def apply_create(n: int, v: Ket) -> Ket:
     return _ladder(n, v, 1)
 
 
-class BosonMonomial:
-    """prod (a_n*)^{k_n} * prod a_m^{l_m}, creators left of annihilators."""
-
-    __slots__ = ("creators", "annihilators")
-
-    def __init__(
-        self,
-        creators: Union[Mapping[int, int], Iterable[tuple[int, int]]] = (),
-        annihilators: Union[Mapping[int, int], Iterable[tuple[int, int]]] = (),
-    ):
-        self.creators = _as_exponents(creators)
-        self.annihilators = _as_exponents(annihilators)
-
-    def key(self) -> tuple[Exponents, Exponents]:
-        return (self.creators, self.annihilators)
-
-    def apply(self, v: Ket) -> Ket:
-        """The annihilators, then the creators, in one walk per label."""
-        return _walk(v, tuple((mode, -exp) for mode, exp in self.annihilators) + self.creators)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BosonMonomial):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __str__(self) -> str:
-        factors = [f"a{n}*" + (f"^{e}" if e > 1 else "") for n, e in self.creators]
-        factors += [f"a{m}" + (f"^{e}" if e > 1 else "") for m, e in self.annihilators]
-        return " ".join(factors) if factors else "1"
-
-    __repr__ = __str__
-
-
 def fock_word(occupations: Union[Mapping[int, int], Exponents]) -> tuple[RadicalScalar, Word]:
     """Occupation list -> (coefficient, word) of the corresponding basis label.
 
@@ -276,7 +244,7 @@ def _literal_series(spec: RepSpec, n: int, v: Ket, create: bool) -> Ket:
         for m in range(1, bound + 1):
             low, high = K + (m,), K + (m + 1,)
             left, right = (high, low) if create else (low, high)
-            images.append(apply_monomial(spec, CuntzMonomial(sqrt_nat(m), left, right), v))
+            images.append(apply_monomial(spec, sqrt_nat(m), left, right, v))
     return _sum(images)
 
 

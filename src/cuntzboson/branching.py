@@ -16,13 +16,16 @@ plus a range of letters per mode (``_mode_letters``), from which
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from math import gcd, lcm, perm, prod
 from operator import itemgetter
 
-from .boson import BosonMonomial, apply_annihilate, apply_create
+from . import boson
+from .boson import apply_annihilate, apply_create
 from .common import MAX_CHECKS, CheckResult, DomainError, check_ket_checks
 from .cuntz import RepSpec
-from .scalar import RadicalScalar, _raw, _root_range
+from .expr import Factor, Term, _walk_steps
+from .scalar import ONE, RadicalScalar, _raw, _root_range
 from .states import Ket
 from .words import EPWord, Word, format_word, rotations
 
@@ -77,7 +80,7 @@ def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResul
                 for l in range(1, j):
                     expected = perm(j - 1, l)
                     check(f"(a{n}*)^{l} a{n}^{l} vac = {expected} vac",
-                          BosonMonomial({n: l}, {n: l}).apply(vac), expected * vac)
+                          boson._walk(vac, ((n, -l), (n, l))), expected * vac)
     elif pattern in ((1, 2), (2, 1)):
         name = "F_12" if pattern == (1, 2) else "F_21"
         for half in range(1, M // 2 + 1):
@@ -86,7 +89,7 @@ def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResul
             check(f"a{killed} vac = 0", apply_annihilate(killed, vac), Ket())
             check(f"a{kept}* a{kept} vac = vac",
                   apply_create(kept, apply_annihilate(kept, vac)), vac)
-            check(f"a{kept}^2 vac = 0", BosonMonomial((), {kept: 2}).apply(vac), Ket())
+            check(f"a{kept}^2 vac = 0", boson._walk(vac, ((kept, -2),)), Ket())
     else:
         name = f"periodic({format_word(pattern)})"
         for n in range(1, M + 1):
@@ -137,8 +140,8 @@ def enumerate_components(spec: RepSpec, *, modes: int) -> list[ComponentReport]:
     return out
 
 
-def cyclicity_witness(component: ComponentReport, target: EPWord) -> BosonMonomial:
-    """A normal-ordered monomial carrying the vacuum onto a target label.
+def cyclicity_witness(component: ComponentReport, target: EPWord) -> Term:
+    """A normal-ordered ladder monomial carrying the vacuum onto a target label.
 
     Raising acts where the target letter exceeds the vacuum letter, lowering
     where it falls below; letters never drop under 1, so the image is a
@@ -147,16 +150,17 @@ def cyclicity_witness(component: ComponentReport, target: EPWord) -> BosonMonomi
     vacuum = component.vacuum_label
     if not vacuum.tail_equivalent(target):
         raise DomainError(f"target {target} is not tail-equivalent to vacuum {vacuum}")
-    creators: dict[int, int] = {}
-    annihilators: dict[int, int] = {}
     # the two labels share their periodic part, so they differ only where one deviates from it
-    for n in vacuum._diff.keys() | target._diff.keys():
-        have, want = vacuum.letter_at(n), target.letter_at(n)
-        if want > have:
-            creators[n] = want - have
-        elif want < have:
-            annihilators[n] = have - want
-    return BosonMonomial(creators, annihilators)
+    moves = [(n, target.letter_at(n) - vacuum.letter_at(n))
+             for n in sorted(vacuum._diff.keys() | target._diff.keys())]
+    return _normal_ordered([(n, d) for n, d in moves if d > 0], [(n, -d) for n, d in moves if d < 0])
+
+
+def _normal_ordered(creators: Iterable[tuple[int, int]], annihilators: Iterable[tuple[int, int]]
+                    ) -> Term:
+    """(a_n*)^k for each (n, k) of ``creators``, then a_m^l for each (m, l) of ``annihilators``."""
+    return Term(ONE, tuple(Factor("a", n, True, k) for n, k in creators)
+                + tuple(Factor("a", m, False, l) for m, l in annihilators))
 
 
 def basis_lambda_j(j: int, bound: int) -> list[EPWord]:
@@ -192,7 +196,7 @@ def _mode_letters(family: str, j: int, exps: int) -> tuple[EPWord, list[range]]:
 
 
 def basis_monomials(family: str, j: int, modes: int, exps: int
-                    ) -> tuple[EPWord, list[tuple[BosonMonomial, RadicalScalar]]]:
+                    ) -> tuple[EPWord, list[tuple[Term, RadicalScalar]]]:
     """The vacuum of the ``typej`` or ``onetwov`` family and its orthonormal-basis
     monomials with their normalizers.
 
@@ -210,7 +214,7 @@ def basis_monomials(family: str, j: int, modes: int, exps: int
     per_mode = []
     for n in range(1, modes + 1):
         c = vacuum.letter_at(n)
-        per_mode.append([(t - c, (n, abs(t - c)), *_root_range(min(c, t), max(c, t) - 1))
+        per_mode.append([(t - c, Factor("a", n, t > c, abs(t - c)), *_root_range(min(c, t), max(c, t) - 1))
                          for t in ranges[(n - 1) % len(ranges)]])
     rows = []
     for combo in itertools.product(*per_mode):
@@ -219,15 +223,28 @@ def basis_monomials(family: str, j: int, modes: int, exps: int
         for step, factor, qi, ri in combo:
             if step:
                 (creators if step > 0 else annihilators).append(factor)
-                displacement += factor[1]
+                displacement += factor.power
                 g = gcd(r, ri)
                 q *= qi * g
                 r = (r // g) * (ri // g)
         # 1/(q sqrt(r)) = (1/(q r)) sqrt(r), reduced since the numerator is 1
         rows.append((displacement, tuple(creators), tuple(annihilators), _raw(q * r, {r: 1})))
-    rows.sort(key=itemgetter(0, 1, 2))
-    return vacuum, [(BosonMonomial(creators, annihilators), normalizer)
+    rows.sort(key=itemgetter(0, 1, 2))  # the factors of each sort by mode, then power
+    return vacuum, [(Term(ONE, creators + annihilators), normalizer)
                     for _, creators, annihilators, normalizer in rows]
+
+
+def basis_family(family: str, j: int, modes: int, exps: int) -> tuple[list, list[Ket]]:
+    """The elements of a ``bases`` family and their kets, in one order: the labels of
+    ``basis_lambda_j``, each its own ket, or the (monomial, normalizer) pairs of
+    ``basis_monomials``, each the normalized monomial applied to the vacuum."""
+    if family == "lambda":
+        labels = basis_lambda_j(j, modes)
+        return labels, [Ket.basis(w) for w in labels]
+    vacuum, elements = basis_monomials(family, j, modes, exps)
+    vacuum_ket = Ket.basis(vacuum)
+    return elements, [normalizer * boson._walk(vacuum_ket, _walk_steps(reversed(monomial.factors)))
+                      for monomial, normalizer in elements]
 
 
 def basis_size(family: str, j: int, modes: int, exps: int) -> int:

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .boson import Exponents, _as_exponents, fock_word
-from .branching import basis_lambda_j, basis_monomials, basis_size, enumerate_components
+from .branching import basis_family, basis_size, enumerate_components
 from .common import MAX_MODE, AlphabetError, DomainError, ExprError, check_family_sizes, check_index
 from .cuntz import RepSpec
 from .embed import embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
@@ -169,15 +169,11 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, str | dict]:
 def cmd_bases(args: argparse.Namespace) -> tuple[int, str | dict]:
     check_family_sizes([basis_size(args.family, args.j, args.modes, args.exps)],
                        f"bases --family {args.family}")
+    elements, kets = basis_family(args.family, args.j, args.modes, args.exps)
     if args.family == "lambda":
-        labels = basis_lambda_j(args.j, args.modes)
-        kets = [Ket.basis(w) for w in labels]
-        rows = [f"|{w}>" for w in labels]
+        rows = [f"|{w}>" for w in elements]
     else:
-        vacuum, family = basis_monomials(args.family, args.j, args.modes, args.exps)
-        vacuum_ket = Ket.basis(vacuum)
-        kets = [normalizer * monomial.apply(vacuum_ket) for monomial, normalizer in family]
-        rows = [f"{monomial}  normalizer {normalizer}" for monomial, normalizer in family]
+        rows = [f"{monomial}  normalizer {normalizer}" for monomial, normalizer in elements]
     checks = SuiteResult(args.family)
     orthonormality_checks(checks, args.family, kets)
     orthonormal = checks.ok

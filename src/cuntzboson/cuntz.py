@@ -1,11 +1,14 @@
-"""Symbolic Cuntz-algebra monomials and their action on word-label kets.
+"""Cuntz-algebra generators and monomials acting on word-label kets.
 
 The ambient algebra O_N (2 <= N <= infinity) is generated by isometries
 s_1, ..., s_N with s_i* s_j = delta_ij I and orthogonal ranges.  A cyclic
 permutative representation is specified by a primitive cycle word: its GP
 vector is the purely periodic label cycle^inf, s_i prepends the letter i to
 a label, and s_i* strips a leading i (or kills the label).  A monomial
-coeff * s_J s_K* acts on a ket label by label: strip K, prepend J, scale.
+coeff * s_J s_K*, given by its coefficient and its two words, acts on a ket
+label by label: strip K, prepend J, scale (``apply_monomial``).  A product of
+generators as a value is an ``expr.Term``, whose runs of generators
+``expr.eval_on_ket`` reduces to such monomials.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .common import AlphabetError, DomainError
-from .scalar import ONE, RadicalScalar, _grouped
+from .scalar import RadicalScalar
 from .states import Ket, _canonical
 from .words import EPWord, Word, _check_word, format_word, is_primitive, rotations
 
@@ -48,10 +51,6 @@ class RepSpec:
         if self.alphabet is not None and i > self.alphabet:
             raise AlphabetError(f"generator index {i} exceeds alphabet bound {self.alphabet}")
 
-    def check_word(self, word: Sequence[int]) -> None:
-        for letter in word:
-            self.check_letter(letter)
-
     def gp_vector(self) -> Ket:
         return Ket.basis(self.rotation_vacua()[0])
 
@@ -64,35 +63,6 @@ class RepSpec:
     def __str__(self) -> str:
         bound = "inf" if self.alphabet is None else str(self.alphabet)
         return f"P_{bound}({format_word(self.cycle)})"
-
-    __repr__ = __str__
-
-
-class CuntzMonomial:
-    """coeff * s_J s_K* with J = left and K = right."""
-
-    __slots__ = ("coeff", "left", "right")
-
-    def __init__(self, coeff: RadicalScalar, left: Iterable[int] = (), right: Iterable[int] = ()):
-        self.coeff = coeff
-        self.left = _check_word(left, "left word")
-        self.right = _check_word(right, "right word")
-
-    def adjoint(self) -> "CuntzMonomial":
-        return CuntzMonomial(self.coeff, self.right, self.left)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CuntzMonomial):
-            return NotImplemented
-        return (self.left, self.right, self.coeff) == (other.left, other.right, other.coeff)
-
-    def __str__(self) -> str:
-        factors = [f"s{j}" for j in self.left]
-        factors += [f"s{k}*" for k in reversed(self.right)]
-        body = " ".join(factors) if factors else "1"
-        if self.coeff == ONE:
-            return body
-        return f"{_grouped(self.coeff)} {body}" if factors else _grouped(self.coeff)
 
     __repr__ = __str__
 
@@ -118,15 +88,17 @@ def apply_generator(spec: RepSpec, i: int, v: Ket, star: bool = False) -> Ket:
     return _canonical({word.prepend(letter): coeff for word, coeff in v._amps.items()})
 
 
-def apply_monomial(spec: RepSpec, m: CuntzMonomial, v: Ket) -> Ket:
-    """Action of s_J s_K* on a ket: strip K, prepend J, scale; injective on labels."""
-    spec.check_word(m.left)
-    spec.check_word(m.right)
-    if not m.coeff:
+def apply_monomial(spec: RepSpec, coeff: RadicalScalar, left: Sequence[int], right: Sequence[int],
+                   v: Ket) -> Ket:
+    """Action of coeff * s_J s_K* (J = ``left``, K = ``right``) on a ket: strip K,
+    prepend J, scale; injective on labels."""
+    for letter in (*left, *right):
+        spec.check_letter(letter)
+    if not coeff:
         return Ket()
     out: dict[EPWord, RadicalScalar] = {}
-    for word, coeff in v._amps.items():
-        stripped = _strip_word(m.right, word)
+    for word, c in v._amps.items():
+        stripped = _strip_word(right, word)
         if stripped is not None:
-            out[stripped.prepend(m.left)] = m.coeff * coeff
+            out[stripped.prepend(left)] = coeff * c
     return _canonical(out)

@@ -21,8 +21,9 @@ float; ``float(x)`` is a numeric view for callers and tests.
 
 Radicands are made squarefree by trial division by 2 and the odd numbers,
 with no table of primes: a composite divisor never divides, because its
-prime factors were all divided out before it is tried.  ``_root`` keeps the
-split of the most recently used radicands in one bounded memo.
+prime factors were all divided out before it is tried; every radicand below
+10**18 is factored (``_TRIAL_LIMIT``).  ``_root`` keeps the split of the
+most recently used radicands in one bounded memo.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .common import DomainError, add_term
 
 # Trial division stops at this divisor.  A radicand factors when what is left
 # of it after dividing out every prime below the limit is below the limit
-# squared (that remainder is then 1 or a prime); this holds for every
-# radicand below 10**12 and for every product of factorials of numbers below
+# cubed (that remainder is then 1, a prime p, a product p*q of two or a
+# square p*p, the one case ``math.isqrt`` must split); this holds for every
+# radicand below 10**18 and for every product of factorials of numbers below
 # the limit.  Beyond it squarefree_split raises DomainError.
 _TRIAL_LIMIT = 1_000_000
 
@@ -56,10 +58,10 @@ _RADICAND_BITS = 1024
 def squarefree_split(n: int) -> tuple[int, int]:
     """Factor ``n = q*q*r`` with ``r`` squarefree; returns ``(q, r)``.
 
-    Trial division by 2 and the odd numbers below ``_TRIAL_LIMIT``; raises
-    ``DomainError`` when the part of ``n`` left after them is too large to be
-    known prime.  A radicand of more than ``_RADICAND_BITS`` bits raises
-    ``DomainError`` before any division, even when it would factor.
+    Trial division by 2 and the odd numbers below ``_TRIAL_LIMIT``, then a
+    square test of what is left; raises ``DomainError`` when that part may
+    have three prime factors.  A radicand of more than ``_RADICAND_BITS``
+    bits raises ``DomainError`` before any division, even when it would factor.
     """
     if n < 1:
         raise ValueError(f"radicand must be >= 1, got {n}")
@@ -79,10 +81,13 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 r *= p
     else:
-        if m >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+        if m >= _TRIAL_LIMIT**3:
             raise DomainError(
-                f"cannot factor radicand {n}: a factor of it at least {_TRIAL_LIMIT}**2 "
+                f"cannot factor radicand {n}: a factor of it at least {_TRIAL_LIMIT}**3 "
                 f"has no prime factor below {_TRIAL_LIMIT}")
+        root = math.isqrt(m)
+        if root * root == m:  # p*p; a prime or a product of two primes is squarefree
+            q, m = q * root, 1
     if m > 1:
         r *= m
     return q, r

@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 
 from . import boson, branching, embed
 from .common import MAX_KET_CHECKS, add_term, check_family_sizes, check_ket_checks
-from .cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
+from .cuntz import RepSpec, apply_generator, apply_monomial
+from .expr import Factor, Term, eval_on_ket
 from .scalar import ONE, RadicalScalar, _reduced
 from .states import Ket, _canonical, _sum
 from .words import EPWord
@@ -202,18 +203,16 @@ def run_relations(*, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
     for idx in range(sample_count):
         m = _random_cuntz_monomial(rng)
         u, v = random_ket(rng, spec), random_ket(rng, spec)
-        mu = apply_monomial(spec, m, u)
+        mu = eval_on_ket(spec, [m], u)
         v = v + mu  # so that <m u, v> is usually nonzero
         lhs = mu.inner(v)
-        rhs = u.inner(apply_monomial(spec, m.adjoint(), v))
+        rhs = u.inner(eval_on_ket(spec, [m.adjoint()], v))
         result.add(lhs == rhs, lambda: f"{spec} monomial {idx}: <m u, v> = <u, m* v> "
                    f"for m = {m}: {lhs} vs {rhs}")
         by_letters = v
-        for k in m.right:
-            by_letters = apply_generator(spec, k, by_letters, star=True)
-        for j in reversed(m.left):
-            by_letters = apply_generator(spec, j, by_letters)
-        result.add(apply_monomial(spec, m, v) == m.coeff * by_letters,
+        for factor in reversed(m.factors):
+            by_letters = apply_generator(spec, factor.index, by_letters, star=factor.star)
+        result.add(eval_on_ket(spec, [m], v) == m.coeff * by_letters,
                    lambda: f"{spec} monomial {idx}: m v = its letters applied in turn "
                    f"for m = {m}")
     return result
@@ -262,10 +261,11 @@ def _intertwining(result: SuiteResult, spec: RepSpec, kets: Sequence[Ket]) -> No
                                f"s{m} a{n}{star} = a{n + 1}{star} s{m}")
 
 
-def _random_cuntz_monomial(rng: random.Random) -> CuntzMonomial:
-    left = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
-    right = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
-    return CuntzMonomial(random_scalar(rng), left, right)
+def _random_cuntz_monomial(rng: random.Random) -> Term:
+    """coeff s_J s_K*: the words J and K, then the coefficient, are drawn in that order."""
+    left = [Factor("s", rng.randint(1, 3), False) for _ in range(rng.randint(0, 2))]
+    right = [Factor("s", rng.randint(1, 3), True) for _ in range(rng.randint(0, 2))]
+    return Term(random_scalar(rng), tuple(left + right[::-1]))
 
 
 def orthonormality_checks(result: SuiteResult, name: str, kets: Sequence[Ket]) -> None:
@@ -309,8 +309,7 @@ def run_bases(*, cutoff: int, exps: int, **_) -> SuiteResult:
                        "verify bases")
     result = SuiteResult("bases")
     for j in (1, 2):
-        labels = branching.basis_lambda_j(j, cutoff)
-        kets = [Ket.basis(w) for w in labels]
+        labels, kets = branching.basis_family("lambda", j, cutoff, exps)
         orthonormality_checks(result, f"lambda_{j} bound {cutoff}", kets)
         expected = set().union(*(_labels(EPWord((), (j,)), [range(1, cutoff + 1)] * length)
                                  for length in range(cutoff + 1)))
@@ -323,9 +322,7 @@ def run_bases(*, cutoff: int, exps: int, **_) -> SuiteResult:
             name, tail = family, (2, 1) if cutoff % 2 else (1, 2)
             ranges = [range(1, (1 if n % 2 else 2) + exps + 1) for n in range(1, cutoff + 1)]
         expected = _labels(EPWord((), tail), ranges)
-        vacuum, monomials = branching.basis_monomials(family, j, cutoff, exps)
-        vacuum_ket = Ket.basis(vacuum)
-        kets = [normalizer * monomial.apply(vacuum_ket) for monomial, normalizer in monomials]
+        _, kets = branching.basis_family(family, j, cutoff, exps)
         orthonormality_checks(result, f"{name} modes {cutoff} exps {exps}", kets)
         got_labels = {w for ket in kets for w in ket._amps}
         result.add(got_labels == expected, lambda: f"{name}: "
@@ -340,9 +337,9 @@ def _vacuum_orthogonality(result: SuiteResult, j: int, modes: int, powers: int) 
     vacuum = Ket.basis(EPWord((), (j,)))
     for n in range(1, modes + 1):
         for k in range(1, powers + 1):
-            inner = vacuum.inner(boson.BosonMonomial((), {n: k}).apply(vacuum))
+            inner = vacuum.inner(boson._walk(vacuum, ((n, -k),)))
             result.add(not inner, lambda: f"<vac | a{n}^{k} vac> = 0 in F_{j}: inner {inner}")
-            inner = vacuum.inner(boson.BosonMonomial({n: k}).apply(vacuum))
+            inner = vacuum.inner(boson._walk(vacuum, ((n, k),)))
             result.add(not inner, lambda: f"<vac | (a{n}*)^{k} vac> = 0 in F_{j}: inner {inner}")
 
 
@@ -383,8 +380,8 @@ def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> Suite
         for j in range(1, cutoff + 1):
             for idx in range(3):
                 v = random_ket(rng, spec)
-                got = apply_monomial(spec, CuntzMonomial(ONE, (), images[i - 1]),
-                                     apply_monomial(spec, CuntzMonomial(ONE, images[j - 1], ()), v))
+                got = apply_monomial(spec, ONE, (), images[i - 1],
+                                     apply_monomial(spec, ONE, images[j - 1], (), v))
                 expected = v if i == j else Ket()
                 result.add(got == expected, lambda: f"N={N}: "
                            f"embedded s{i}* s{j} = {'I' if i == j else '0'} on sample {idx}")
@@ -482,12 +479,12 @@ def run_fock_ext(*, modes: int, cutoff: int, exps: int, **_) -> SuiteResult:
             for exp_combo in itertools.product(range(1, exps + 1), repeat=p):
                 states.append(tuple(zip(mode_set, exp_combo)))
     for creators in states:
-        state_ket = boson.BosonMonomial(creators, ()).apply(omega)
+        state_ket = boson._walk(omega, creators)
         for m in range(1, modes + 1):
             for star in (False, True):
                 coeff, image = boson.fock_extension_action(m, star, creators)
                 lhs = apply_generator(spec, m, state_ket, star=star)
-                rhs = coeff * boson.BosonMonomial(image, ()).apply(omega)
+                rhs = coeff * boson._walk(omega, image)
                 result.add(lhs == rhs,
                            lambda: f"s{m}{'*' if star else ''} on creators {creators}")
     return result

@@ -10,11 +10,12 @@ import io
 import itertools
 import random
 
-from cuntzboson.boson import BosonMonomial, fock_word
-from cuntzboson.branching import (cyclicity_witness, enumerate_components,
+from cuntzboson.boson import fock_word
+from cuntzboson.branching import (_normal_ordered, cyclicity_witness, enumerate_components,
                                   inequivalence_witness)
 from cuntzboson.cli import main as cli_main
 from cuntzboson.cuntz import RepSpec
+from cuntzboson.expr import Term, eval_on_ket
 from cuntzboson.states import Ket
 from cuntzboson.verify import random_occupations, run_suite
 from cuntzboson.words import EPWord, expand
@@ -56,7 +57,7 @@ def test_criterion_2_fock_and_fj_vacua():
         vacuum = Ket.basis(component.vacuum_label)
         for target in enumerate_targets((j,), 4, 5):
             witness = cyclicity_witness(component, target)
-            image = witness.apply(vacuum)
+            image = eval_on_ket(RepSpec((j,)), [witness], vacuum)
             assert [w for w, _ in image.items()] == [target]
             assert dict(image.items())[target]
             checked += 1
@@ -93,7 +94,7 @@ def test_criterion_3_branching_of_the_pair_cycle():
            f"{len(memberships)} labels each in exactly one component")
 
 
-def _random_monomial(rng: random.Random, mode_cutoff: int, exp_cutoff: int) -> BosonMonomial:
+def _random_monomial(rng: random.Random, mode_cutoff: int, exp_cutoff: int) -> Term:
     """A normal-ordered monomial: each mode up to the cutoff skipped, raised or lowered."""
     creators: dict[int, int] = {}
     annihilators: dict[int, int] = {}
@@ -103,7 +104,7 @@ def _random_monomial(rng: random.Random, mode_cutoff: int, exp_cutoff: int) -> B
             creators[mode] = rng.randint(1, exp_cutoff)
         elif role == "lower":
             annihilators[mode] = rng.randint(1, exp_cutoff)
-    return BosonMonomial(creators, annihilators)
+    return _normal_ordered(creators.items(), annihilators.items())
 
 
 def test_criterion_4_pairwise_inequivalence():
@@ -125,7 +126,9 @@ def test_criterion_4_pairwise_inequivalence():
     vac12 = Ket.basis(components["F_12"].vacuum_label)
     vac21 = Ket.basis(components["F_21"].vacuum_label)
     sampled = 100
-    zeros = sum(not _random_monomial(rng, 4, 3).apply(vac12).inner(vac21) for _ in range(sampled))
+    spec = RepSpec((1, 2))
+    zeros = sum(not eval_on_ket(spec, [_random_monomial(rng, 4, 3)], vac12).inner(vac21)
+                for _ in range(sampled))
     ok = ok and zeros == sampled and exact.passed == (zeros == sampled)
     report(4, ok,
            "all 10 pairs of {F_1,F_2,F_3,F_12,F_21} have distinct eigenvalue lists; "
@@ -135,11 +138,12 @@ def test_criterion_4_pairwise_inequivalence():
 
 def test_criterion_5_fock_dictionary():
     rng = random.Random(SEED)
-    omega = RepSpec((1,)).gp_vector()
+    spec = RepSpec((1,))
+    omega = spec.gp_vector()
     for _ in range(100):
         occ = random_occupations(rng, max_modes=5, max_count=5, mode_bound=8)
         coeff, word = fock_word(occ)
-        state = BosonMonomial(occ, ()).apply(omega)
+        state = eval_on_ket(spec, [_normal_ordered(occ.items(), ())], omega)
         assert state == coeff * Ket.basis(EPWord(word, (1,)))
     report(5, True,
            "100 seeded occupation lists: creator monomials on the vacuum match "

@@ -202,7 +202,7 @@ def test_cli_options_have_one_default():
     parameter that receives one, and no keyword-only parameter of a suite,
     has a default of its own to shadow it."""
     receivers = _option_receivers()
-    assert {"enumerate_components", "basis_monomials", "run_suite"} <= {c for c, _, _ in receivers}
+    assert {"enumerate_components", "basis_family", "run_suite"} <= {c for c, _, _ in receivers}
     shadowing = {f"{callee}({param.name}) <- args.{option}"
                  for callee, option, param in receivers if param.default is not param.empty}
     for name, suite in verify.SUITES.items():
@@ -314,3 +314,23 @@ def test_only_outside_input_builds_a_prefixed_label_through_the_constructor():
     """Package code prepends a prefix to a vacuum (``EPWord.prepend``); only ``Ket.from_json``,
     which reads outside input, passes a prefix to ``EPWord(...)``."""
     assert _prefixed_label_builders() == {"states.Ket.from_json"}
+
+
+def _operator_classes() -> tuple[set[str], set[str]]:
+    """The package classes named ``BosonMonomial`` or ``CuntzMonomial``, and those with an
+    ``adjoint`` method, each as ``module.Class``."""
+    retired, adjoints = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if cls.name in ("BosonMonomial", "CuntzMonomial"):
+                retired.add(f"{path.stem}.{cls.name}")
+            if any(isinstance(item, ast.FunctionDef) and item.name == "adjoint" for item in cls.body):
+                adjoints.add(f"{path.stem}.{cls.name}")
+    return retired, adjoints
+
+
+def test_one_operator_value():
+    """Every operator the package prints or applies is an ``expr.Term``: no second
+    monomial class is defined, and only ``Term`` has an ``adjoint``."""
+    assert _operator_classes() == (set(), {"expr.Term"})

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzboson import boson, verify
-from cuntzboson.boson import (BosonMonomial, _as_exponents, _walk, apply_annihilate, apply_create,
+from cuntzboson.boson import (_as_exponents, _walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
+from cuntzboson.branching import _normal_ordered
 from cuntzboson.common import MAX_MODE
 from cuntzboson.cuntz import RepSpec, apply_generator
+from cuntzboson.expr import Term, eval_on_ket
 from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
 from cuntzboson.states import Ket, _sum
 from cuntzboson.verify import SuiteResult, _intertwining, random_ket, random_occupations
@@ -37,10 +39,10 @@ def test_create_examples():
 
 def test_power_examples():
     v = Ket.basis(EPWord((4,), (1,)))
-    assert BosonMonomial((), {1: 2}).apply(v) == sqrt_nat(6) * Ket.basis(EPWord((2,), (1,)))
-    assert BosonMonomial((), {1: 3}).apply(v) == sqrt_nat(6) * Ket.basis(EPWord((), (1,)))
-    assert BosonMonomial((), {1: 4}).apply(v) == Ket()  # letter 4 cannot fall by 4
-    assert BosonMonomial({1: 3}).apply(v) == sqrt_nat(4 * 5 * 6) * Ket.basis(EPWord((7,), (1,)))
+    assert _walk(v, [(1, -2)]) == sqrt_nat(6) * Ket.basis(EPWord((2,), (1,)))
+    assert _walk(v, [(1, -3)]) == sqrt_nat(6) * Ket.basis(EPWord((), (1,)))
+    assert _walk(v, [(1, -4)]) == Ket()  # letter 4 cannot fall by 4
+    assert _walk(v, [(1, 3)]) == sqrt_nat(4 * 5 * 6) * Ket.basis(EPWord((7,), (1,)))
 
 
 def _single_steps(op, n, v, k):
@@ -57,10 +59,10 @@ def test_power_equals_single_steps(seed, spec, k, n):
     v = random_ket(random.Random(seed), spec)
     # raise a copy at mode n so that lowering by k both empties and keeps labels
     v = v + _single_steps(apply_create, n, v, 2)
-    for power, op in ((BosonMonomial((), {n: k}), apply_annihilate), (BosonMonomial({n: k}), apply_create)):
+    for step, op in ((-k, apply_annihilate), (k, apply_create)):
         # a bare bool: the text of a label that deviates near MAX_MODE has a million letters
-        same = power.apply(v) == _single_steps(op, n, v, k)
-        assert same, f"{power} at mode {n} differs from {k} steps of {op.__name__}"
+        same = _walk(v, [(n, step)]) == _single_steps(op, n, v, k)
+        assert same, f"step {step} at mode {n} differs from {k} steps of {op.__name__}"
 
 
 def _merged_exponents(data):
@@ -115,9 +117,9 @@ def test_exponents_of_any_pairs_match_the_merge_loop(data):
 
 @pytest.mark.parametrize("power", [-1])
 def test_power_below_one_is_refused(power):
-    for exponents in (((), {1: power}), ({1: power},)):
+    for exponents in ({1: power}, ((1, power),)):
         with pytest.raises(ValueError, match="exponents"):
-            BosonMonomial(*exponents)
+            _as_exponents(exponents)
 
 
 def test_closed_form_matches_literal_series():
@@ -160,7 +162,7 @@ def test_adjointness():
 
 
 def test_empty_monomial_is_identity():
-    assert BosonMonomial().apply(OMEGA) == OMEGA
+    assert eval_on_ket(P1, [Term(ONE, ())], OMEGA) == OMEGA
 
 
 def _factor_by_factor(v, steps):
@@ -202,9 +204,10 @@ def test_walk_equals_factor_by_factor(seed, spec, steps, n, lower, raise_, creat
     same, canonical = got == _factor_by_factor(v, steps), _canonical_labels(got)
     assert same, f"walk of {steps} differs from its factors applied in turn"
     assert canonical, f"walk of {steps} leaves a label out of canonical form"
-    monomial = BosonMonomial(creators, annihilators)
-    got = monomial.apply(v)
-    expected = _factor_by_factor(v, [(m, -k) for m, k in monomial.annihilators] + list(monomial.creators))
+    creators, annihilators = sorted(creators.items()), sorted(annihilators.items())
+    monomial = _normal_ordered(creators, annihilators)
+    got = eval_on_ket(spec, [monomial], v)
+    expected = _factor_by_factor(v, [(m, -k) for m, k in annihilators] + creators)
     same, canonical = got == expected, _canonical_labels(got)
     assert same, f"{monomial} differs from its factors applied in turn"
     assert canonical, f"{monomial} leaves a label out of canonical form"
@@ -225,7 +228,7 @@ def test_fock_word_round_trip():
     for _ in range(60):
         occ = random_occupations(rng, max_modes=5, max_count=5, mode_bound=6)
         coeff, word = fock_word(occ)
-        state = BosonMonomial(occ, ()).apply(OMEGA)
+        state = _walk(OMEGA, list(occ.items()))
         assert state == coeff * Ket.basis(EPWord(word, (1,)))
 
 
@@ -241,12 +244,12 @@ def test_fock_extension_examples():
 def test_fock_extension_both_sides_agree():
     state_sets = [(), ((2, 3),), ((1, 2), (3, 1)), ((2, 1), (4, 2))]
     for creators in state_sets:
-        state = BosonMonomial(creators, ()).apply(OMEGA)
+        state = _walk(OMEGA, creators)
         for m in range(1, 5):
             for star in (False, True):
                 coeff, image = fock_extension_action(m, star, creators)
                 lhs = apply_generator(P1, m, state, star=star)
-                rhs = coeff * BosonMonomial(image, ()).apply(OMEGA)
+                rhs = coeff * _walk(OMEGA, image)
                 assert lhs == rhs, (creators, m, star)
 
 
@@ -407,6 +410,6 @@ def _differing_labels(got, want):
 
 
 def test_monomial_text():
-    assert str(BosonMonomial({2: 1}, {1: 3})) == "a2* a1^3"
-    assert str(BosonMonomial({1: 2, 3: 1}, {2: 1})) == "a1*^2 a3* a2"
-    assert str(BosonMonomial()) == "1"
+    assert str(_normal_ordered([(2, 1)], [(1, 3)])) == "a2* a1^3"
+    assert str(_normal_ordered([(1, 2), (3, 1)], [(2, 1)])) == "a1*^2 a3* a2"
+    assert str(_normal_ordered([], [])) == "1"

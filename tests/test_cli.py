@@ -276,7 +276,8 @@ def test_bases_command(capsys):
 
 
 def _planted(monkeypatch, name, plant):
-    """Route ``verify bases`` and ``bases`` through the family ``name`` changed by ``plant``;
+    """Route ``verify bases`` and ``bases``, which both build their kets by
+    ``branching.basis_family``, through the family ``name`` changed by ``plant``;
     ``basis_monomials`` is changed in its typej family only."""
     original = getattr(branching, name)
 
@@ -289,7 +290,6 @@ def _planted(monkeypatch, name, plant):
         return out
 
     monkeypatch.setattr(branching, name, family)
-    monkeypatch.setattr(cli, name, family)
 
 
 def _double_normalizer(family):
@@ -406,7 +406,7 @@ def _s2_coefficient_doubled_on_one_cubed_creator(true):
 
 
 def _left_word_reversed(true):  # s_J applied as the letters of J in reverse order
-    return lambda spec, m, v: true(spec, cuntz.CuntzMonomial(m.coeff, m.left[::-1], m.right), v)
+    return lambda spec, coeff, left, right, v: true(spec, coeff, left[::-1], right, v)
 
 
 def _top_root_factor_dropped(true):  # sqrt(c (c+1) ... (c+k-1)) loses c+k-1 when k >= 2
@@ -576,7 +576,7 @@ def test_planted_branch_failure_is_reported(capsys, monkeypatch):
 
 def test_planted_ladder_power_failure_is_reported(capsys, monkeypatch):
     """A fault only in the walk's steps of power |k| >= 2 fails the F_3 rows of ``branch``,
-    each one walk of the two steps of ``BosonMonomial({n: 2}, {n: 2})``, so 2 * 2**2 = 8,
+    each one walk of the two steps ``(n, -2), (n, 2)``, so 2 * 2**2 = 8,
     and ``verify bases``."""
     true = boson._walk
     monkeypatch.setattr(boson, "_walk",
@@ -812,6 +812,19 @@ def test_unfactorable_radicand_is_domain_error_within_deadline():
     assert time.monotonic() - start < 10
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("domain error: cannot factor radicand 1000000016000000063")
+
+
+@pytest.mark.parametrize("argv, out", [
+    # a prime letter above 10**12: its root and its successor's
+    (("act", "--state", "1000000000039|1", "--expr", "a1*"), "sqrt(1000000000039) * |1000000000040|1>\n"),
+    (("act", "--expr", "sqrt(7000042000063)"), "1000003*sqrt(7) * ||1>\n"),  # 1000003**2 * 7
+    (("bases", "--family", "typej", "--j", "1000000000039", "--modes", "1", "--exps", "1"),
+     "family typej: 3 elements, orthonormal: True\n1  normalizer 1\n"
+     "a1  normalizer 1/1000000000038*sqrt(1000000000038)\n"
+     "a1*  normalizer 1/1000000000039*sqrt(1000000000039)\n"),
+])
+def test_radicands_with_a_cofactor_below_ten_to_the_eighteen_are_answered(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def _run_cli_subprocess(*argv):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzboson.common import AlphabetError
 from cuntzboson import verify
-from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
+from cuntzboson.cuntz import RepSpec, apply_generator, apply_monomial
+from cuntzboson.expr import Factor, Term
 from cuntzboson.scalar import ONE, ZERO, sqrt_nat
 from cuntzboson.states import Ket, _sum
 from cuntzboson.verify import SuiteResult, _isometry_relations, random_ket
@@ -17,7 +18,9 @@ P12 = RepSpec((1, 2))
 
 
 def mono(left=(), right=(), coeff=ONE):
-    return CuntzMonomial(coeff, left, right)
+    """coeff s_J s_K* as a ``Term``: the letters of J, then those of K starred and reversed."""
+    return Term(coeff, tuple(Factor("s", j, False) for j in left)
+                + tuple(Factor("s", k, True) for k in reversed(right)))
 
 
 def test_apply_generator_examples():
@@ -31,17 +34,17 @@ def test_apply_generator_examples():
 def test_apply_monomial_examples():
     label = EPWord((2, 3), (1,))
     v = Ket.basis(label)
-    ranged = apply_monomial(P1, mono((2, 3), (2, 3)), v)
+    ranged = apply_monomial(P1, ONE, (2, 3), (2, 3), v)
     assert ranged == v
     three = Ket.basis(EPWord((3,), (1,)))
-    proj = _sum(apply_monomial(P1, mono((i,), (i,)), three) for i in (1, 2))
+    proj = _sum(apply_monomial(P1, ONE, (i,), (i,), three) for i in (1, 2))
     # oracle: generator-by-generator application of each monomial
     by_hand = Ket()
     for i in (1, 2):
         by_hand = by_hand + apply_generator(P1, i, apply_generator(P1, i, three, star=True))
     assert proj == by_hand
     assert not by_hand
-    assert apply_monomial(P1, CuntzMonomial(ONE), v) == v
+    assert apply_monomial(P1, ONE, (), (), v) == v
 
 
 def test_gp_vector_examples():
@@ -52,7 +55,7 @@ def test_gp_vector_examples():
 
 def test_gp_vector_fixed_by_cycle_word():
     for spec in (P1, P12, RepSpec((1, 1, 2)), RepSpec((2,), alphabet=3)):
-        fixed = apply_monomial(spec, mono(spec.cycle, ()), spec.gp_vector())
+        fixed = apply_monomial(spec, ONE, spec.cycle, (), spec.gp_vector())
         assert fixed == spec.gp_vector()
 
 
@@ -143,7 +146,7 @@ def test_generator_adjointness(i, data):
 
 def test_zero_coefficient_monomial_leaves_no_zero_amplitude():
     v = random_ket(random.Random(5), P1)
-    image = apply_monomial(P1, CuntzMonomial(ZERO, (1,), ()), v)
+    image = apply_monomial(P1, ZERO, (1,), (), v)
     assert len(image) == 0
     assert image == Ket()
 

@@ -6,7 +6,7 @@ import pytest
 
 from cuntzboson.boson import apply_annihilate, apply_create, fock_word
 from cuntzboson.common import DomainError
-from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_monomial
+from cuntzboson.cuntz import RepSpec, apply_monomial
 from cuntzboson.embed import (decode_label, embed_generator,
                               _embedded,
                               encode_label, fock_word_in_ON, ladder_action,
@@ -133,8 +133,7 @@ def test_embedded_isometry_relations():
                 word_i, word_j = embed_generator(spec, i), embed_generator(spec, j)
                 for _ in range(3):
                     v = random_ket(rng, spec)
-                    got = apply_monomial(spec, CuntzMonomial(ONE, (), word_i),
-                                         apply_monomial(spec, CuntzMonomial(ONE, word_j, ()), v))
+                    got = apply_monomial(spec, ONE, (), word_i, apply_monomial(spec, ONE, word_j, (), v))
                     assert got == (v if i == j else Ket())
 
 

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
 from functools import partial
+from math import perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzboson.boson import apply_annihilate, apply_create
-from cuntzboson.common import ExprError
+from cuntzboson.common import AlphabetError, ExprError
 from cuntzboson.cuntz import RepSpec, apply_generator
 from cuntzboson.embed import _embedded
-from cuntzboson.expr import Factor, eval_on_ket, parse_expression
+from cuntzboson.expr import Factor, Term, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, sqrt_nat
 from cuntzboson.states import Ket, _sum
 from cuntzboson.verify import random_ket
@@ -158,3 +159,77 @@ def test_eval_equals_token_by_token(seed, spec, data):
     v = random_ket(random.Random(seed), spec, max_labels=4)
     terms = parse_expression(text)
     assert eval_on_ket(spec, terms, v) == _token_by_token(spec, terms, v), text
+
+
+def test_generator_runs_check_every_letter_in_acting_order_even_when_zero():
+    """A run reduces by s_i* s_j = delta_ij, yet each letter is checked against the alphabet
+    in the order the tokens act: s1* s2 is zero, and s3 still exceeds N = 2."""
+    spec = RepSpec((1,), alphabet=2)
+    omega = spec.gp_vector()
+    assert not eval_on_ket(spec, parse_expression("s1* s2"), omega)
+    for text, letter in (("s3 s1* s2", 3), ("s4 s3", 3), ("s1 s4* a1*", 4), ("a1 s2* s5", 5)):
+        with pytest.raises(AlphabetError, match=f"generator index {letter} exceeds"):
+            eval_on_ket(spec, parse_expression(text), omega)
+
+
+def _falling_factorial(spec, n, l, v):
+    """N (N - 1) ... (N - l + 1) v with N = a_n* a_n, one number operator at a time."""
+    number = [Term(ONE, (Factor("a", n, True), Factor("a", n, False)))]
+    for i in range(l):
+        v = eval_on_ket(spec, number, v) - i * v
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**10])
+@pytest.mark.parametrize("cycle", [(1,), (2,), (1, 2)], ids=str)
+def test_ladder_power_pair_is_the_falling_factorial_of_the_number_operator(cycle, n):
+    """(a_n*)^l a_n^l = N (N - 1) ... (N - l + 1), N = a_n* a_n, for l <= 6 on each letter
+    1 .. l+1 at mode n, and on the vacuum of |3, where it is perm(2, l)."""
+    spec = RepSpec(cycle)
+    vacuum = EPWord((), cycle)
+    head = tuple(vacuum.letter_at(i) for i in range(1, n))
+    for l in range(1, 7):
+        power_pair = [Term(ONE, (Factor("a", n, True, l), Factor("a", n, False, l)))]
+        for letter in range(1, l + 2):
+            v = Ket.basis(EPWord(head + (letter,), cycle))
+            got = eval_on_ket(spec, power_pair, v)
+            assert got == _falling_factorial(spec, n, l, v) == perm(letter - 1, l) * v, (l, letter)
+        three = RepSpec((3,))
+        v = three.gp_vector()
+        got = eval_on_ket(three, power_pair, v)
+        assert got == _falling_factorial(three, n, l, v) == perm(2, l) * v, l
+
+
+_COEFFS = st.one_of(st.just(ONE), st.integers(min_value=-5, max_value=5).map(RadicalScalar.rational),
+                    st.builds(lambda sign, r: sign * sqrt_nat(r), st.sampled_from([1, -1]),
+                              st.sampled_from([2, 3, 5, 6, 7, 10])))
+
+
+@st.composite
+def _terms(draw, top):
+    factor = st.builds(lambda kind, index, star: Factor(kind, index, star), st.sampled_from("sa"),
+                       st.integers(min_value=1, max_value=top), st.booleans())
+    factors = draw(st.lists(factor, max_size=5))
+    return Term(draw(_COEFFS), tuple(factors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(_SPECS), st.data())
+def test_printed_term_parses_back_to_the_same_operator(seed, spec, data):
+    """``str`` of a term with power-1 factors and a coefficient ONE, an integer or
+    +-sqrt(r) is expression text that acts like the term on random kets."""
+    term = data.draw(_terms(spec.alphabet or 4))
+    v = random_ket(random.Random(seed), spec, max_labels=4)
+    assert eval_on_ket(spec, parse_expression(str(term)), v) == eval_on_ket(spec, [term], v), str(term)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(_SPECS[:4]), st.data())
+def test_adjoint_term_is_the_adjoint_operator(seed, spec, data):
+    """<t u, v> = <u, t* v>, with t* the factors reversed and each star flipped."""
+    term = data.draw(_terms(4))
+    rng = random.Random(seed)
+    u, v = random_ket(rng, spec, max_labels=4), random_ket(rng, spec, max_labels=4)
+    tu = eval_on_ket(spec, [term], u)
+    v = v + tu  # so that the inner products are usually nonzero
+    assert tu.inner(v) == u.inner(eval_on_ket(spec, [term.adjoint()], v)), str(term)

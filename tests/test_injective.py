@@ -16,9 +16,9 @@ from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.boson import BosonMonomial, apply_annihilate, apply_create
+from cuntzboson.boson import _walk, apply_annihilate, apply_create
 from cuntzboson.common import add_term
-from cuntzboson.cuntz import CuntzMonomial, RepSpec, apply_generator, apply_monomial
+from cuntzboson.cuntz import RepSpec, apply_generator, apply_monomial
 from cuntzboson.embed import _embedded, decode_label, encode_label
 from cuntzboson.scalar import ONE, RadicalScalar
 from cuntzboson.states import Ket
@@ -82,9 +82,9 @@ def _assert_injective_map(op, v, image):
 @given(seeds, specs, modes, powers)
 def test_ladders_are_injective_maps(seed, spec, n, power):
     v = _ket(seed, spec)
-    _assert_injective_map(BosonMonomial({n: power}).apply, v,
+    _assert_injective_map(lambda u: _walk(u, [(n, power)]), v,
                           lambda w: _ladder_image(w, n, power, True))
-    _assert_injective_map(BosonMonomial((), {n: power}).apply, v,
+    _assert_injective_map(lambda u: _walk(u, [(n, -power)]), v,
                           lambda w: _ladder_image(w, n, power, False))
     for op, create in ((apply_create, True), (apply_annihilate, False)):
         _assert_injective_map(partial(op, n), v, lambda w: _ladder_image(w, n, 1, create))
@@ -104,14 +104,13 @@ def test_generators_are_injective_maps(seed, spec, i):
 @given(seeds, specs, words, words, coeffs)
 def test_monomials_are_injective_maps(seed, spec, left, right, coeff):
     v = _ket(seed, spec)
-    m = CuntzMonomial(coeff, left, right)
 
     def image(w):
         if any(w.letter_at(pos) != letter for pos, letter in enumerate(right, start=1)):
             return None
         return w.drop_first(len(right)).prepend(left), coeff
 
-    _assert_injective_map(lambda u: apply_monomial(spec, m, u), v, image)
+    _assert_injective_map(lambda u: apply_monomial(spec, coeff, left, right, u), v, image)
 
 
 @settings(max_examples=60, deadline=None)

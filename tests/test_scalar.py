@@ -42,9 +42,12 @@ def test_squarefree_split_limit():
     q, r = squarefree_split(n)
     assert q * q * r == n and all(r % (p * p) for p in range(2, 32))
     with pytest.raises(DomainError):
-        squarefree_split((10**9 + 7) * (10**9 + 9))
+        squarefree_split((10**9 + 7) * (10**9 + 9))  # above the limit cubed, 10**18
+    # a cofactor of two primes above the limit is below the limit cubed: split, a square included
+    assert squarefree_split(1000003 * 1000033) == (1, 1000003 * 1000033)
+    assert squarefree_split(7 * 1000003**2) == (1000003, 7)
     with pytest.raises(DomainError):
-        sqrt_nat(1000003 * 1000033)
+        sqrt_nat(1000003 * 1000033 * 1000037)
 
 
 def test_sqrt_factorial_examples():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuntzboson.boson import apply_create
 from cuntzboson.cli import main
+from cuntzboson.common import DomainError
 from cuntzboson.scalar import (ONE, RadicalScalar, _TRIAL_LIMIT, _root, _scale_root, sqrt_nat, sqrt_product,
                                squarefree_split)
 from cuntzboson.states import Ket
@@ -133,19 +134,44 @@ def factorable_radicands(draw):
     n *= draw(st.integers(min_value=1, max_value=10**4)) ** 2
     if draw(st.booleans()):
         big = draw(st.sampled_from(NEAR_LIMIT_PRIMES))
-        # a prime above the limit may appear once: its square has no divisor below the limit
-        n *= big ** (draw(st.integers(1, 2)) if big < _TRIAL_LIMIT else 1)
+        n *= big ** draw(st.integers(1, 2))
     return n
+
+
+def _split_by_factorint(n):
+    q, r = 1, 1
+    for p, e in sympy.factorint(n).items():
+        q *= p ** (e // 2)
+        r *= p ** (e % 2)
+    return q, r
 
 
 @settings(max_examples=150, deadline=None)
 @given(factorable_radicands())
 def test_squarefree_split_matches_factorint(n):
-    q, r = 1, 1
-    for p, e in sympy.factorint(n).items():
-        q *= p ** (e // 2)
-        r *= p ** (e % 2)
-    assert squarefree_split(n) == (q, r)
+    assert squarefree_split(n) == _split_by_factorint(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(NEAR_LIMIT_PRIMES), st.sampled_from(NEAR_LIMIT_PRIMES),
+       st.integers(min_value=1, max_value=10**5))
+def test_two_prime_cofactors_below_the_limit_cubed_match_factorint(p, q, r):
+    """p*p*r and p*q*r with p, q near the trial-division limit: a cofactor of two primes
+    above the limit, a square or a product, is below the limit cubed and is split."""
+    for n in (p * p * r, p * q * r):
+        assert squarefree_split(n) == _split_by_factorint(n), n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=10**18 - 1))
+def test_every_radicand_below_ten_to_the_eighteen_matches_factorint(n):
+    assert squarefree_split(n) == _split_by_factorint(n)
+
+
+def test_three_prime_cofactor_is_refused():
+    above = [p for p in NEAR_LIMIT_PRIMES if p > _TRIAL_LIMIT]
+    with pytest.raises(DomainError, match=r"cannot factor radicand"):
+        squarefree_split(above[0] * above[1] * above[2])
 
 
 @pytest.mark.parametrize("low, high", [

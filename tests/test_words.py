@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cuntzboson import words
-from cuntzboson.boson import BosonMonomial, _walk, apply_annihilate, apply_create
+from cuntzboson.boson import _walk, apply_annihilate, apply_create
 from cuntzboson.embed import odometer_index, odometer_isomorphism
 from cuntzboson.states import Ket
 from cuntzboson.words import EPWord, expand, format_word, is_primitive, parse_word, rotations
@@ -403,9 +403,9 @@ def test_set_letter_and_the_ladder_never_rehash_the_map(monkeypatch):
     ladder_modes = (1, 2, 5, 10**6)
 
     def ladders():
-        """Single steps, then the powers 1 and 2 as one-factor monomials."""
+        """Single steps, then the powers 1 and 2 as one-step walks."""
         return ([(apply_create(n, v), apply_annihilate(n, v)) for n in ladder_modes]
-                + [(BosonMonomial({n: k}).apply(v), BosonMonomial((), {n: k}).apply(v))
+                + [(_walk(v, [(n, k)]), _walk(v, [(n, -k)]))
                    for n in ladder_modes for k in (1, 2)])
 
     expected = ([set_letter(u, n, x) for u, n, x in edits], ladders())
