@@ -22,22 +22,17 @@ term; a root of 1 passes the amplitude through unchanged.  A product of
 ladder powers is one too: ``_walk`` carries each label through every factor,
 a power k as the one step (n, +-k), and scales its amplitude once.  A
 ladder product as a value is an ``expr.Term``, each run of whose ladder
-factors ``expr.eval_on_ket`` walks; ``branching`` and ``verify`` call
-``_walk`` on step tuples.
+factors ``expr.eval_on_ket`` walks; ``branching``, ``verify`` and
+``embed._embedded`` call ``_walk`` on step tuples.
 ``apply_create``/``apply_annihilate`` take a single step, by ``_ladder``,
 the kernel the walk is checked against.
 ``literal_annihilate``/``literal_create`` instead apply the truncated series
 one Cuntz monomial at a time (``cuntz.apply_monomial``) and sum the images;
 they exist to cross-validate the closed form against its defining expansion.
 
-A ket may keep its single-step images (``states.Ket``), and ``_ladder`` then
-builds each (n, +-1) image of it once.  The one user is ``verify``'s ccr,
-whose samples are asked for a few images many times, while most kets are
-never asked for one twice: a sample keeps its 2·modes single-step images,
-and each of those keeps its modes two-step images of the same kind, while
-the sample is checked, so each one- and two-step image of the sample is
-built once and 2·modes·(1 + modes) are held.  Keeping images on every ket
-slowed the ladder-deep benchmark by a third.
+A ket may keep its single-step images, and ``_ladder`` then builds each
+(n, +-1) image of it once; the image slot and its one user, ``verify``'s
+ccr, are described in ``states``.
 """
 
 from __future__ import annotations

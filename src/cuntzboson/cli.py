@@ -17,7 +17,7 @@ import sys
 
 from .boson import Exponents, _as_exponents, fock_word
 from .branching import basis_family, basis_size, enumerate_components
-from .common import MAX_MODE, AlphabetError, DomainError, ExprError, check_family_sizes, check_index
+from .common import MAX_MODE, DomainError, ExprError, check_family_sizes, check_index
 from .cuntz import RepSpec
 from .embed import embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
@@ -94,7 +94,7 @@ def cmd_act(args: argparse.Namespace) -> tuple[int, str | dict]:
         label = EPWord.parse(args.state)
         top = max(label.prefix + label.cycle)
         if args.N is not None and top > args.N:
-            raise AlphabetError(f"state letter {top} exceeds alphabet bound {args.N}")
+            raise DomainError(f"state letter {top} exceeds alphabet bound {args.N}")
         state = Ket.basis(label)
     result = eval_on_ket(spec, terms, state)
     return 0, result.to_json() if args.json else str(result)

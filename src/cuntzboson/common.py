@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """Input is syntactically fine but outside the operation's domain."""
 
 
-class AlphabetError(DomainError):
-    """A generator index or word letter exceeds the ambient alphabet bound."""
-
-
 class ExprError(ValueError):
     """Expression text failed to parse; carries the offending position."""
 
@@ -64,10 +60,9 @@ def check_family_sizes(sizes: Iterable[int], what: str) -> None:
 # as a check at mode n works on n-bit integers.  The fock-ext count adds
 # checks * (k * exps)**2 // (5 * 10**4), k = min(cutoff, modes), as the digits of
 # its coefficients grow with k * exps (`--modes 1 --cutoff 1 --exps 2000` makes
-# 4,002 checks of about 5 s in all and is refused).  The embedding count adds
-# 2 * samples: each Fock sample decodes and encodes its state once per creator,
-# so its two checks cost about four.  No count sees the cycle letter j of an F_j
-# row of ``branch``.
+# 4,002 checks of about 5 s in all and is refused).  The embedding count is its
+# checks: each Fock sample walks its creators at once and crosses the block code
+# once each way.  No count sees the cycle letter j of an F_j row of ``branch``.
 MAX_KET_CHECKS = 10**5
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .common import AlphabetError, DomainError
+from .common import DomainError
 from .scalar import RadicalScalar
 from .states import Ket, _canonical
 from .words import EPWord, Word, _check_word, format_word, is_primitive, rotations
@@ -40,16 +40,16 @@ class RepSpec:
                 raise ValueError(f"alphabet bound must be >= 2, got {alphabet}")
             for letter in cycle:
                 if letter > alphabet:
-                    raise AlphabetError(f"cycle letter {letter} exceeds alphabet bound {alphabet}")
+                    raise DomainError(f"cycle letter {letter} exceeds alphabet bound {alphabet}")
         self.cycle = cycle
         self.alphabet = alphabet
         self._vacua: Optional[tuple[EPWord, ...]] = None
 
     def check_letter(self, i: int) -> None:
         if i < 1:
-            raise AlphabetError(f"generator index must be >= 1, got {i}")
+            raise DomainError(f"generator index must be >= 1, got {i}")
         if self.alphabet is not None and i > self.alphabet:
-            raise AlphabetError(f"generator index {i} exceeds alphabet bound {self.alphabet}")
+            raise DomainError(f"generator index {i} exceeds alphabet bound {self.alphabet}")
 
     def gp_vector(self) -> Ket:
         return Ket.basis(self.rotation_vacua()[0])

@@ -18,10 +18,10 @@ label bijection onto word labels and ``odometer_index`` its inverse.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .boson import Exponents, _as_exponents, apply_create
-from .common import AlphabetError, DomainError
+from .boson import Exponents, _as_exponents, _walk, apply_create
+from .common import DomainError
 from .cuntz import RepSpec
 from .scalar import RadicalScalar
 from .states import Ket, _canonical
@@ -70,7 +70,7 @@ def decode_label(spec: RepSpec, label: EPWord) -> EPWord:
     run = 0
     for letter in label.prefix:
         if letter > N:
-            raise AlphabetError(f"letter {letter} exceeds alphabet bound {N}")
+            raise DomainError(f"letter {letter} exceeds alphabet bound {N}")
         if letter == N:
             run += 1
         else:
@@ -89,14 +89,15 @@ def encode_label(spec: RepSpec, label: EPWord) -> EPWord:
     return _tail_one(translate_word(spec, label.prefix))
 
 
-def _embedded(spec: RepSpec, v: Ket, op: Callable[[Ket], Ket]) -> Ket:
-    """``op`` acting on O_N labels through the block code: the ket is decoded
-    once, ``op`` applied, and its image encoded once.
+def _embedded(spec: RepSpec, v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:
+    """The ladder product ``steps`` (as ``boson._walk`` takes them) acting on O_N
+    labels through the block code: the ket is decoded once, walked, and its
+    image encoded once.
 
-    ``op`` is a ladder product, a weighted injection on labels, and the codec
-    is a bijection, so no amplitude is merged on either side.
+    A ladder product is a weighted injection on labels and the codec is a
+    bijection, so no amplitude is merged on either side.
     """
-    image = op(_canonical({decode_label(spec, w): c for w, c in v._amps.items()}))
+    image = _walk(_canonical({decode_label(spec, w): c for w, c in v._amps.items()}), steps)
     return _canonical({encode_label(spec, w): c for w, c in image._amps.items()})
 
 

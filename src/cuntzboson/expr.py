@@ -135,9 +135,7 @@ def _apply_run(spec: cuntz.RepSpec, run: list[Factor], v: Ket) -> Ket:
     """A run of factors of one kind, listed in the order they act, applied to ``v``."""
     if run[0].kind == "a":
         steps = _walk_steps(run)
-        if spec.alphabet is None:
-            return _walk(v, steps)
-        return _embedded(spec, v, lambda u: _walk(u, steps))
+        return _walk(v, steps) if spec.alphabet is None else _embedded(spec, v, steps)
     coeff, left, right = ONE, [], []  # the run so far is coeff s_J s_K*, with J = left reversed
     for f in run:
         spec.check_letter(f.index)

@@ -11,10 +11,16 @@ one ket for the same single ladder step many times sets it to ``{}``, and
 ``boson._ladder`` then builds each image (n, +-1) once and keeps it there,
 keyed by the signed mode.  An image keeps none of its own unless its caller
 sets its slot too, so a kept ket holds at most two images per mode it is
-asked for and frees them when it is freed.  The slot has one user:
-``verify``'s ccr keeps images on each sample and, for the images of their
-own kind, on each of the sample's single-step images while the sample is
-checked, so a sample holds at most 2·modes·(1 + modes) kets, freed with the
+asked for and frees them when it is freed.
+
+The slot has one user, ``verify``'s ccr.  It keeps images on each sample
+and, for the images of their own kind (a_n a_m v and a_n* a_m* v, each asked
+for twice), on each of the sample's single-step images while the sample is
+checked; the mixed images (a_n a_m* v, a_m* a_n v) are asked for once and
+kept nowhere.  Of a sample's 12·modes² ladder requests, half ask for one of
+its 2·modes single-step images and half for a two-step image, of which
+4·modes² are distinct, so a sample makes 2·modes + 4·modes² image builds and
+holds at most 2·modes·(1 + modes) kets (84 at modes 6), freed with the
 sample.  It is not on for every ket: the ladder-deep benchmark keeps 1,080
 one-label inputs alive for a whole unit and never repeats a request, and
 images kept on every ket took its ``wall_s`` from 0.0126 to 0.0174 s and its

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import boson, branching, embed
@@ -121,16 +120,11 @@ def run_ccr(*, modes: int, samples: int, seed: int, **_) -> SuiteResult:
     are canonical (unique labels, nonzero amplitudes), so X == Y + E holds
     exactly when X - Y - E is the zero ket, and no commutator ket is built.
 
-    Each sample keeps its ladder images (``states.Ket``) while it is checked,
-    and each of its single-step images keeps those of its own kind
-    (a_n a_m v, a_n* a_m* v), which are asked for twice; the mixed ones
-    (a_n a_m* v, a_m* a_n v) are asked for once, built from a slotless view
-    and kept nowhere.  Of a sample's 432 ladder requests (12 per pair n, m),
-    216 ask for one of its 2·modes single-step images and 216 for a two-step
-    image, of which 4·modes² are distinct; each is built once, so a sample
-    makes 2·modes + 4·modes² image builds and keeps 2·modes·(1 + modes)
-    (84 at modes 6).  Every ladder call and every check is made as before;
-    only the repeated label steps go.
+    Each sample, and each of its single-step images, keeps its ladder images
+    while the sample is checked (the image slot, described in ``states``), so
+    each one- and two-step image of a sample is built once; a mixed image is
+    built from a slotless view of its operand and kept nowhere.  Every ladder
+    call and every check is made as before; only the repeated label steps go.
     """
     check_ket_checks(9 * samples * modes**2, "verify ccr")
     result = SuiteResult("ccr")
@@ -354,13 +348,17 @@ def _embedding_checks(samples: int, cutoff: int) -> int:
 
 
 def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> SuiteResult:
-    """Digit formula vs generator translation, and the embedded Fock dictionary."""
-    # each creator of a Fock sample decodes and encodes its state: two checks' worth more per sample
-    check_ket_checks(_embedding_checks(samples, cutoff) + 2 * samples, "verify embedding")
+    """Digit formula vs generator translation, and the embedded Fock dictionary.
+
+    Each Fock sample walks all its creators at once on the standard vacuum
+    and crosses the block code once each way: the walk encoded must be
+    coeff |digits.1^inf> in O_N, and that state decoded must be the walk.
+    """
+    check_ket_checks(_embedding_checks(samples, cutoff), "verify embedding")
     result = SuiteResult("embedding")
     rng = random.Random(seed)
-    spec = RepSpec((1,), alphabet=N)
-    omega = spec.gp_vector()
+    spec, fock = RepSpec((1,), alphabet=N), RepSpec((1,))
+    vacuum = fock.gp_vector()
     for idx in range(samples):
         occ = random_occupations(rng, max_modes=4, max_count=5, mode_bound=6)
         coeff, word = boson.fock_word(occ)
@@ -368,13 +366,12 @@ def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> Suite
         via_translation = embed.translate_word(spec, word)
         result.add(via_digits == via_translation, lambda: f"N={N} occupations {occ}: "
                    f"digit word = translated word: {via_digits} vs {via_translation}")
-        state = omega
-        for mode, count in occ.items():
-            for _ in range(count):
-                state = embed._embedded(spec, state, partial(boson.apply_create, mode))
-        expected = coeff * Ket.basis(spec.rotation_vacua()[0].prepend(via_digits))
-        result.add(state == expected, lambda: f"N={N} occupations {occ}: "
-                   "embedded creators reproduce the Fock state")
+        label = spec.rotation_vacua()[0].prepend(via_digits)
+        walked = boson._walk(vacuum, tuple(occ.items()))
+        encoded = _canonical({embed.encode_label(spec, w): c for w, c in walked._amps.items()})
+        decoded = _canonical({embed.decode_label(spec, label): coeff})
+        result.add(encoded == _canonical({label: coeff}) and decoded == walked,
+                   lambda: f"N={N} occupations {occ}: embedded creators reproduce the Fock state")
     images = [embed.embed_generator(spec, m) for m in range(1, 3 * cutoff + 1)]
     for i in range(1, cutoff + 1):
         for j in range(1, cutoff + 1):
@@ -392,7 +389,6 @@ def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> Suite
             wa, wb = images[a], images[b]
             result.add(wa != wb[: len(wa)], lambda: f"N={N}: "
                        f"generator images {a + 1},{b + 1} prefix-incomparable: {wa} vs {wb}")
-    fock = RepSpec((1,))
     for idx in range(samples // 5):
         label = random_label(rng, fock, letter_bound=3 * (N - 1), prefix_bound=4)
         result.add(embed.decode_label(spec, embed.encode_label(spec, label)) == label,

@@ -5,13 +5,13 @@ from collections.abc import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson import boson, verify
+from cuntzboson import boson, embed, expr, verify, words
 from cuntzboson.boson import (_as_exponents, _walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
 from cuntzboson.branching import _normal_ordered
 from cuntzboson.common import MAX_MODE
 from cuntzboson.cuntz import RepSpec, apply_generator
-from cuntzboson.expr import Term, eval_on_ket
+from cuntzboson.expr import Term, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
 from cuntzboson.states import Ket, _sum
 from cuntzboson.verify import SuiteResult, _intertwining, random_ket, random_occupations
@@ -130,6 +130,76 @@ def test_closed_form_matches_literal_series():
             for n in (1, 2, 3):
                 assert apply_annihilate(n, v) == literal_annihilate(spec, n, v)
                 assert apply_create(n, v) == literal_create(spec, n, v)
+
+
+def _series_term(label, n, create):
+    """The one term of Abe's series for a_n (a_n* if ``create``) that does not kill
+    ``label``, as ``act --expr`` text, or None for a_n on letter 1.  With K the first
+    n - 1 letters and c the letter at n: sqrt(c-1) s_K s_{c-1} s_c* s_K* for a_n, and
+    sqrt(c) s_K s_{c+1} s_c* s_K* for a_n*."""
+    K = [label.letter_at(p) for p in range(1, n)]
+    c = label.letter_at(n)
+    if not create and c == 1:
+        return None
+    new, root = (c + 1, c) if create else (c - 1, c - 1)
+    return " ".join([f"sqrt({root})", *(f"s{k}" for k in K), f"s{new}", f"s{c}*",
+                     *(f"s{k}*" for k in reversed(K))])
+
+
+@pytest.fixture(scope="module")
+def series_cases():
+    """(label ket, mode, create, the series term's image) on 20 seeded labels of each of
+    |1, |2, |1,2 and |3,1,2 (prefixes of up to 16 letters, each up to 12), at modes 1-16,
+    64, 256 and 1024.  The images are built with the ladder kernels made unusable, so the
+    s-token path they take shares none of them."""
+    def unusable(*_):
+        raise AssertionError("the series oracle reached a ladder kernel")
+
+    rng, cases = random.Random(53), []
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((boson, "_ladder"), (boson, "_walk"), (boson, "_root"), (expr, "_walk"),
+                             (embed, "_walk"), (boson, "_move_letter"), (words, "_move_letter")):
+            mp.setattr(module, name, unusable)
+        for cycle in ((1,), (2,), (1, 2), (3, 1, 2)):
+            spec = RepSpec(cycle)
+            for _ in range(20):
+                prefix = tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 16)))
+                v = Ket.basis(rng.choice(spec.rotation_vacua()).prepend(prefix))
+                [label] = v._amps
+                for n, create in itertools.product((*range(1, 17), 64, 256, 1024), (False, True)):
+                    text = _series_term(label, n, create)
+                    image = Ket() if text is None else eval_on_ket(spec, parse_expression(text), v)
+                    cases.append((v, n, create, image))
+    return cases
+
+
+def _series_disagreements(cases):
+    return sum((boson.apply_create if create else boson.apply_annihilate)(n, v) != image
+               for v, n, create, image in cases)
+
+
+def test_each_ladder_step_is_one_term_of_the_series(series_cases):
+    assert len(series_cases) == 3040 and _series_disagreements(series_cases) == 0
+
+
+def _create_doubled_above_mode_8(true):  # mutant A
+    return lambda n, v: 2 * true(n, v) if n > 8 else true(n, v)
+
+
+def _root_one_too_high_from_10(true):  # mutant B: q + 1 for every n >= 10
+    def root(n):
+        q, r = true(n)
+        return (q + 1, r) if n >= 10 else (q, r)
+    return root
+
+
+@pytest.mark.parametrize("name, plant", [("apply_create", _create_doubled_above_mode_8),
+                                         ("_root", _root_one_too_high_from_10)])
+def test_series_terms_flag_planted_ladder_faults(monkeypatch, series_cases, name, plant):
+    """Both faults pass all six suites at their CLI defaults, which reach no mode above 7
+    and no letter above 8; the series terms flag each of them."""
+    monkeypatch.setattr(boson, name, plant(getattr(boson, name)))
+    assert _series_disagreements(series_cases) > 0
 
 
 def test_ccr_diagonal_and_number_operator():

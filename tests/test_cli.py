@@ -548,6 +548,17 @@ def test_act_under_an_alphabet_decodes_once_per_ladder_run(capsys, monkeypatch, 
     assert (len(decoded), len(encoded)) == (labels_in, labels_out)
 
 
+def test_verify_embedding_crosses_the_codec_once_per_fock_sample(capsys, monkeypatch):
+    """Each Fock sample decodes one label and encodes one, whatever its occupation
+    counts, as does each of the samples // 5 codec samples."""
+    decoded, encoded = [], []
+    _counting(monkeypatch, embed, "decode_label", decoded)
+    _counting(monkeypatch, embed, "encode_label", encoded)
+    code, out, _ = run(capsys, *EMBEDDING)
+    assert code == 0 and out == "suite embedding: 202/202 checks passed\n"
+    assert (len(decoded), len(encoded)) == (10 + 2, 10 + 2)
+
+
 @pytest.mark.parametrize("j, elements", [(3, 36), (10**12, 49)])
 def test_large_cycle_letters_are_factored_once(capsys, monkeypatch, j, elements):
     """Roots of small and large letters alike are kept in the one bounded root memo."""
@@ -877,6 +888,7 @@ def test_check_count_above_max_checks_is_domain_error_within_deadline(argv):
     ("verify", "relations", "--cutoff", str(10**30), "--json"),
     ("verify", "embedding", "--samples", "1000000"),  # 2,200,180 checks
     ("verify", "embedding", "--cutoff", "3000"),  # 107,991,110 checks
+    ("verify", "embedding", "--samples", "45374"),  # 100,002 checks
     ("verify", "embedding", "--samples", str(10**30)),
     ("verify", "embedding", "--cutoff", str(10**30), "--json"),
 ])
@@ -913,9 +925,8 @@ def test_ket_check_bound_is_inclusive():
     assert 2690 + 2690 * 1344**2 // (5 * 10**4) <= MAX_KET_CHECKS < 2692 + 2692 * 1345**2 // (5 * 10**4)
     # and the largest relations, embedding and branch calls at the other CLI defaults
     assert verify._relations_checks(9259, 4) <= MAX_KET_CHECKS < verify._relations_checks(9260, 4)
-    # embedding charges each Fock sample twice more than its checks
-    assert (verify._embedding_checks(23766, 4) + 2 * 23766 <= MAX_KET_CHECKS
-            < verify._embedding_checks(23767, 4) + 2 * 23767)
+    assert verify._embedding_checks(45373, 4) == MAX_KET_CHECKS  # exactly 10^5 checks
+    assert verify._embedding_checks(45374, 4) > MAX_KET_CHECKS
     assert branching._row_count((1,), 50000) <= MAX_KET_CHECKS < branching._row_count((1,), 50001)
 
 
@@ -964,9 +975,9 @@ def test_branch_row_count_is_the_number_of_rows(cycle):
 
 @pytest.mark.parametrize("argv, count", [
     (("verify", "relations"), 540),
-    (("verify", "embedding"), 390),  # 290 checks, and two more per Fock sample
+    (("verify", "embedding"), 290),
     (("branch", "--rep", "|1,2"), 18),
-    (("verify", "embedding", "--samples", "100", "--cutoff", "1"), 429),  # 229 checks
+    (("verify", "embedding", "--samples", "100", "--cutoff", "1"), 229),
 ])
 def test_relations_embedding_and_branch_bounds_are_inclusive(capsys, monkeypatch, argv, count):
     """A call of exactly the bound's count is served, and one of one more is refused."""
@@ -1073,6 +1084,38 @@ def test_integer_beyond_the_text_limit_is_domain_error_within_deadline(argv):
     assert done.stderr.startswith("domain error: ") and "4300 decimal digits" in done.stderr
 
 
+_LONG = "1" * 5000  # past the 4300 digits of Python's integer-text conversion
+
+
+@pytest.mark.parametrize("argv, code", [
+    # a usage error where it is an option value, a cycle or a word
+    (("verify", "ccr", "--modes", _LONG), 2),
+    (("verify", "ccr", "--seed", _LONG), 2),
+    (("verify", "embedding", "--N", _LONG), 2),
+    (("bases", "--family", "typej", "--j", _LONG), 2),
+    (("embed", "--N", "2", "--gen", _LONG), 2),
+    (("act", "--rep", f"|{_LONG}", "--expr", "s1"), 2),
+    (("act", "--state", f"{_LONG}|1", "--expr", "s1"), 2),
+    (("embed", "--N", "2", "--word", _LONG), 2),
+    # a domain error in an expression, an occupation list or an odometer state
+    (("act", "--expr", f"sqrt({_LONG})"), 3),
+    (("act", "--expr", f"{_LONG} s1"), 3),
+    (("act", "--expr", f"a{_LONG}*"), 3),
+    (("fock", "--occ", f"1:{_LONG}"), 3),
+    (("embed", "--N", "2", "--occ", f"{_LONG}:1"), 3),
+    (("act", "--model", "odometer", "--expr", "s1", "--state", f"e{_LONG}"), 3),
+])
+def test_over_long_integer_exit_code_by_site_within_deadline(argv, code):
+    """The README's sites: exit 2 in an option value, a ``--rep`` cycle or a word, and
+    exit 3, with the digit limit named, in ``--expr``, ``--occ`` and ``e<n>``."""
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert (done.returncode, done.stdout) == (code, "") and "Traceback" not in done.stderr
+    if code == 3:
+        assert done.stderr == ("domain error: an integer has more than 4300 decimal digits, "
+                               "the limit of Python's integer-text conversion\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("fock", "--occ", "1:1000000000000"),
     ("fock", "--occ", "1:100000"),
@@ -1171,19 +1214,24 @@ def test_sqrt_of_zero_is_a_parse_error(capsys, expr, position):
 # their coefficient against the int-to-text limit, in ``boson.fock_word``).  Large fock-ext exponents at small modes and cutoffs, which make few
 # checks of many digits each, have a line of their own.  MAX_MODE, the largest
 # index that is served, reaches the longest outputs: a label or O_N word of a
-# million letters.
+# million letters.  Large letters, as state letters, ``bases --j`` and ``sqrt``
+# radicands, reach the exact roots of every radicand below 10^18: a prime, a
+# square of a prime above the trial-division limit times 7, 10^18 - 11, and
+# 1000000016000000063, whose cofactor above 10^18 is still refused.
 
 _HOSTILE = st.sampled_from([-10**9, -1, 0, 10**5, MAX_MODE, MAX_MODE + 1, 10**9, 10**30])
 _index = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=-2, max_value=12),
                    _HOSTILE)
+_LARGE = st.sampled_from([1000000000039, 7000042000063, 10**18 - 11, 1000000016000000063])
+_letter = st.one_of(_index, _LARGE)
 _small = st.sampled_from([1, 2, 3, 1, 2, 3, 0, -1])
 _junk = st.text(alphabet="as*0123456789,|:+-/() e@x", max_size=10)
-_word = st.one_of(st.lists(_index, max_size=4).map(lambda xs: ",".join(map(str, xs))), _junk)
+_word = st.one_of(st.lists(_letter, max_size=4).map(lambda xs: ",".join(map(str, xs))), _junk)
 _small_word = st.lists(st.integers(min_value=1, max_value=4), max_size=3).map(
     lambda xs: ",".join(map(str, xs)))
 _factor = st.builds("{}{}{}".format, st.sampled_from("sa"), _index, st.sampled_from(["", "*"]))
 _literal = st.one_of(st.builds("{}/{}".format, _small, _small), _index.map(str),
-                     _index.map("sqrt({})".format))
+                     _letter.map("sqrt({})".format))
 _expr = st.lists(st.one_of(_factor, _factor, _factor, _literal, st.sampled_from(["+", "-"]), _junk),
                  min_size=1, max_size=4).map(" ".join)
 _occ = st.one_of(st.lists(st.builds("{}:{}".format, _index,
@@ -1224,7 +1272,7 @@ _commands = st.one_of(
                     _word.map(lambda w: ["--word", w]), _occ.map(lambda o: ["--occ", o])),
           _flag_json),
     _argv(["bases"], _opt("--family", st.sampled_from(["lambda", "typej", "onetwov", "x"])),
-          _opt("--j", st.one_of(_small, st.sampled_from([10**9, 10**12]))),
+          _opt("--j", st.one_of(_small, st.sampled_from([10**9, 10**12]), _LARGE)),
           *[st.one_of(_small, _HOSTILE).map(lambda v, f=f: [f, str(v)]) for f in ("--modes", "--exps")],
           _flag_json),
     st.lists(st.one_of(_junk, st.sampled_from(["act", "--help", "--expr", "-x"])), max_size=4),

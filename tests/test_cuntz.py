@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.common import AlphabetError
+from cuntzboson.common import DomainError
 from cuntzboson import verify
 from cuntzboson.cuntz import RepSpec, apply_generator, apply_monomial
 from cuntzboson.expr import Factor, Term
@@ -113,9 +113,9 @@ def test_wrong_range_projection_fails(monkeypatch):
 
 def test_alphabet_violations():
     finite = RepSpec((1,), alphabet=2)
-    with pytest.raises(AlphabetError):
+    with pytest.raises(DomainError, match="^generator index 3 exceeds alphabet bound 2$"):
         apply_generator(finite, 3, finite.gp_vector())
-    with pytest.raises(AlphabetError):
+    with pytest.raises(DomainError, match="^cycle letter 3 exceeds alphabet bound 2$"):
         RepSpec((1, 3), alphabet=2)
     with pytest.raises(ValueError):
         RepSpec((1, 2, 1, 2))

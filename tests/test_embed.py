@@ -1,6 +1,5 @@
 import random
 import re
-from functools import partial
 
 import pytest
 
@@ -95,20 +94,20 @@ def test_embedded_ladder_intertwines_the_codec():
             v = Ket.basis(label)
             encoded = Ket.basis(encode_label(spec, label))
             for n in (1, 2, 3):
-                lhs = _embedded(spec, encoded, partial(apply_create, n))
+                lhs = _embedded(spec, encoded, ((n, 1),))
                 rhs = Ket((encode_label(spec, w), c) for w, c in apply_create(n, v).items())
                 assert lhs == rhs
-                lhs = _embedded(spec, encoded, partial(apply_annihilate, n))
+                lhs = _embedded(spec, encoded, ((n, -1),))
                 rhs = Ket((encode_label(spec, w), c) for w, c in apply_annihilate(n, v).items())
                 assert lhs == rhs
         for _ in range(15):
             v = random_ket(rng, rep_inf, letter_bound=5, prefix_bound=3)
             encoded = Ket((encode_label(spec, w), c) for w, c in v.items())
             for n in (1, 2, 3):
-                lhs = _embedded(spec, encoded, partial(apply_create, n))
+                lhs = _embedded(spec, encoded, ((n, 1),))
                 rhs = Ket((encode_label(spec, w), c) for w, c in apply_create(n, v).items())
                 assert lhs == rhs
-                lhs = _embedded(spec, encoded, partial(apply_annihilate, n))
+                lhs = _embedded(spec, encoded, ((n, -1),))
                 rhs = Ket((encode_label(spec, w), c) for w, c in apply_annihilate(n, v).items())
                 assert lhs == rhs
 
@@ -120,7 +119,7 @@ def test_embedded_fock_state_matches_creators():
             state = omega
             for mode, count in sorted(occ.items()):
                 for _ in range(count):
-                    state = _embedded(spec, state, partial(apply_create, mode))
+                    state = _embedded(spec, state, ((mode, 1),))
             coeff, _ = fock_word(occ)
             assert state == coeff * Ket.basis(EPWord(fock_word_in_ON(spec, occ), (1,)))
 

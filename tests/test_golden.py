@@ -16,7 +16,10 @@ whose lowering is capped by ``--exps`` and an ``onetwov`` basis on an even
 number of modes, each as text and as JSON) before the occupation families
 came to be built by one builder from one table of letter ranges, and the
 last two (``branch --rep '|2' --N 2``, as text and as JSON) once a cycle of
-the letter N came to be refused, with their standard error.  Any change to
+the letter N came to be refused, with their standard error, and the last
+four (an ``act`` on the state letter 1000000000039, a prime, and one of
+``sqrt(7000042000063)``, (10^6+3)^2 * 7, each as text and as JSON) once every
+radicand below 10^18 came to be factored exactly.  Any change to
 the text or JSON forms shows up here.  An entry without ``stderr`` expects
 an empty standard error.
 """

@@ -118,10 +118,9 @@ def test_monomials_are_injective_maps(seed, spec, left, right, coeff):
 def test_embedded_ladders_are_injective_maps(seed, N, n, create):
     spec = RepSpec((1,), alphabet=N)
     v = Ket((encode_label(spec, w), c) for w, c in _ket(seed, RepSpec((1,)))._amps.items())
-    op = apply_create if create else apply_annihilate
 
     def image(w):
         found = _ladder_image(decode_label(spec, w), n, 1, create)
         return None if found is None else (encode_label(spec, found[0]), found[1])
 
-    _assert_injective_map(lambda u: _embedded(spec, u, partial(op, n)), v, image)
+    _assert_injective_map(lambda u: _embedded(spec, u, ((n, 1 if create else -1),)), v, image)
