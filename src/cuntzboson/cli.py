@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 code and its whole output: its text, or under ``--json`` a JSON payload that
 ``main`` serializes in the one JSON form.  ``main`` prints it only once the
 command has finished, so a command that fails leaves standard output empty.
+
+An argv that names a command is parsed once, by that command's own parser;
+the top parser answers only an empty argv, help and an unknown command name
+(perfbench cli-mix ``op_p50_ms`` 0.205 -> 0.165 ms, ten pairs at each of two
+seeds, faster in all twenty).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import sys
 
 from .boson import Exponents, _as_exponents, fock_word
 from .branching import basis_family, basis_size, enumerate_components
-from .common import MAX_MODE, DomainError, ExprError, check_family_sizes, check_index
+from .common import MAX_MODE, DomainError, ExprError, _past_int_text_limit, check_family_sizes, check_index
 from .cuntz import RepSpec
 from .embed import embed_generator, fock_word_in_ON, odometer_index, odometer_isomorphism, translate_word
 from .expr import eval_on_ket, parse_expression
@@ -55,16 +60,13 @@ def _parse_occupations(text: str) -> Exponents:
     return _as_exponents(pairs)
 
 
-def _past_int_text_limit(exc: ValueError) -> bool:
-    """Whether ``exc`` is int() or str() refusing more than sys.get_int_max_str_digits() digits."""
-    return str(exc).startswith("Exceeds the limit (")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    except ValueError as exc:
+        got = (f"one of more than {sys.get_int_max_str_digits()} decimal digits"
+               if _past_int_text_limit(exc) else repr(text))
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {got}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
     return value
@@ -189,11 +191,13 @@ def cmd_bases(args: argparse.Namespace) -> tuple[int, str | dict]:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves nothing on it, since
     ``parse_args`` returns a fresh ``Namespace``, every default is immutable and
-    help and usage text read the terminal width when they are formatted."""
+    help and usage text read the terminal width when they are formatted.
+    ``parser.subcommands`` maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="cuntzboson",
         description="Exact ladder-operator calculus on permutative representations.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices
 
     act = sub.add_parser("act", help="apply an operator expression to a state")
     act.add_argument("--rep", default="|1", help="representation cycle, e.g. '|1,2'")
@@ -249,8 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        command = parser.subcommands.get(argv[0]) if argv else None
+        if command is None:  # an empty argv, help or an unknown name
+            args = parser.parse_args(argv)
+        else:  # one pass, by the command's own parser, as the top parser would hand it on
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         if args.func is cmd_act and args.model == "odometer" and (args.rep != "|1" or args.N is not None):
             parser.error("act --model odometer acts on the representation |1 of O_inf: "
                          "it takes no --N and no --rep other than '|1'")

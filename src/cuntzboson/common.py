@@ -9,6 +9,11 @@ class DomainError(ValueError):
     """Input is syntactically fine but outside the operation's domain."""
 
 
+def _past_int_text_limit(exc: ValueError) -> bool:
+    """Whether ``exc`` is int() or str() refusing more than sys.get_int_max_str_digits() digits."""
+    return str(exc).startswith("Exceeds the limit (")
+
+
 class ExprError(ValueError):
     """Expression text failed to parse; carries the offending position."""
 

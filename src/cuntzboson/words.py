@@ -28,7 +28,10 @@ and ``embed.odometer_index``, which sorts the deviations.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Sequence
+
+from .common import _past_int_text_limit
 
 Word = tuple[int, ...]
 
@@ -50,6 +53,9 @@ def parse_word(text: str) -> Word:
     try:
         return _check_word(int(part) for part in text.split(","))
     except ValueError as exc:
+        if _past_int_text_limit(exc):
+            raise ValueError(f"bad word: a letter has more than {sys.get_int_max_str_digits()} "
+                             "decimal digits") from None
         raise ValueError(f"bad word {text!r}: {exc}") from None
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import inspect
@@ -651,6 +652,15 @@ def test_suite_totals_match_the_benchmark_answer_key(capsys, suite, extra):
     assert code == 0 and json.loads(out)["total"] == CORPUS._suite_total(suite, extra)
 
 
+def test_every_cli_mix_call_passes_the_benchmark_answer_key(capsys):
+    """The 1,200 calls of the benchmark's cli-mix corpus at seed 7, through ``main`` in
+    this process, each checked as the benchmark checks it."""
+    corpus = CORPUS.build(7)
+    failed = [entry["argv"] for entry in corpus
+              if not CORPUS.check(entry["expect"], *run(capsys, *entry["argv"]))]
+    assert len(corpus) == 1200 and failed == []
+
+
 def _traced_benchmark_unit(workload, params):
     """One traced unit of ``perfbench/worker.py`` at seed 7, run as the benchmark runs it."""
     root = Path(__file__).resolve().parent.parent
@@ -755,8 +765,12 @@ def test_cli_import_loads_no_introspection_modules():
 @pytest.mark.parametrize("argv", [
     ["--help"], ["act", "--help"], ["verify", "--help"], ["bases", "--help"],
     [], ["act"], ["verify", "nope"], ["bases", "--family", "x"],
+    # where a command's own parser could answer otherwise than the top parser handing on
+    ["fock", "extra"], ["act", "--expr", "s1", "--bogus"], ["verify", "ccr", "3"],
+    ["act", "--", "--expr", "s1"], ["fock", "-h"],
 ])
 def test_reused_parser_formats_at_the_current_width(capsys, monkeypatch, argv):
+    """``main`` prints what a fresh top-level ``parse_args`` prints, at each width."""
     monkeypatch.setenv("COLUMNS", "120")
     main(["fock"])  # the parser exists before the widths below are set
     capsys.readouterr()
@@ -770,6 +784,32 @@ def test_reused_parser_formats_at_the_current_width(capsys, monkeypatch, argv):
         assert reused == fresh
         outputs.append(reused)
     assert outputs[0] != outputs[1]  # the text does depend on the width
+
+
+def test_a_named_command_is_parsed_once_by_its_own_parser(capsys, monkeypatch):
+    """An argv that names a command makes one ``parse_known_args`` call, on that command's
+    parser; the top parser answers only an empty argv, help and an unknown name."""
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in (["act", "--expr", "a1*"], ["act", "--model", "odometer", "--rep", "|2", "--expr", "s1"],
+                 ["branch", "--rep", "|1,2", "--json"], ["verify", "nope"], ["fock", "extra"],
+                 ["embed", "--N", "2", "--gen", "3"], ["bases", "--family", "lambda", "--modes", "2"]):
+        parsed.clear()
+        run(capsys, *argv)
+        assert parsed == [f"cuntzboson {argv[0]}"], argv
+    for argv, expected, text in (([], 2, "error: the following arguments are required: subcommand"),
+                                 (["-h"], 0, "Exact ladder-operator calculus"),
+                                 (["bogus"], 2, "error: argument subcommand: invalid choice: 'bogus'")):
+        parsed.clear()
+        code, out, err = run(capsys, *argv)
+        assert parsed == ["cuntzboson"] and code == expected
+        assert (out + err).startswith("usage: cuntzboson [-h] {act,") and text in out + err
 
 
 def test_nonprimitive_rep_is_domain_error(capsys):
@@ -1105,12 +1145,19 @@ _LONG = "1" * 5000  # past the 4300 digits of Python's integer-text conversion
     (("embed", "--N", "2", "--occ", f"{_LONG}:1"), 3),
     (("act", "--model", "odometer", "--expr", "s1", "--state", f"e{_LONG}"), 3),
 ])
-def test_over_long_integer_exit_code_by_site_within_deadline(argv, code):
+def test_over_long_integer_exit_code_by_site_within_deadline(monkeypatch, argv, code):
     """The README's sites: exit 2 in an option value, a ``--rep`` cycle or a word, and
-    exit 3, with the digit limit named, in ``--expr``, ``--occ`` and ``e<n>``."""
+    exit 3, with the digit limit named, in ``--expr``, ``--occ`` and ``e<n>``.  A word and
+    an option read by ``_positive_int`` name the limit in one short line, without the
+    digits; argparse's own ``type=int`` options still echo them."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the usage text that comes with the error
     done, elapsed = _run_cli_subprocess(*argv)
     assert elapsed < 2
     assert (done.returncode, done.stdout) == (code, "") and "Traceback" not in done.stderr
+    site = argv[next(i for i, item in enumerate(argv) if _LONG in item) - 1]
+    if code == 2 and site not in ("--seed", "--N", "--j", "--gen"):
+        assert len(done.stderr.encode()) < 500 and "4300" in done.stderr
+        assert "set_int_max_str_digits" not in done.stderr
     if code == 3:
         assert done.stderr == ("domain error: an integer has more than 4300 decimal digits, "
                                "the limit of Python's integer-text conversion\n")
