@@ -158,24 +158,29 @@ def fock_word(occupations: Union[Mapping[int, int], Exponents]) -> tuple[Radical
     yields coefficient * |J . 1^inf> with J = (occupation+1 per mode up to the
     largest occupied one) and coefficient = prod sqrt(k_n!).
 
-    A coefficient q sqrt(r) whose q surely has more digits than the int-to-text
-    limit D is refused with ``DomainError`` before any root is taken: with
+    A coefficient q sqrt(r) whose q has more digits than the int-to-text
+    limit D, and so could not be printed, is refused with ``DomainError``.
+    When q surely has that many it is refused before any root is taken: with
     B = floor(log2 k), sum_{i<=k} floor(log2 i) = B(k+1) - 2^(B+1) + 2 is at
     most log2 k!, and the squarefree part of k! is below 4^k, so log2 q >= t
-    below, and 1000 t >= 3322 D gives q >= 10^D.
+    below, and 1000 t >= 3322 D gives q >= 10^D.  Otherwise the built q is
+    compared with 10^D, past a bit-length test that spares small q the power.
     """
     occ = dict(_as_exponents(occupations))
     digits = sys.get_int_max_str_digits()
     t = sum((b := k.bit_length() - 1) * (k + 1) - (2 << b) + 2 - 2 * k for k in occ.values()) // 2
-    if digits and 1000 * t >= 3322 * digits:
+    past = digits and 1000 * t >= 3322 * digits
+    if not past:
+        coeff = ONE
+        for count in occ.values():
+            coeff = coeff * sqrt_product(1, count)
+        (q,) = coeff._num.values()
+        past = digits and q.bit_length() > 3321 * digits // 1000 and q >= 10**digits
+    if past:
         raise DomainError(f"the coefficient of these occupations has more than {digits} decimal "
                           "digits, the limit of Python's integer-text conversion")
     top = max(occ) if occ else 0
-    word = tuple(occ.get(mode, 0) + 1 for mode in range(1, top + 1))
-    coeff = ONE
-    for count in occ.values():
-        coeff = coeff * sqrt_product(1, count)
-    return coeff, word
+    return coeff, tuple(occ.get(mode, 0) + 1 for mode in range(1, top + 1))
 
 
 def fock_extension_action(
@@ -197,24 +202,21 @@ def fock_extension_action(
     """
     if m < 1:
         raise ValueError(f"generator indices are 1-based, got {m}")
-    state = _as_exponents(creators)
+    state = _as_exponents(creators)  # canonical, so each image below is built canonical
     if not star:
-        shifted = [(n + 1, k) for n, k in state]
-        if m >= 2:
-            shifted.append((1, m - 1))
-        coeff = sqrt_product(1, m - 1).inverse()
-        return coeff, _as_exponents(shifted)
+        shifted = tuple((n + 1, k) for n, k in state)
+        image = ((1, m - 1),) + shifted if m >= 2 else shifted
+        return sqrt_product(1, m - 1).inverse(), image
     if not state:
         return (ONE, ()) if m == 1 else (ZERO, ())
     n1, k1 = state[0]
     if n1 >= 2:
         if m != 1:
             return ZERO, ()
-        return ONE, _as_exponents((n - 1, k) for n, k in state)
+        return ONE, tuple((n - 1, k) for n, k in state)
     if m != k1 + 1:
         return ZERO, ()
-    rest = _as_exponents((n - 1, k) for n, k in state[1:])
-    return sqrt_product(1, k1), rest
+    return sqrt_product(1, k1), tuple((n - 1, k) for n, k in state[1:])
 
 
 def _probe_bound(v: Ket) -> int:

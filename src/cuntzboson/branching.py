@@ -19,6 +19,7 @@ import itertools
 from collections.abc import Iterable
 from math import gcd, lcm, perm, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import boson
 from .boson import apply_annihilate, apply_create
@@ -30,22 +31,12 @@ from .states import Ket
 from .words import EPWord, Word, format_word, rotations
 
 
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """One boson component of ``branch``: its vacuum, its class and the checks behind it."""
 
-    def __init__(self, vacuum_label: EPWord, classification: str,
-                 verified_conditions: list[CheckResult]):
-        self.vacuum_label = vacuum_label
-        self.classification = classification
-        self.verified_conditions = verified_conditions
-
-    def lines(self) -> list[str]:
-        out = [
-            f"component vacuum |{self.vacuum_label}>  pattern ({format_word(self.vacuum_label.cycle)})"
-            f"  classification {self.classification}",
-        ]
-        out.extend("  " + check.line() for check in self.verified_conditions)
-        return out
+    vacuum_label: EPWord
+    classification: str
+    verified_conditions: list[CheckResult]
 
 
 def classify_vacuum(vacuum: EPWord, *, modes: int) -> tuple[str, list[CheckResult]]:

@@ -111,12 +111,13 @@ def cmd_branch(args: argparse.Namespace) -> tuple[int, str | dict]:
             "vacuum": str(c.vacuum_label),
             "pattern": list(c.vacuum_label.cycle),
             "classification": c.classification,
-            "verified": [{"name": chk.name, "passed": chk.passed, "detail": chk.detail}
-                         for chk in c.verified_conditions],
+            "verified": [chk._asdict() for chk in c.verified_conditions],
         } for c in components]}
     lines = [f"{spec} restricted to the ladder algebra: {len(components)} component(s)"]
     for c in components:
-        lines += c.lines()
+        lines.append(f"component vacuum |{c.vacuum_label}>  pattern ({format_word(c.vacuum_label.cycle)})"
+                     f"  classification {c.classification}")
+        lines += ["  " + chk.line() for chk in c.verified_conditions]
     return code, "\n".join(lines)
 
 
@@ -127,9 +128,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str | dict]:
     code = 0 if result.ok else 1
     if args.json:
         return code, {"suite": result.name, "total": result.total, "passed": result.passed,
-                      "failures": result.failures}
+                      "failures": [failure.line() for failure in result.failures]}
     return code, "\n".join([result.summary()]
-                           + [f"  first failures: {failure}" for failure in result.failures])
+                           + [f"  first failures: {failure.line()}" for failure in result.failures])
 
 
 def cmd_fock(args: argparse.Namespace) -> tuple[int, str | dict]:

@@ -61,13 +61,9 @@ def check_family_sizes(sizes: Iterable[int], what: str) -> None:
 # 15-80 us at modest exponents, a hundred times an orthonormality check, so the
 # bound is several seconds of work.  Each count comes from the arguments, and a
 # larger request is refused with DomainError (exit code 3) before anything is
-# drawn or built.  The odometer count adds the modes its checks name over 10**4,
-# as a check at mode n works on n-bit integers.  The fock-ext count adds
-# checks * (k * exps)**2 // (5 * 10**4), k = min(cutoff, modes), as the digits of
-# its coefficients grow with k * exps (`--modes 1 --cutoff 1 --exps 2000` makes
-# 4,002 checks of about 5 s in all and is refused).  The embedding count is its
-# checks: each Fock sample walks its creators at once and crosses the block code
-# once each way.  No count sees the cycle letter j of an F_j row of ``branch``.
+# drawn or built.  The charge of each suite is given where it is computed, in
+# ``verify`` (``_relations_checks`` and the others), and that of ``branch`` by
+# ``branching._row_count``.
 MAX_KET_CHECKS = 10**5
 
 
@@ -79,7 +75,8 @@ def check_ket_checks(count: int, what: str) -> None:
 
 
 class CheckResult(NamedTuple):
-    """One verified identity: its name, outcome, and the exact scalars seen."""
+    """One checked identity, a ``branch`` row or a kept ``verify`` failure: its name, outcome
+    and the exact scalars seen.  ``line()`` alone writes a row's ``[ok]``/``[FAIL]`` marker."""
 
     name: str
     passed: bool

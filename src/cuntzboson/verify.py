@@ -5,9 +5,10 @@ arithmetic and counts per-check pass/fail; suites are deterministic in
 (parameters, seed).  Every suite check, the isometry relations, the shift
 intertwining and the vacuum orthogonality included, is recorded here and
 only here, by one call of ``SuiteResult.add``, which formats a check's name
-only when it fails.  ``ccr`` decides each commutation relation by comparing
-its two operator orderings (plus ``v`` for [a_n, a_n*] = 1) as canonical
-kets, without building the commutator.
+only when it fails and keeps the failure as a ``common.CheckResult`` row,
+the record ``branch`` prints too.  ``ccr`` decides each commutation
+relation by comparing its two operator orderings (plus ``v`` for
+[a_n, a_n*] = 1) as canonical kets, without building the commutator.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from typing import Callable, Optional, Sequence
 
 from . import boson, branching, embed
-from .common import MAX_KET_CHECKS, add_term, check_family_sizes, check_ket_checks
+from .common import MAX_KET_CHECKS, CheckResult, add_term, check_family_sizes, check_ket_checks
 from .cuntz import RepSpec, apply_generator, apply_monomial
 from .expr import Factor, Term, eval_on_ket
 from .scalar import ONE, RadicalScalar, _reduced
@@ -80,24 +81,25 @@ def random_occupations(rng: random.Random, *, max_modes: int, max_count: int,
 
 
 class SuiteResult:
-    """Check counts and the first ``MAX_FAILURES`` failures; an instance may set its own cap."""
+    """Check counts and the first ``MAX_FAILURES`` failures, each a failed ``CheckResult``
+    whose ``line()`` is the row printed for it; an instance may set its own cap."""
 
     MAX_FAILURES = 20
 
     def __init__(self, name: str):
         self.name = name
         self.total = self.passed = 0
-        self.failures: list[str] = []
+        self.failures: list[CheckResult] = []
 
     def add(self, passed: bool, describe: Optional[Callable[[], str]] = None) -> None:
-        """Count one check.  A failing check is kept as ``"[FAIL] " + describe()``
+        """Count one check.  A failing check is kept as ``CheckResult(describe(), False)``
         while fewer than ``MAX_FAILURES`` are kept; ``describe`` is called for
         nothing else, so a passing check may omit it."""
         self.total += 1
         if passed:
             self.passed += 1
         elif len(self.failures) < self.MAX_FAILURES:
-            self.failures.append("[FAIL] " + describe())
+            self.failures.append(CheckResult(describe(), False))
 
     @property
     def ok(self) -> bool:

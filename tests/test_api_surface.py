@@ -129,14 +129,23 @@ def test_methods_are_not_constructors_of_other_classes():
     assert _constructor_forwarders() == set()
 
 
-def _check_result_builders() -> set[str]:
-    """The package modules that call ``CheckResult(...)``."""
-    found = set()
+def _enclosing(path: Path, tree: ast.Module):
+    """The qualified name of the module-level function or method around a line of
+    ``tree``, or the module's name at module level."""
+    functions = [(qualified, node) for qualified, _, node in _definitions(path.stem, tree)
+                 if isinstance(node, ast.FunctionDef)]
+    return lambda lineno: next((qualified for qualified, f in functions
+                                if f.lineno <= lineno <= f.end_lineno), path.stem)
+
+
+def _check_result_builders() -> list[str]:
+    """The function around each package call ``CheckResult(...)``."""
+    found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call) and "CheckResult" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                found.add(path.stem)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        enclosing = _enclosing(path, tree)
+        found += [enclosing(node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "CheckResult" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     return found
 
 
@@ -153,10 +162,33 @@ def _verify_names() -> set[str]:
 
 
 def test_suite_checks_have_one_recorder():
-    """Every suite check goes through ``SuiteResult.add``; only the rows that
-    ``branch`` prints are ``CheckResult`` records."""
-    assert _check_result_builders() == {"branching"}
+    """Every suite check goes through ``SuiteResult.add``, which alone keeps a failure
+    as a ``CheckResult``; every other ``CheckResult`` is a row that ``branching`` builds."""
+    builders = _check_result_builders()
+    assert [where for where in builders if not where.startswith("branching.")] == ["verify.SuiteResult.add"]
+    assert "branching.classify_vacuum" in builders
     assert not {"_PASSED", "extend"} & _verify_names()
+
+
+def _row_marker_writers() -> set[str]:
+    """The function around each package string constant, docstrings aside, that holds
+    ``FAIL`` or ``[ok]``: the code that writes a check row's marker."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        enclosing = _enclosing(path, tree)
+        found |= {enclosing(node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings and ("FAIL" in node.value or "[ok]" in node.value)}
+    return found
+
+
+def test_only_check_result_line_writes_a_row_marker():
+    """A ``branch`` row and a kept ``verify`` failure are printed by ``CheckResult.line`` alone."""
+    assert _row_marker_writers() == {"common.CheckResult.line"}
 
 
 def _option_receivers() -> list[tuple[str, str, inspect.Parameter]]:
@@ -227,16 +259,14 @@ def _image_slot_fillers() -> list[str]:
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        functions = [(qualified, node) for qualified, _, node in _definitions(path.stem, tree)
-                     if isinstance(node, ast.FunctionDef)]
+        enclosing = _enclosing(path, tree)
         for node in ast.walk(tree):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
             if (any(isinstance(t, ast.Attribute) and t.attr == "_images"
                     for target in targets for t in ast.walk(target))
                     and not (isinstance(node.value, ast.Constant) and node.value.value is None)):
-                found.append(next((qualified for qualified, f in functions
-                                   if f.lineno <= node.lineno <= f.end_lineno), path.stem))
+                found.append(enclosing(node.lineno))
     return found
 
 
@@ -297,16 +327,14 @@ def _prefixed_label_builders() -> set[str]:
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        functions = [(qualified, node) for qualified, _, node in _definitions(path.stem, tree)
-                     if isinstance(node, ast.FunctionDef)]
+        enclosing = _enclosing(path, tree)
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EPWord"):
                 continue
             prefix = node.args[0] if node.args else next(
                 (kw.value for kw in node.keywords if kw.arg == "prefix"), None)
             if prefix is not None and not (isinstance(prefix, ast.Tuple) and not prefix.elts):
-                found.add(next((qualified for qualified, f in functions
-                                if f.lineno <= node.lineno <= f.end_lineno), path.stem))
+                found.add(enclosing(node.lineno))
     return found
 
 

@@ -9,7 +9,7 @@ from cuntzboson import boson, embed, expr, verify, words
 from cuntzboson.boson import (_as_exponents, _walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
 from cuntzboson.branching import _normal_ordered
-from cuntzboson.common import MAX_MODE
+from cuntzboson.common import MAX_MODE, CheckResult
 from cuntzboson.cuntz import RepSpec, apply_generator
 from cuntzboson.expr import Term, eval_on_ket, parse_expression
 from cuntzboson.scalar import ONE, RadicalScalar, ZERO, sqrt_nat, sqrt_product
@@ -423,7 +423,8 @@ def _ccr_without_kept_images(modes, samples, seed):
                                 f"[a{n}, a{m}*] = {int(n == m)}"),
                                (annihilators[0] == annihilators[1], spec, idx, f"[a{n}, a{m}] = 0"),
                                (creators[0] == creators[1], spec, idx, f"[a{n}*, a{m}*] = 0")]
-    failures = [f"[FAIL] {spec} sample {idx}: {name}" for passed, spec, idx, name in checks if not passed]
+    failures = [CheckResult(f"{spec} sample {idx}: {name}", False)
+                for passed, spec, idx, name in checks if not passed]
     return len(checks), len(checks) - len(failures), failures
 
 

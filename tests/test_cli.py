@@ -517,14 +517,31 @@ FOCK_EXT = ("verify", "fock-ext", "--modes", "3", "--cutoff", "2", "--exps", "3"
 ])
 def test_planted_failure_records(capsys, monkeypatch, name, plant, argv, total, passed, failures):
     """A fault planted in every package module that binds ``name`` names its failing checks,
-    on standard output and with exit code 1."""
+    on standard output and with exit code 1.  Each kept failure is a failed ``CheckResult``,
+    and the rows printed, as JSON and as text, are exactly its ``line()``, in order, up to
+    the cap."""
     true = getattr(cuntz, name, None) or getattr(embed, name, None) or getattr(boson, name)
     for module in (cuntz, boson, embed, verify):
         if getattr(module, name, None) is true:
             monkeypatch.setattr(module, name, plant(true))
+    results = []
+
+    def kept_run(*args, **kwargs):
+        results.append(verify.run_suite(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_suite", kept_run)
     code, out, err = run(capsys, *argv, "--json")
     assert (code, err) == (1, "") and json.loads(out) == {
         "suite": argv[1], "total": total, "passed": passed, "failures": failures}
+    kept = results[-1].failures
+    assert all(isinstance(row, common.CheckResult) and not row.passed for row in kept)
+    assert [row.line() for row in kept] == failures and len(kept) <= verify.SuiteResult.MAX_FAILURES
+    monkeypatch.setattr(verify.SuiteResult, "MAX_FAILURES", 2)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "") and out.splitlines()[1:] == [
+        f"  first failures: {row.line()}" for row in results[-1].failures]
+    assert results[-1].failures == kept[:2]
 
 
 def _counting(monkeypatch, module, name, calls):
@@ -1177,18 +1194,35 @@ def test_unprintable_occupation_coefficient_is_refused_before_it_is_built(argv):
                                   "than 4300 decimal digits")
 
 
+@pytest.mark.parametrize("argv", [
+    ("fock", "--occ", "1:3112"),  # the first count whose q reaches 10^4300
+    ("fock", "--occ", "1:3112", "--json"),
+    ("fock", "--occ", "1:3628"),  # the last count the closed-form bound lets through
+    ("fock", "--occ", "1:3628", "--json"),
+    ("embed", "--N", "2", "--occ", "1:3112"),
+])
+def test_unprintable_built_occupation_coefficient_is_refused_with_its_message(argv):
+    """Past the closed-form bound's reach, the built coefficient's q is compared with 10^4300."""
+    done, elapsed = _run_cli_subprocess(*argv)
+    assert elapsed < 2
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("domain error: the coefficient of these occupations has more than 4300 "
+                           "decimal digits, the limit of Python's integer-text conversion\n")
+
+
 def test_largest_printable_occupation_coefficient_is_served(capsys):
-    """sqrt(3000!) = q sqrt(r), r squarefree, and q has about 3,450 digits: under the limit."""
-    code, out, _ = run(capsys, "fock", "--occ", "1:3000", "--json")
+    """sqrt(3111!) = q sqrt(r), r squarefree, and q has 4,298 digits: under the limit, which
+    the q of sqrt(3112!) passes."""
+    code, out, _ = run(capsys, "fock", "--occ", "1:3111", "--json")
     assert code == 0
     payload = json.loads(out)
     [term] = payload["coefficient"]
     q, r = term["numerator"], term["radicand"]
-    assert payload["word"] == [3001] and term["denominator"] == 1
-    assert q * q * r == math.factorial(3000)
-    assert all(r % (p * p) for p in range(2, 3001))
-    code, out, _ = run(capsys, "fock", "--occ", "1:3000")
-    assert code == 0 and out == f"word: 3001\ncoefficient: {q}*sqrt({r})\n"
+    assert payload["word"] == [3112] and term["denominator"] == 1
+    assert q * q * r == math.factorial(3111) and len(str(q)) == 4298
+    assert all(r % (p * p) for p in range(2, 3112))
+    code, out, _ = run(capsys, "fock", "--occ", "1:3111")
+    assert code == 0 and out == f"word: 3112\ncoefficient: {q}*sqrt({r})\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson.common import DomainError
+from cuntzboson.common import CheckResult, DomainError
 from cuntzboson import verify
 from cuntzboson.cuntz import RepSpec, apply_generator, apply_monomial
 from cuntzboson.expr import Factor, Term
@@ -107,8 +107,8 @@ def test_wrong_range_projection_fails(monkeypatch):
     assert isometry_record(P1, 3, [v]) == (10, 10, [])
     monkeypatch.setattr(verify, "apply_generator", lossy_apply)
     assert isometry_record(P1, 3, [v]) == (10, 8, [
-        "[FAIL] P_inf(1) sample 0: s3* s3 = I",
-        "[FAIL] P_inf(1) sample 0: sum(s_i s_i*, i<=3) = projection on first letter <= 3"])
+        CheckResult("P_inf(1) sample 0: s3* s3 = I", False),
+        CheckResult("P_inf(1) sample 0: sum(s_i s_i*, i<=3) = projection on first letter <= 3", False)])
 
 
 def test_alphabet_violations():

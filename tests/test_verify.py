@@ -40,7 +40,7 @@ def recorded(name, kets, cap):
     result = SuiteResult(name)
     result.MAX_FAILURES = cap
     orthonormality_checks(result, name, kets)
-    return result.total, result.passed, result.failures
+    return result.total, result.passed, [failure.line() for failure in result.failures]
 
 
 # A small pool of labels, so that drawn kets often share some.
@@ -84,7 +84,7 @@ def test_add_describes_only_the_failures_it_keeps():
         result.add(k % 3 != 0, describe(k))
     result.add(True)
     assert (result.total, result.passed) == (31, 21)
-    assert result.failures == [f"[FAIL] check {k}" for k in range(0, 30, 3)]
+    assert result.failures == [CheckResult(f"check {k}", False) for k in range(0, 30, 3)]
     assert described == list(range(0, 30, 3))
     result.MAX_FAILURES = 12  # this result's own cap; the class keeps its default
     for k in range(30, 36):
