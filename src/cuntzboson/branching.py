@@ -115,7 +115,8 @@ def enumerate_components(spec: RepSpec, *, modes: int) -> list[ComponentReport]:
     embedded s_m = t_N^{k-1} t_i ends in a letter i < N, so s_m* kills N^inf
     and P_N(N) restricts to no representation of O_inf.  A cycle that also
     holds N is refused until the block code decodes it; one without N decodes
-    to itself.  More than ``MAX_KET_CHECKS`` rows, counted first, are refused.
+    to itself (``embed.decode_label``), so ``act --N`` acts on the same vacua.
+    More than ``MAX_KET_CHECKS`` rows, counted first, are refused.
     """
     if spec.cycle == (spec.alphabet,):
         raise DomainError(f"{spec} restricts to no representation of O_inf: every embedded "

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .boson import Exponents, _as_exponents, fock_word
+from .boson import Exponents, fock_word
 from .branching import basis_family, basis_size, enumerate_components
 from .common import MAX_MODE, DomainError, ExprError, _past_int_text_limit, check_family_sizes, check_index
 from .cuntz import RepSpec
@@ -42,7 +42,9 @@ def _parse_rep(text: str, alphabet: int | None) -> RepSpec:
 
 
 def _parse_occupations(text: str) -> Exponents:
-    pairs = []
+    """``--occ`` text as the canonical occupation list, by the one reader that sums the
+    counts of a repeated mode and drops a zero count."""
+    merged: dict[int, int] = {}
     text = text.strip()
     for chunk in text.split(",") if text else ():
         try:
@@ -56,8 +58,9 @@ def _parse_occupations(text: str) -> Exponents:
         if count < 0:
             raise ValueError(f"bad occupation entry {chunk!r}: count is negative")
         check_index(mode, "mode")
-        pairs.append((mode, count))
-    return _as_exponents(pairs)
+        if count:
+            merged[mode] = merged.get(mode, 0) + count
+    return tuple(sorted(merged.items()))
 
 
 def _positive_int(text: str) -> int:

@@ -9,6 +9,13 @@ coeff * s_J s_K*, given by its coefficient and its two words, acts on a ket
 label by label: strip K, prepend J, scale (``apply_monomial``).  A product of
 generators as a value is an ``expr.Term``, whose runs of generators
 ``expr.eval_on_ket`` reduces to such monomials.
+
+``apply_generator`` keeps its own loop beside ``apply_monomial``: applied as
+the one-letter monomial ``s_i`` or ``s_i*``, it made ``verify relations``
+21% slower (16 of 16 alternating rounds, in process, a 2-vCPU machine,
+Python 3.11), ``verify odometer`` 13% (15 of 16) and ``verify fock-ext``
+16% (15 of 16), since the monomial multiplies every amplitude by its
+coefficient and strips through its general word loop.
 """
 
 from __future__ import annotations

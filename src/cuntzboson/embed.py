@@ -8,8 +8,10 @@ i.e. index m maps to the word N^{k-1}.i with m-1 = (N-1)(k-1) + (i-1).  Under
 this map the standard cycle-(1) representation of O_N restricts to the
 standard representation of the infinite algebra, and labels translate by a
 block code: d leading copies of N followed by a letter b < N decode to the
-single letter (N-1)d + b.  The ladder operators act on O_N labels through
-that code; its functions read N from the alphabet bound of an O_N ``RepSpec``.
+single letter (N-1)d + b.  The code reads any label whose periodic tail has
+letters below N, each tail letter a block of its own; a tail that holds N is
+refused.  The ladder operators act on O_N labels through that code; its
+functions read N from the alphabet bound of an O_N ``RepSpec``.
 
 The odometer model realizes the standard representation on basis indices
 e_1, e_2, ... via s_n e_m = e_{2^{n-1}(2m-1)}; ``odometer_isomorphism`` is the
@@ -18,9 +20,9 @@ label bijection onto word labels and ``odometer_index`` its inverse.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-from .boson import Exponents, _as_exponents, _walk, apply_create
+from .boson import Exponents, _occupations, _walk, apply_create
 from .common import DomainError
 from .cuntz import RepSpec
 from .scalar import RadicalScalar
@@ -43,18 +45,18 @@ def translate_word(spec: RepSpec, J: Word) -> Word:
     return tuple(out)
 
 
-def fock_word_in_ON(spec: RepSpec, occupations: Union[Mapping[int, int], Exponents]) -> Word:
+def fock_word_in_ON(spec: RepSpec, occupations: Exponents) -> Word:
     """O_N word whose action on the GP vector carries the occupation list.
 
     Built directly from the digit decomposition k = (N-1)(c-1) + (b-1) of each
     occupation count; agrees letter for letter with translating the word from
-    ``fock_word`` generator by generator, and refuses the same malformed
+    ``fock_word`` generator by generator, and refuses the same non-canonical
     occupation lists (``fock_word`` alone bounds the coefficient).
     """
     N = spec.alphabet
     word: list[int] = []
     previous = 0
-    for mode, count in _as_exponents(occupations):
+    for mode, count in _occupations(occupations):
         c1, b1 = divmod(count, N - 1)  # count = (N-1)(c-1) + (b-1)
         word += (1,) * (mode - previous - 1) + (N,) * c1 + (b1 + 1,)
         previous = mode
@@ -62,13 +64,19 @@ def fock_word_in_ON(spec: RepSpec, occupations: Union[Mapping[int, int], Exponen
 
 
 def decode_label(spec: RepSpec, label: EPWord) -> EPWord:
-    """O_N label with tail 1^inf -> label of the infinite-alphabet standard rep."""
-    if label._rot != (1,):
-        raise DomainError(f"only labels with tail 1^inf decode, got {label}")
-    N = spec.alphabet
+    """O_N label whose periodic tail has letters below N -> label of the infinite-alphabet rep.
+
+    Past the printed prefix every letter is below N, so each is a block of its
+    own and decodes to itself; a trailing run of Ns in the prefix closes with
+    the first tail letter, and the rest of the tail follows, re-aligned.
+    """
+    N, rot = spec.alphabet, label._rot
+    if rot != (1,) and max(rot) >= N:
+        raise DomainError(f"only labels whose periodic tail has letters below {N} decode, got {label}")
+    prefix = label.prefix
     out = []
     run = 0
-    for letter in label.prefix:
+    for letter in prefix:
         if letter > N:
             raise DomainError(f"letter {letter} exceeds alphabet bound {N}")
         if letter == N:
@@ -76,17 +84,25 @@ def decode_label(spec: RepSpec, label: EPWord) -> EPWord:
         else:
             out.append((N - 1) * run + letter)
             run = 0
-    if run:
-        # trailing run of Ns closes with a 1 read from the periodic tail
-        out.append((N - 1) * run + 1)
-    return _tail_one(out)
+    read = len(prefix)
+    if run:  # a trailing run of Ns closes with the first tail letter
+        read += 1
+        out.append((N - 1) * run + label.letter_at(read))
+    if rot == (1,):
+        return _tail_one(out)
+    return label.drop_first(read).prepend(out)
 
 
 def encode_label(spec: RepSpec, label: EPWord) -> EPWord:
-    """Inverse of ``decode_label``."""
-    if label._rot != (1,):
-        raise DomainError(f"only labels with tail 1^inf encode, got {label}")
-    return _tail_one(translate_word(spec, label.prefix))
+    """Inverse of ``decode_label``: the prefix translated, the tail kept and re-aligned."""
+    N, rot = spec.alphabet, label._rot
+    if rot != (1,) and max(rot) >= N:
+        raise DomainError(f"only labels whose periodic tail has letters below {N} encode, got {label}")
+    prefix = label.prefix
+    word = translate_word(spec, prefix)
+    if rot == (1,):
+        return _tail_one(word)
+    return label.drop_first(len(prefix)).prepend(word)
 
 
 def _embedded(spec: RepSpec, v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:

@@ -110,9 +110,9 @@ def eval_on_ket(spec: cuntz.RepSpec, terms: list[Term], state: Ket) -> Ket:
     factors is one ladder product, which every label walks in one pass; with a
     finite alphabet it acts through the embedding block code, decoding each
     label once before the walk and encoding it once after, which requires
-    every label to end in 1^inf.  A run of generators is reduced by
-    s_i* s_j = delta_ij to one s_J s_K*, or to zero, and applied by
-    ``cuntz.apply_monomial``; each of its letters is first checked against
+    every label's periodic tail to have letters below N.  A run of generators
+    is reduced by s_i* s_j = delta_ij to one s_J s_K*, or to zero, and applied
+    by ``cuntz.apply_monomial``; each of its letters is first checked against
     the alphabet, in the order they act, even when the run is zero.
     """
     images = []

@@ -75,9 +75,10 @@ def random_ket(rng: random.Random, spec: RepSpec, max_labels: int = 8,
 
 
 def random_occupations(rng: random.Random, *, max_modes: int, max_count: int,
-                       mode_bound: int) -> dict[int, int]:
+                       mode_bound: int) -> boson.Exponents:
+    """A canonical occupation list: ``rng.sample`` draws the modes, then each mode in order its count."""
     modes = rng.sample(range(1, mode_bound + 1), rng.randint(0, max_modes))
-    return {mode: rng.randint(1, max_count) for mode in sorted(modes)}
+    return tuple((mode, rng.randint(1, max_count)) for mode in sorted(modes))
 
 
 class SuiteResult:
@@ -366,14 +367,14 @@ def run_embedding(*, N: int, samples: int, seed: int, cutoff: int, **_) -> Suite
         coeff, word = boson.fock_word(occ)
         via_digits = embed.fock_word_in_ON(spec, occ)
         via_translation = embed.translate_word(spec, word)
-        result.add(via_digits == via_translation, lambda: f"N={N} occupations {occ}: "
+        result.add(via_digits == via_translation, lambda: f"N={N} occupations {dict(occ)}: "
                    f"digit word = translated word: {via_digits} vs {via_translation}")
         label = spec.rotation_vacua()[0].prepend(via_digits)
-        walked = boson._walk(vacuum, tuple(occ.items()))
+        walked = boson._walk(vacuum, occ)
         encoded = _canonical({embed.encode_label(spec, w): c for w, c in walked._amps.items()})
         decoded = _canonical({embed.decode_label(spec, label): coeff})
         result.add(encoded == _canonical({label: coeff}) and decoded == walked,
-                   lambda: f"N={N} occupations {occ}: embedded creators reproduce the Fock state")
+                   lambda: f"N={N} occupations {dict(occ)}: embedded creators reproduce the Fock state")
     images = [embed.embed_generator(spec, m) for m in range(1, 3 * cutoff + 1)]
     for i in range(1, cutoff + 1):
         for j in range(1, cutoff + 1):
@@ -471,7 +472,7 @@ def run_fock_ext(*, modes: int, cutoff: int, exps: int, **_) -> SuiteResult:
     result = SuiteResult("fock-ext")
     spec = RepSpec((1,))
     omega = spec.gp_vector()
-    states: list[tuple[tuple[int, int], ...]] = []
+    states: list[boson.Exponents] = []
     for p in range(min(cutoff, modes) + 1):
         for mode_set in itertools.combinations(range(1, modes + 1), p):
             for exp_combo in itertools.product(range(1, exps + 1), repeat=p):

@@ -143,7 +143,7 @@ def test_criterion_5_fock_dictionary():
     for _ in range(100):
         occ = random_occupations(rng, max_modes=5, max_count=5, mode_bound=8)
         coeff, word = fock_word(occ)
-        state = eval_on_ket(spec, [_normal_ordered(occ.items(), ())], omega)
+        state = eval_on_ket(spec, [_normal_ordered(occ, ())], omega)
         assert state == coeff * Ket.basis(EPWord(word, (1,)))
     report(5, True,
            "100 seeded occupation lists: creator monomials on the vacuum match "

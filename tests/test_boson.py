@@ -1,12 +1,11 @@
 import itertools
 import random
-from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzboson import boson, embed, expr, verify, words
-from cuntzboson.boson import (_as_exponents, _walk, apply_annihilate, apply_create,
+from cuntzboson import boson, cli, embed, expr, verify, words
+from cuntzboson.boson import (_walk, apply_annihilate, apply_create,
                               fock_extension_action, fock_word, literal_annihilate, literal_create)
 from cuntzboson.branching import _normal_ordered
 from cuntzboson.common import MAX_MODE, CheckResult
@@ -65,11 +64,18 @@ def test_power_equals_single_steps(seed, spec, k, n):
         assert same, f"step {step} at mode {n} differs from {k} steps of {op.__name__}"
 
 
+_OCCUPATION_FUNCTIONS = (
+    fock_word,
+    lambda occ: embed.fock_word_in_ON(RepSpec((1,), alphabet=3), occ),
+    lambda occ: fock_extension_action(2, True, occ),
+)
+
+
 def _merged_exponents(data):
-    """The merge loop of ``_as_exponents`` without its fast path: the oracle it is checked against."""
+    """The canonical occupation list of ``(mode, count)`` entries, merged by a plain dict
+    loop: the oracle that ``cli._parse_occupations`` is checked against."""
     merged = {}
-    items = data.items() if isinstance(data, Mapping) else data
-    for mode, exp in items:
+    for mode, exp in data:
         if mode < 1:
             raise ValueError(f"modes are 1-based, got {mode}")
         if exp < 0:
@@ -86,40 +92,48 @@ def _exponents_or_error(convert, data):
         return str(exc)
 
 
-@pytest.mark.parametrize("data, canonical", [
-    (((1, 2), (3, 1), (7, 4)), True),
-    ((), True),
-    (((3, 1), (1, 2)), False),  # unsorted
-    (((1, 1), (1, 2), (2, 1)), False),  # a repeated mode
-    (((1, 0), (2, 1)), False),  # a zero exponent
-    (((2, 1), (0, 1)), False),  # a mode below 1, after a canonical pair
-    (((1, 1), (2, -1)), False),  # a negative exponent
-    (((1, 1), [2, 1]), False),  # a pair that is not a tuple
-    ([(1, 1), (2, 1)], False),  # not a tuple
-    ({2: 1, 1: 3}, False),
-])
-def test_exponents_fast_path_matches_the_merge_loop(data, canonical):
-    got = _exponents_or_error(_as_exponents, data)
-    assert got == _exponents_or_error(_merged_exponents, data)
-    assert (got is data) == canonical
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(min_value=-1, max_value=6), st.integers(min_value=-1, max_value=3)),
-                max_size=5).map(tuple))
-def test_exponents_of_any_pairs_match_the_merge_loop(data):
-    for candidate in (data, tuple(sorted(data))):
-        got = _exponents_or_error(_as_exponents, candidate)
-        assert got == _exponents_or_error(_merged_exponents, candidate)
-        if got == candidate:  # canonical input is returned as it is
-            assert got is candidate
+                max_size=5))
+def test_parsed_occupations_match_the_merge_loop(entries):
+    """``--occ`` text merges exactly as the dict loop does, refuses what it refuses, and
+    its result is an occupation list that every occupation function takes as it is."""
+    text = ",".join(f"{mode}:{count}" for mode, count in entries)
+    got = _exponents_or_error(cli._parse_occupations, text)
+    expected = _exponents_or_error(_merged_exponents, entries)
+    assert isinstance(got, str) == isinstance(expected, str)
+    if not isinstance(got, str):
+        assert got == expected
+        for function in _OCCUPATION_FUNCTIONS:
+            function(got)
+
+
+@pytest.mark.parametrize("occupations, message", [
+    ({1: 2, 3: 1}, "an occupation list is a tuple of (mode, count) pairs, got a dict"),
+    ([(1, 2)], "an occupation list is a tuple of (mode, count) pairs, got a list"),
+    (((1, 2), [3, 1]), "an occupation list is a tuple of (mode, count) pairs, got the entry [3, 1]"),
+    (((3, 1), (1, 2)), "occupation modes must increase, got 1 after 3"),
+    (((1, 1), (1, 2)), "occupation modes must increase, got 1 after 1"),
+    (((0, 1),), "modes are 1-based, got 0"),
+    (((2, 1), (0, 1)), "modes are 1-based, got 0"),
+    (((1, 0), (2, 1)), "exponents must be >= 1, got 0"),
+    (((1, 1), (2, -1)), "exponents must be >= 1, got -1"),
+], ids=["mapping", "list", "list entry", "unsorted", "repeated mode", "mode 0",
+        "mode 0 after a pair", "count 0", "negative count"])
+def test_occupation_functions_refuse_a_non_canonical_list(occupations, message):
+    """Only ``cli._parse_occupations`` merges entries; the functions that take an
+    occupation list refuse every other form, each case with one message."""
+    for function in _OCCUPATION_FUNCTIONS:
+        with pytest.raises(ValueError) as refused:
+            function(occupations)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("power", [-1])
 def test_power_below_one_is_refused(power):
-    for exponents in ({1: power}, ((1, power),)):
+    for function in _OCCUPATION_FUNCTIONS:
         with pytest.raises(ValueError, match="exponents"):
-            _as_exponents(exponents)
+            function(((1, power),))
 
 
 def test_closed_form_matches_literal_series():
@@ -284,11 +298,11 @@ def test_walk_equals_factor_by_factor(seed, spec, steps, n, lower, raise_, creat
 
 
 def test_fock_word_examples():
-    coeff, word = fock_word({1: 1, 2: 2})
+    coeff, word = fock_word(((1, 1), (2, 2)))
     assert (coeff, word) == (sqrt_nat(2), (2, 3))
-    assert fock_word({}) == (ONE, ())
+    assert fock_word(()) == (ONE, ())
     for n in (1, 3, 5):
-        coeff, word = fock_word({n: 1})
+        coeff, word = fock_word(((n, 1),))
         assert coeff == ONE
         assert word == (1,) * (n - 1) + (2,)
 
@@ -298,7 +312,7 @@ def test_fock_word_round_trip():
     for _ in range(60):
         occ = random_occupations(rng, max_modes=5, max_count=5, mode_bound=6)
         coeff, word = fock_word(occ)
-        state = _walk(OMEGA, list(occ.items()))
+        state = _walk(OMEGA, occ)
         assert state == coeff * Ket.basis(EPWord(word, (1,)))
 
 

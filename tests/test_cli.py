@@ -387,7 +387,7 @@ def _s3_as_s3_s1_in_p12(true):  # still an isometry, but it no longer intertwine
 
 
 def _digit_word_too_long(true):
-    return lambda spec, occ: true(spec, occ) + (2,) if occ == {2: 2, 6: 1} else true(spec, occ)
+    return lambda spec, occ: true(spec, occ) + (2,) if occ == ((2, 2), (6, 1)) else true(spec, occ)
 
 
 def _index_off_at_3_2(true):

@@ -19,7 +19,12 @@ last two (``branch --rep '|2' --N 2``, as text and as JSON) once a cycle of
 the letter N came to be refused, with their standard error, and the last
 four (an ``act`` on the state letter 1000000000039, a prime, and one of
 ``sqrt(7000042000063)``, (10^6+3)^2 * 7, each as text and as JSON) once every
-radicand below 10^18 came to be factored exactly.  Any change to
+radicand below 10^18 came to be factored exactly, and the last six
+(``act --N 3`` on ``|2`` and on ``3,3|1,2``, whose trailing run of 3s
+closes with the tail letter 1, each as text and as JSON, and the refusal of
+``act --N 2`` on ``|1,2``, a tail that holds the letter N, with its
+standard error) once the block code came to decode every tail without the
+letter N.  Any change to
 the text or JSON forms shows up here.  An entry without ``stderr`` expects
 an empty standard error.
 """
