@@ -71,7 +71,7 @@ def decode_label(spec: RepSpec, label: EPWord) -> EPWord:
     the first tail letter, and the rest of the tail follows, re-aligned.
     """
     N, rot = spec.alphabet, label._rot
-    if rot != (1,) and max(rot) >= N:
+    if max(rot) >= N:
         raise DomainError(f"only labels whose periodic tail has letters below {N} decode, got {label}")
     prefix = label.prefix
     out = []
@@ -88,21 +88,16 @@ def decode_label(spec: RepSpec, label: EPWord) -> EPWord:
     if run:  # a trailing run of Ns closes with the first tail letter
         read += 1
         out.append((N - 1) * run + label.letter_at(read))
-    if rot == (1,):
-        return _tail_one(out)
     return label.drop_first(read).prepend(out)
 
 
 def encode_label(spec: RepSpec, label: EPWord) -> EPWord:
     """Inverse of ``decode_label``: the prefix translated, the tail kept and re-aligned."""
     N, rot = spec.alphabet, label._rot
-    if rot != (1,) and max(rot) >= N:
+    if max(rot) >= N:
         raise DomainError(f"only labels whose periodic tail has letters below {N} encode, got {label}")
     prefix = label.prefix
-    word = translate_word(spec, prefix)
-    if rot == (1,):
-        return _tail_one(word)
-    return label.drop_first(len(prefix)).prepend(word)
+    return label.drop_first(len(prefix)).prepend(translate_word(spec, prefix))
 
 
 def _embedded(spec: RepSpec, v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:
