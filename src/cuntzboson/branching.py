@@ -27,7 +27,7 @@ from .common import MAX_CHECKS, CheckResult, DomainError, check_ket_checks
 from .cuntz import RepSpec
 from .expr import Factor, Term, _walk_steps
 from .scalar import ONE, RadicalScalar, _raw, _root_range
-from .states import Ket
+from .states import Ket, _canonical
 from .words import EPWord, Word, format_word, rotations
 
 
@@ -229,13 +229,15 @@ def basis_monomials(family: str, j: int, modes: int, exps: int
 def basis_family(family: str, j: int, modes: int, exps: int) -> tuple[list, list[Ket]]:
     """The elements of a ``bases`` family and their kets, in one order: the labels of
     ``basis_lambda_j``, each its own ket, or the (monomial, normalizer) pairs of
-    ``basis_monomials``, each the normalized monomial applied to the vacuum."""
+    ``basis_monomials``, each the normalized monomial applied to the vacuum.  The
+    monomial walks the vacuum that carries its (nonzero) normalizer, so each amplitude
+    is scaled once, by the walk's root."""
     if family == "lambda":
         labels = basis_lambda_j(j, modes)
         return labels, [Ket.basis(w) for w in labels]
     vacuum, elements = basis_monomials(family, j, modes, exps)
-    vacuum_ket = Ket.basis(vacuum)
-    return elements, [normalizer * boson._walk(vacuum_ket, _walk_steps(reversed(monomial.factors)))
+    return elements, [boson._walk(_canonical({vacuum: normalizer}),
+                                  _walk_steps(reversed(monomial.factors)))
                       for monomial, normalizer in elements]
 
 

@@ -63,13 +63,27 @@ def _parse_occupations(text: str) -> Exponents:
     return tuple(sorted(merged.items()))
 
 
-def _positive_int(text: str) -> int:
+def _read_int(text: str, expected: str, refusal: str) -> int:
+    """``int(text)``, or ``ArgumentTypeError(refusal)``; text past Python's integer-text
+    limit is refused as ``expected <expected>, got one of more than 4300 decimal digits``,
+    one short line that names the limit instead of echoing the digits."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
-        got = (f"one of more than {sys.get_int_max_str_digits()} decimal digits"
-               if _past_int_text_limit(exc) else repr(text))
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {got}") from None
+        if _past_int_text_limit(exc):
+            refusal = (f"expected {expected}, got one of more than "
+                       f"{sys.get_int_max_str_digits()} decimal digits")
+        raise argparse.ArgumentTypeError(refusal) from None
+
+
+def _int(text: str) -> int:
+    """An integer option, refused as argparse's own ``type=int`` refuses it, except past the
+    digit limit; its range is checked by the command, whose message names what it bounds."""
+    return _read_int(text, "an integer", f"invalid int value: {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = _read_int(text, "an integer >= 1", f"expected an integer >= 1, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
     return value
@@ -205,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     act = sub.add_parser("act", help="apply an operator expression to a state")
     act.add_argument("--rep", default="|1", help="representation cycle, e.g. '|1,2'")
-    act.add_argument("--N", type=int, default=None, help="finite alphabet bound")
+    act.add_argument("--N", type=_int, default=None, help="finite alphabet bound")
     act.add_argument("--expr", required=True)
     act.add_argument("--state", default="omega", help="'omega', 'prefix|cycle', or e<n>")
     act.add_argument("--model", choices=("words", "odometer"), default="words")
@@ -214,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     branch = sub.add_parser("branch", help="decompose a restriction into components")
     branch.add_argument("--rep", required=True)
-    branch.add_argument("--N", type=int, default=None)
+    branch.add_argument("--N", type=_int, default=None)
     branch.add_argument("--modes", type=_positive_int, default=6)
     branch.add_argument("--json", action="store_true")
     branch.set_defaults(func=cmd_branch)
@@ -223,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=sorted(SUITES))
     verify.add_argument("--modes", type=_positive_int, default=6)
     verify.add_argument("--samples", type=_positive_int, default=50)
-    verify.add_argument("--seed", type=int, default=7)
+    verify.add_argument("--seed", type=_int, default=7)
     verify.add_argument("--cutoff", type=_positive_int, default=4)
     verify.add_argument("--exps", type=_positive_int, default=3)
-    verify.add_argument("--N", type=int, default=2)
+    verify.add_argument("--N", type=_int, default=2)
     verify.add_argument("--index-bound", type=_positive_int, default=512)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
@@ -237,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     fock.set_defaults(func=cmd_fock)
 
     emb = sub.add_parser("embed", help="translate into a finite Cuntz algebra")
-    emb.add_argument("--N", type=int, required=True)
+    emb.add_argument("--N", type=_int, required=True)
     source = emb.add_mutually_exclusive_group(required=True)
-    source.add_argument("--gen", type=int, default=None)
+    source.add_argument("--gen", type=_int, default=None)
     source.add_argument("--word", default=None)
     source.add_argument("--occ", default=None)
     emb.add_argument("--json", action="store_true")
@@ -247,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bases = sub.add_parser("bases", help="generate and check an orthonormal family")
     bases.add_argument("--family", choices=("lambda", "typej", "onetwov"), required=True)
-    bases.add_argument("--j", type=int, default=1)
+    bases.add_argument("--j", type=_int, default=1)
     bases.add_argument("--modes", type=_positive_int, default=4)
     bases.add_argument("--exps", type=_positive_int, default=3)
     bases.add_argument("--json", action="store_true")

@@ -40,10 +40,10 @@ def check_index(index: int, what: str) -> None:
 
 
 # Largest number of orthonormality checks one ``bases`` or ``verify bases``
-# call may make.  A family of n elements costs n(n+1)/2 checks, about 0.11 us
+# call may make.  A family of n elements costs n(n+1)/2 checks, about 0.10 us
 # each (``bases --family typej --j 1 --modes 6 --exps 3``: 8,390,656 checks,
-# 0.95 s as a CLI process on a 2-vCPU machine, Python 3.11), so the bound is
-# about 1.1 s of work; a larger request is refused with DomainError (exit
+# 0.81 s as a CLI process on a 2-vCPU machine, Python 3.11), so the bound is
+# about 1 s of work; a larger request is refused with DomainError (exit
 # code 3) before any family is built.
 MAX_CHECKS = 10**7
 

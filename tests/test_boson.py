@@ -337,6 +337,27 @@ def test_fock_extension_both_sides_agree():
                 assert lhs == rhs, (creators, m, star)
 
 
+def test_fock_ext_right_sides_equal_the_coefficient_times_the_walk(monkeypatch):
+    """``run_fock_ext`` walks the vacuum that carries the coefficient, and a zero coefficient
+    gives the zero ket.  Its left side is replaced here by the oracle, the coefficient times
+    the walk of the unit vacuum, so every check passes exactly when every right side equals it."""
+    actions = []
+
+    def recorded(m, star, creators):
+        actions.append(fock_extension_action(m, star, creators))
+        return actions[-1]
+
+    def oracle(spec, m, v, star=False):
+        coeff, image = actions[-1]
+        return coeff * _walk(OMEGA, image)
+
+    monkeypatch.setattr(boson, "fock_extension_action", recorded)
+    monkeypatch.setattr(verify, "apply_generator", oracle)
+    result = verify.run_suite("fock-ext", modes=4, cutoff=2, exps=2)
+    assert result.ok and result.total == len(actions) == verify._fock_ext_checks(4, 2, 2) == 264
+    assert {bool(coeff) for coeff, _ in actions} == {False, True}
+
+
 _STEPS = {1: apply_create, -1: apply_annihilate}
 
 

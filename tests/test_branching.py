@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from cuntzboson import verify
-from cuntzboson.branching import (_normal_ordered, basis_lambda_j, basis_monomials, basis_size,
-                                  classify_vacuum, cyclicity_witness, enumerate_components,
+from cuntzboson import branching, verify
+from cuntzboson.branching import (_normal_ordered, basis_family, basis_lambda_j, basis_monomials,
+                                  basis_size, classify_vacuum, cyclicity_witness, enumerate_components,
                                   inequivalence_witness)
 from cuntzboson.common import MAX_CHECKS, DomainError
 from cuntzboson.cuntz import RepSpec
@@ -263,6 +263,31 @@ def test_basis_monomials_carry_the_vacuum_onto_each_oracle_label_with_amplitude_
                     assert ket == Ket.basis(label), (family, j, modes, exps, str(monomial))
                     labels.add(label)
                 assert len(monomials) == len(expected) and labels == expected
+
+
+def test_basis_family_kets_equal_the_normalized_monomials_on_the_unit_vacuum(monkeypatch):
+    """``basis_family`` walks the vacuum that carries the normalizer, scaling each amplitude
+    once; the oracle applies the monomial to the unit vacuum and then scales by the normalizer.
+    A doubled normalizer must double the ket, so a scale the walk dropped would show."""
+    cases = [("lambda", 1), ("lambda", 2), ("typej", 1), ("typej", 2), ("typej", 3), ("onetwov", 1)]
+    monomials = branching.basis_monomials
+    for factor in (1, 2):
+        monkeypatch.setattr(branching, "basis_monomials", lambda *args: (
+            monomials(*args)[0], [(m, factor * norm) for m, norm in monomials(*args)[1]]))
+        for modes in range(1, 4):
+            for exps in (1, 2):
+                for family, j in cases:
+                    elements, kets = basis_family(family, j, modes, exps)
+                    if family == "lambda":
+                        assert kets == [Ket.basis(label) for label in elements]
+                        continue
+                    vacuum = monomials(family, j, modes, exps)[0]
+                    spec, vac = RepSpec(vacuum.cycle), Ket.basis(vacuum)
+                    oracle = [normalizer * eval_on_ket(spec, [monomial], vac)
+                              for monomial, normalizer in elements]
+                    assert kets == oracle, (family, j, modes, exps)
+                    if family == "typej" and j == 1:  # one label each, of amplitude `factor`
+                        assert all([amp for _, amp in ket.items()] == [ONE * factor] for ket in kets)
 
 
 def test_vacuum_orthogonality_relations():

@@ -709,6 +709,13 @@ def test_benchmark_worker_traces_every_ccr_ladder_call():
     assert calls["verify.add"] == 72
 
 
+def test_benchmark_worker_traces_every_bases_check():
+    """Every bases check passes and is one ``verify.add`` call, the pin the benchmark holds,
+    whatever pairs the suite decides without an inner product."""
+    unit = _traced_benchmark_unit("bases", {"cutoff": 2, "exps": 1})
+    assert unit["passed"] == unit["ops"] == unit["fn_calls"]["verify.add"] > 0
+
+
 def test_benchmark_literal_series_agrees_with_act(capsys):
     """The benchmark's answer key for ladder expressions, the defining series, matches ``act``."""
     code, out, _ = run(capsys, "act", "--rep", "|1,2", "--expr", "2 a1* a1* a2 - a2 a3*",
@@ -846,6 +853,22 @@ def test_nonprimitive_rep_is_domain_error(capsys):
 def test_alphabet_bound_below_two_has_one_message(capsys, argv, N):
     code, out, err = run(capsys, *argv, "--N", str(N))
     assert (code, out, err) == (2, "", f"error: alphabet bound must be >= 2, got {N}\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("act", "--expr", "s1", "--N"), "--N"),
+    (("branch", "--rep", "|1", "--N"), "--N"),
+    (("verify", "ccr", "--seed"), "--seed"),
+    (("verify", "embedding", "--N"), "--N"),
+    (("embed", "--gen", "1", "--N"), "--N"),
+    (("embed", "--N", "2", "--gen"), "--gen"),
+    (("bases", "--family", "typej", "--j"), "--j"),
+])
+@pytest.mark.parametrize("text", ["x", "1.5", ""])
+def test_integer_options_refuse_text_as_argparse_int_does(capsys, argv, option, text):
+    code, out, err = run(capsys, *argv, text)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {option}: invalid int value: {text!r}\n")
 
 
 @pytest.mark.parametrize("option", ["--samples", "--modes", "--cutoff", "--exps", "--index-bound"])
@@ -1161,18 +1184,20 @@ _LONG = "1" * 5000  # past the 4300 digits of Python's integer-text conversion
     (("fock", "--occ", f"1:{_LONG}"), 3),
     (("embed", "--N", "2", "--occ", f"{_LONG}:1"), 3),
     (("act", "--model", "odometer", "--expr", "s1", "--state", f"e{_LONG}"), 3),
+    # the other alphabet bounds, read like --N of verify
+    (("act", "--N", _LONG, "--expr", "s1"), 2),
+    (("branch", "--rep", "|1", "--N", _LONG), 2),
+    (("embed", "--N", _LONG, "--gen", "1"), 2),
 ])
 def test_over_long_integer_exit_code_by_site_within_deadline(monkeypatch, argv, code):
     """The README's sites: exit 2 in an option value, a ``--rep`` cycle or a word, and
     exit 3, with the digit limit named, in ``--expr``, ``--occ`` and ``e<n>``.  A word and
-    an option read by ``_positive_int`` name the limit in one short line, without the
-    digits; argparse's own ``type=int`` options still echo them."""
+    every integer option name the limit in one short line, without the digits."""
     monkeypatch.setenv("COLUMNS", "80")  # the width of the usage text that comes with the error
     done, elapsed = _run_cli_subprocess(*argv)
     assert elapsed < 2
     assert (done.returncode, done.stdout) == (code, "") and "Traceback" not in done.stderr
-    site = argv[next(i for i, item in enumerate(argv) if _LONG in item) - 1]
-    if code == 2 and site not in ("--seed", "--N", "--j", "--gen"):
+    if code == 2:
         assert len(done.stderr.encode()) < 500 and "4300" in done.stderr
         assert "set_int_max_str_digits" not in done.stderr
     if code == 3:

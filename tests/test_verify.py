@@ -79,20 +79,26 @@ def test_add_describes_only_the_failures_it_keeps():
     def describe(k):
         return lambda: described.append(k) or f"check {k}"
 
+    def add(passed, describe=None):
+        result.add(passed, describe)
+        assert result.passed + result.failed == result.total
+
     result = SuiteResult("demo")
     for k in range(30):
-        result.add(k % 3 != 0, describe(k))
-    result.add(True)
-    assert (result.total, result.passed) == (31, 21)
+        add(k % 3 != 0, describe(k))
+    add(True)
+    assert (result.total, result.passed, result.failed) == (31, 21, 10)
     assert result.failures == [CheckResult(f"check {k}", False) for k in range(0, 30, 3)]
     assert described == list(range(0, 30, 3))
     result.MAX_FAILURES = 12  # this result's own cap; the class keeps its default
     for k in range(30, 36):
-        result.add(False, describe(k))
-    assert (result.total, result.passed) == (37, 21)
+        add(False, describe(k))
+    assert (result.total, result.passed, result.failed) == (37, 21, 16)
     assert len(result.failures) == 12 and SuiteResult.MAX_FAILURES == 20
     assert described == list(range(0, 30, 3)) + [30, 31]
     assert not result.ok and result.summary() == "suite demo: 21/37 checks passed"
+    with pytest.raises(AttributeError):
+        result.passed = 37  # read off total and failed, never stored
 
 
 # --- ccr compares two orderings instead of building their difference -------
