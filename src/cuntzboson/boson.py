@@ -36,9 +36,10 @@ each is the faster one where it runs (in process, 16 alternating rounds, a
 one Cuntz monomial at a time (``cuntz.apply_monomial``) and sum the images;
 they exist to cross-validate the closed form against its defining expansion.
 
-A ket may keep its single-step images, and ``_ladder`` then builds each
-(n, +-1) image of it once; the image slot and its one user, ``verify``'s
-ccr, are described in ``states``.
+A ket may keep its single-step images: ``_ladder`` then builds each (n, +-1)
+image of it once and stores it, and ``apply_create``/``apply_annihilate``
+answer every repeat from the slot without entering ``_ladder``; the image
+slot and its one user, ``verify``'s ccr, are described in ``states``.
 """
 
 from __future__ import annotations
@@ -83,19 +84,15 @@ def _occupations(occupations: Exponents) -> Exponents:
 
 
 def _ladder(n: int, v: Ket, sign: int) -> Ket:
-    """a_n (sign -1) or a_n* (sign 1): a single step by the rule above.
+    """a_n (sign -1) or a_n* (sign 1) of ``v``, built by the rule above.
 
-    A ket that keeps its images (``v._images`` a dict, see ``states``) is
-    answered from them: the image is built on the first request for the
-    signed mode ``sign * n`` and stored there; the image itself keeps none.
+    A root of 1 (letter 1 raised, letter 2 lowered) passes the amplitude
+    through unscaled.  Both callers have already looked for a kept image
+    (``v._images`` a dict, see ``states``); the image built here is stored
+    there for the signed mode ``sign * n``, and the image itself keeps none.
     """
     if n < 1:
         raise ValueError(f"modes are 1-based, got {n}")
-    images = v._images
-    if images is not None:
-        image = images.get(sign * n)
-        if image is not None:
-            return image
     out: dict[EPWord, RadicalScalar] = {}
     for word, coeff in v._amps.items():
         rot, old = word._rot, word._diff.get(n)
@@ -104,9 +101,12 @@ def _ladder(n: int, v: Ket, sign: int) -> Ket:
         low = c + sign if sign < 0 else c
         if low < 1:
             continue
-        q, r = _root(low)
-        out[_move_letter(word, n, c + sign, old, tail)] = _scale_root(coeff, q, r)
+        if low != 1:
+            q, r = _root(low)
+            coeff = _scale_root(coeff, q, r)
+        out[_move_letter(word, n, c + sign, old, tail)] = coeff
     image = _canonical(out)
+    images = v._images
     if images is not None:
         images[sign * n] = image
     return image
@@ -147,10 +147,26 @@ def _walk(v: Ket, steps: Sequence[tuple[int, int]]) -> Ket:
 
 
 def apply_annihilate(n: int, v: Ket) -> Ket:
+    """a_n v: the image kept on ``v`` for mode -n if there is one, else built by ``_ladder``.
+
+    A mode below 1 reads no image (the slot is keyed by the signed mode) and
+    is refused by ``_ladder``.
+    """
+    images = v._images
+    if images is not None and n > 0:
+        image = images.get(-n)
+        if image is not None:
+            return image
     return _ladder(n, v, -1)
 
 
 def apply_create(n: int, v: Ket) -> Ket:
+    """a_n* v, as ``apply_annihilate`` with the image kept for mode n."""
+    images = v._images
+    if images is not None and n > 0:
+        image = images.get(n)
+        if image is not None:
+            return image
     return _ladder(n, v, 1)
 
 

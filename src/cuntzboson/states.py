@@ -9,9 +9,12 @@ A ket may keep its ladder images.  Its ``_images`` slot is ``None`` on every
 ket that ``Ket.__init__`` and ``_canonical`` build; a caller that will ask
 one ket for the same single ladder step many times sets it to ``{}``, and
 ``boson._ladder`` then builds each image (n, +-1) once and keeps it there,
-keyed by the signed mode.  An image keeps none of its own unless its caller
-sets its slot too, so a kept ket holds at most two images per mode it is
-asked for and frees them when it is freed.
+keyed by the signed mode; ``boson.apply_create``/``apply_annihilate`` answer
+each repeat from the slot, for modes n >= 1 only, without entering
+``_ladder``.  Those three functions and ccr are the slot's only readers.  An
+image keeps none of its own unless its caller sets its slot too, so a kept
+ket holds at most two images per mode it is asked for and frees them when it
+is freed.
 
 The slot has one user, ``verify``'s ccr.  It keeps images on each sample
 and, for the images of their own kind (a_n a_m v and a_n* a_m* v, each asked

@@ -253,10 +253,11 @@ def test_cli_writes_one_json_form():
     assert len(dumps) == 1
 
 
-def _image_slot_fillers() -> list[str]:
+def _image_slot_uses() -> tuple[list[str], list[str]]:
     """The function around each package statement that sets some ``._images`` to a
-    value other than ``None``: the kets that keep their ladder images."""
-    found = []
+    value other than ``None`` (the kets that keep their ladder images), and the
+    function around each package expression that reads some ``._images``."""
+    fillers, readers = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         enclosing = _enclosing(path, tree)
@@ -266,13 +267,23 @@ def _image_slot_fillers() -> list[str]:
             if (any(isinstance(t, ast.Attribute) and t.attr == "_images"
                     for target in targets for t in ast.walk(target))
                     and not (isinstance(node.value, ast.Constant) and node.value.value is None)):
-                found.append(enclosing(node.lineno))
-    return found
+                fillers.append(enclosing(node.lineno))
+            if isinstance(node, ast.Attribute) and node.attr == "_images" and isinstance(node.ctx, ast.Load):
+                readers.append(enclosing(node.lineno))
+    return fillers, readers
 
 
 def test_only_ccr_samples_keep_ladder_images():
     """The image slot of ``states.Ket`` has one user, ``verify.run_ccr``."""
-    assert _image_slot_fillers() == ["verify.run_ccr"]
+    assert _image_slot_uses()[0] == ["verify.run_ccr"]
+
+
+def test_every_reader_of_the_image_slot_is_listed():
+    """The slot is read by the two ladder entry points, which answer kept images, by
+    ``boson._ladder``, which stores the images it builds, and by ``verify.run_ccr``,
+    which turns the slot on; a new reader must be added here."""
+    assert sorted(set(_image_slot_uses()[1])) == [
+        "boson._ladder", "boson.apply_annihilate", "boson.apply_create", "verify.run_ccr"]
 
 
 def _memo(node: ast.AST) -> str | None:

@@ -136,6 +136,24 @@ def test_power_below_one_is_refused(power):
             function(((1, power),))
 
 
+@pytest.mark.parametrize("kept", [False, True], ids=["plain", "kept images"])
+@pytest.mark.parametrize("ladder, n", [(apply_create, 0), (apply_create, -1), (apply_annihilate, 0),
+                                       (apply_annihilate, -2)])
+def test_ladder_refuses_a_mode_below_one(ladder, n, kept):
+    """The image slot is keyed by the signed mode, so a ket that keeps its images for
+    modes 1 and 2 holds a key for -1 and 2 as well: a mode below 1 is refused all the
+    same, and no kept image answers it."""
+    v = random_ket(random.Random(3), P12)
+    if kept:
+        v._images = {}
+        for mode in (1, 2):
+            apply_create(mode, v), apply_annihilate(mode, v)
+        assert sorted(v._images) == [-2, -1, 1, 2]
+    with pytest.raises(ValueError) as refused:
+        ladder(n, v)
+    assert str(refused.value) == f"modes are 1-based, got {n}"
+
+
 def test_closed_form_matches_literal_series():
     rng = random.Random(19)
     for spec in (P1, P12):
@@ -410,9 +428,12 @@ def test_ccr_builds_each_ladder_image_once(monkeypatch, modes, samples):
     """A ccr sample builds each of its 2·modes single-step images and 4·modes² two-step
     images once: 120 builds at modes 2, samples 2.  It keeps its single-step images, and
     each of those keeps only its modes two-step images of its own kind, the ones asked
-    for twice: 2·modes·(1 + modes) kets, 84 at modes 6."""
-    builds, drawn = [], []
-    canonical, draw = boson._canonical, verify.random_ket
+    for twice: 2·modes·(1 + modes) kets, 84 at modes 6.  Each of ``apply_create`` and
+    ``apply_annihilate`` is still called 6·modes² times a sample, and ``_ladder`` is
+    entered once per build: a kept image is answered at the entry point."""
+    builds, drawn, entries = [], [], []
+    calls = {"apply_create": 0, "apply_annihilate": 0}
+    canonical, draw, ladder = boson._canonical, verify.random_ket, boson._ladder
 
     def spy(amps):
         builds.append(1)
@@ -421,11 +442,25 @@ def test_ccr_builds_each_ladder_image_once(monkeypatch, modes, samples):
     def drawing(*args):
         drawn.append(draw(*args))
         return drawn[-1]
+
+    def entering(n, v, sign):
+        entries.append(sign * n)
+        return ladder(n, v, sign)
+
+    def counted(name, true):
+        def call(n, v):
+            calls[name] += 1
+            return true(n, v)
+        return call
     monkeypatch.setattr(boson, "_canonical", spy)
     monkeypatch.setattr(verify, "random_ket", drawing)
+    monkeypatch.setattr(boson, "_ladder", entering)
+    for name in calls:
+        monkeypatch.setattr(boson, name, counted(name, getattr(boson, name)))
     result = verify.run_suite("ccr", modes=modes, samples=samples, seed=7)
     assert result.total == result.passed == 9 * samples * modes**2
-    assert len(builds) == 3 * samples * (2 * modes + 4 * modes**2)
+    assert len(builds) == len(entries) == 3 * samples * (2 * modes + 4 * modes**2)
+    assert calls == dict.fromkeys(calls, 3 * samples * modes**2 * 6)
     assert len(drawn) == 3 * samples
     for v in drawn:
         assert sorted(v._images) == list(range(-modes, 0)) + list(range(1, modes + 1))
